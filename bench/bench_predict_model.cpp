@@ -24,8 +24,8 @@
 // the usual BENCH_predict_model.json mirror. Both are insertion-ordered
 // with shortest-exact numbers, so byte-identical across runs — CI diffs
 // them against committed baselines via tools/perf_diff.py and re-runs the
-// bench to prove byte-identity. tools/predict.py --selftest re-evaluates
-// the holdout block with its pure-Python mirror of the drivers.
+// bench to prove byte-identity. tests/test_perfmodel.cpp re-predicts the
+// committed holdout block and requires the stored numbers back exactly.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

@@ -42,7 +42,7 @@ struct AdmissionPlan {
 };
 
 /// Plans the campaign under `budget_per_day_sec` (negative = admit all).
-/// Throws std::invalid_argument when the model cannot predict a cell
+/// Throws ConfigError when the model cannot predict a cell
 /// (e.g. an untrained filter backend in the matrix).
 AdmissionPlan plan_admission(const Campaign& campaign,
                              const perfmodel::PredictModel& model,

@@ -1,7 +1,7 @@
 // What-if adapter: ModelConfig <-> perfmodel prediction coordinates.
 //
 // perfmodel sits below core in the layering (it knows nothing about
-// ModelConfig, filter enums or machine profiles), so the conversion from a
+// ModelConfig, filter algorithms or machine profiles), so the conversion from a
 // run request to a prediction Point — and the convenience of predicting a
 // configured run, or turning a finished run into a training observation —
 // lives here.
@@ -22,7 +22,7 @@ perfmodel::Observation observation_from(const ModelConfig& config,
                                         const RunReport& report);
 
 /// Predicts the per-step component times of `config` without running it.
-/// Throws std::invalid_argument when the model lacks a predictor the
+/// Throws ConfigError when the model lacks a predictor the
 /// configuration needs (e.g. an untrained filter backend).
 perfmodel::Prediction predict_config(const perfmodel::PredictModel& model,
                                      const ModelConfig& config);

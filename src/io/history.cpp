@@ -82,6 +82,9 @@ void write_history(const std::string& path, const HistoryFile& history,
 HistoryFile read_history(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) throw DataError("cannot open history file: " + path);
+  std::fseek(f.get(), 0, SEEK_END);
+  const long file_bytes = std::ftell(f.get());
+  std::rewind(f.get());
   char magic[8];
   if (std::fread(magic, 1, sizeof(magic), f.get()) != sizeof(magic) ||
       std::memcmp(magic, kMagic, sizeof(magic)) != 0)
@@ -116,6 +119,11 @@ HistoryFile read_history(const std::string& path) {
     field.name.resize(name_len);
     if (name_len > 0 &&
         std::fread(field.name.data(), 1, name_len, f.get()) != name_len)
+      throw DataError("history file truncated");
+    // Check the declared payload against what the file still holds before
+    // allocating: a corrupt header must not become a huge allocation.
+    const long left = file_bytes - std::ftell(f.get());
+    if (left < 0 || static_cast<std::size_t>(left) / sizeof(double) < expected)
       throw DataError("history file truncated");
     field.values.resize(expected);
     if (std::fread(field.values.data(), sizeof(double), expected, f.get()) !=

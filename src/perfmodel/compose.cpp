@@ -2,85 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <numeric>
 #include <stdexcept>
+
+#include "dynamics/dynamics.hpp"
+#include "filter/response.hpp"
+#include "grid/decomp.hpp"
+#include "grid/latlon.hpp"
+#include "util/error.hpp"
 
 namespace agcm::perfmodel {
 
 namespace {
 
-// The polar-filter structure constants the line-count drivers mirror
-// (filter/response.cpp cutoffs; dynamics::Dynamics::filtered_variables
-// filters u, v, h strongly and theta, q weakly). They are fixed properties
-// of the modelled code, restated here because perfmodel sits below the
-// filter layer.
-constexpr double kStrongCutoffDeg = 45.0;
-constexpr double kWeakCutoffDeg = 60.0;
-constexpr int kStrongVars = 3;
-constexpr int kWeakVars = 2;
-
-int ceil_div(int a, int b) { return (a + b - 1) / b; }
-
-/// Partition1D's block rule: the first n % p blocks get one extra point.
-int block_start(int n, int p, int b) {
-  const int base = n / p, rem = n % p;
-  return b * base + std::min(b, rem);
-}
-int block_size(int n, int p, int b) {
-  const int base = n / p, rem = n % p;
-  return base + (b < rem ? 1 : 0);
-}
-
-/// grid::LatLonGrid::lat_center(j) in degrees, same operation order so the
-/// poleward test below agrees bit-for-bit with grid/latlon.cpp (and with
-/// the mirror in tools/predict.py).
-double lat_center_deg(int j, int nlat) {
-  const double dlat = std::numbers::pi / nlat;
-  const double lat = -0.5 * std::numbers::pi + (j + 0.5) * dlat;
-  return lat * 180.0 / std::numbers::pi;
-}
-
-bool poleward(int j, int nlat, double cutoff_deg) {
-  return std::abs(lat_center_deg(j, nlat)) >= cutoff_deg;
-}
-
-/// Filtered latitude rows with centre poleward of `cutoff` inside global
-/// row range [j0, j0+nj).
-int filtered_rows_in(int j0, int nj, int nlat, double cutoff_deg) {
-  int rows = 0;
-  for (int j = j0; j < j0 + nj; ++j)
-    if (poleward(j, nlat, cutoff_deg)) ++rows;
-  return rows;
-}
-
-/// Filtered (variable, latitude, level) lines whose row lives in
-/// [j0, j0+nj): strong variables above 45 deg, weak above 60 deg.
-double filtered_lines_in(int j0, int nj, const Point& p) {
-  return static_cast<double>(p.nlev) *
-         (kStrongVars * filtered_rows_in(j0, nj, p.nlat, kStrongCutoffDeg) +
-          kWeakVars * filtered_rows_in(j0, nj, p.nlat, kWeakCutoffDeg));
+/// Filtered (variable, latitude, level) lines per mesh-row latitude band:
+/// every variable the dynamics core filters, on each row poleward of its
+/// kind's cutoff, at every level. Taken from the grid, filter and
+/// decomposition code itself, so the counts match FilterBank exactly.
+std::vector<double> filtered_lines_per_band(const Point& p) {
+  const grid::LatLonGrid grid(p.nlon, p.nlat, p.nlev);
+  const grid::Partition1D bands(p.nlat, p.mesh_rows);
+  std::vector<double> lines(static_cast<std::size_t>(bands.blocks()), 0.0);
+  for (const filter::FilteredVariable& var :
+       dynamics::Dynamics::filtered_variables()) {
+    const double cutoff = filter::cutoff_deg(var.kind);
+    for (int j = 0; j < p.nlat; ++j)
+      if (grid.poleward_of(j, cutoff))
+        lines[static_cast<std::size_t>(bands.owner(j))] += p.nlev;
+  }
+  return lines;
 }
 
 /// Max over mesh-row latitude bands of the filtered line count — the
 /// busiest processor row before any load balancing.
 double filtered_lines_row_max(const Point& p) {
-  double best = 0.0;
-  for (int r = 0; r < p.mesh_rows; ++r) {
-    best = std::max(best, filtered_lines_in(block_start(p.nlat, p.mesh_rows, r),
-                                            block_size(p.nlat, p.mesh_rows, r),
-                                            p));
-  }
-  return best;
-}
-
-double filtered_lines_total(const Point& p) {
-  return filtered_lines_in(0, p.nlat, p);
+  const std::vector<double> lines = filtered_lines_per_band(p);
+  return *std::max_element(lines.begin(), lines.end());
 }
 
 /// Machine-wide balanced share of the filtered lines (the fft-load-balanced
 /// backend's Figure-2 redistribution target).
 double filtered_lines_balanced(const Point& p) {
-  const double total = filtered_lines_total(p);
+  const std::vector<double> lines = filtered_lines_per_band(p);
+  const double total = std::accumulate(lines.begin(), lines.end(), 0.0);
   return std::ceil(total / p.ranks());
 }
 
@@ -117,16 +81,16 @@ namespace {
 double need_number(const trace::JsonValue& v, const char* key) {
   const trace::JsonValue* m = v.find(key);
   if (!m || !m->is_number())
-    throw std::invalid_argument(std::string("point/node JSON: missing number '") +
-                                key + "'");
+    throw DataError(std::string("point/node JSON: missing number '") + key +
+                    "'");
   return m->as_number();
 }
 
 std::string need_string(const trace::JsonValue& v, const char* key) {
   const trace::JsonValue* m = v.find(key);
   if (!m || !m->is_string())
-    throw std::invalid_argument(std::string("point/node JSON: missing string '") +
-                                key + "'");
+    throw DataError(std::string("point/node JSON: missing string '") + key +
+                    "'");
   return m->as_string();
 }
 
@@ -157,8 +121,8 @@ Point point_from_json(const trace::JsonValue& v) {
 double driver_value(const std::string& name, const Point& p) {
   // Max local block extents (Partition1D gives the first blocks the extra
   // point, so block 0 is always maximal).
-  const double ni = ceil_div(p.nlon, p.mesh_cols);
-  const double nj = ceil_div(p.nlat, p.mesh_rows);
+  const double ni = grid::Partition1D(p.nlon, p.mesh_cols).size(0);
+  const double nj = grid::Partition1D(p.nlat, p.mesh_rows).size(0);
   const double flops = p.flops_per_sec;
   const double bw = p.link_bytes_per_sec;
   const double msg_ovh =
@@ -358,7 +322,7 @@ Node::Op op_from_name(const std::string& name) {
   if (name == "tree") return Node::Op::kTree;
   if (name == "transpose") return Node::Op::kTranspose;
   if (name == "pairwise") return Node::Op::kPairwise;
-  throw std::invalid_argument("unknown composition op '" + name + "'");
+  throw DataError("unknown composition op '" + name + "'");
 }
 
 bool has_extent(Node::Op op) {
@@ -390,15 +354,25 @@ Node node_from_json(const trace::JsonValue& v) {
   node.op = op_from_name(need_string(v, "op"));
   if (node.op == Node::Op::kLeaf) {
     node.driver = need_string(v, "driver");
+    const std::vector<std::string> drivers = driver_names();
+    if (std::find(drivers.begin(), drivers.end(), node.driver) == drivers.end())
+      throw DataError("unknown perfmodel driver '" + node.driver + "'");
     node.hyp.a = need_number(v, "exponent_a");
     node.hyp.b = static_cast<int>(need_number(v, "log_power_b"));
     node.weight = need_number(v, "weight");
     return node;
   }
-  if (has_extent(node.op)) node.extent = need_string(v, "extent");
+  if (has_extent(node.op)) {
+    node.extent = need_string(v, "extent");
+    try {
+      extent_value(node.extent, Point{});
+    } catch (const std::invalid_argument& e) {
+      throw DataError(e.what());
+    }
+  }
   const trace::JsonValue* children = v.find("children");
   if (!children || !children->is_array())
-    throw std::invalid_argument("composition node JSON: missing children");
+    throw DataError("composition node JSON: missing children");
   for (const trace::JsonValue& child : children->items())
     node.children.push_back(node_from_json(child));
   return node;

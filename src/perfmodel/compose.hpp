@@ -15,8 +15,8 @@
 //     fitted model predicts across machines.
 //   * Named `drivers` — closed-form per-phase cost shapes (compute terms
 //     with the profile's loop-startup model, per-message overheads,
-//     per-byte wire terms, exact filtered-line counts mirroring
-//     filter/response.cpp). A fit only chooses their weights.
+//     per-byte wire terms, exact filtered-line counts taken from the
+//     grid, filter and dynamics code). A fit only chooses their weights.
 //   * A `Node` tree of structure operators mirroring the skeleton:
 //       sequence   — phases separated by barriers add;
 //       concurrent — co-scheduled branches cost their max;
@@ -35,7 +35,7 @@
 // Everything is pure arithmetic over the inputs: deterministic, no global
 // state, no host timing. JSON round-trips through trace::JsonValue so a
 // fitted tree is a portable artefact (PREDICT_MODEL.json, schema
-// agcm-predict-v1) that tools/predict.py can re-evaluate out of process.
+// agcm-predict-v1) that `agcm_run --predict` and the campaign planner load.
 #pragma once
 
 #include <string>
@@ -47,10 +47,8 @@
 namespace agcm::perfmodel {
 
 /// One prediction coordinate: everything a driver may consult. The machine
-/// scalars duplicate simnet::MachineProfile's message/compute parameters on
-/// purpose — perfmodel sits below simnet in the layering, and carrying the
-/// scalars keeps a serialised model self-contained for out-of-process
-/// evaluation.
+/// scalars copy simnet::MachineProfile's message/compute parameters so a
+/// Point (and the holdout block of a serialised model) is self-contained.
 struct Point {
   int nlon = 144;
   int nlat = 90;
@@ -143,8 +141,8 @@ Node pairwise(std::string extent, std::vector<Node> children);
 /// Evaluates the tree at `point` (virtual seconds).
 double evaluate(const Node& node, const Point& point);
 
-/// Serialises / parses a tree. Parsing throws std::invalid_argument on a
-/// malformed document (unknown op, missing fields).
+/// Serialises / parses a tree. Parsing throws DataError on a malformed
+/// document (unknown op, driver or extent; missing fields).
 trace::JsonValue node_json(const Node& node);
 Node node_from_json(const trace::JsonValue& value);
 

@@ -4,6 +4,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "util/error.hpp"
+
 namespace agcm::perfmodel {
 
 double PhasePredictor::evaluate_at(const Point& point) const {
@@ -189,8 +191,8 @@ double require_phase(const PredictModel& model, const std::string& phase,
                      const std::string& selector, const Point& point) {
   const PhasePredictor* predictor = model.find(phase, selector);
   if (!predictor)
-    throw std::invalid_argument("model has no predictor for phase '" + phase +
-                                "' selector '" + selector + "'");
+    throw ConfigError("model has no predictor for phase '" + phase +
+                      "' selector '" + selector + "'");
   // Predictions are times: clamp the intercept-dominated corner at zero.
   return std::max(predictor->evaluate_at(point), 0.0);
 }
@@ -254,20 +256,19 @@ PredictModel model_from_json(const trace::JsonValue& doc) {
   const trace::JsonValue* schema = doc.find("schema");
   if (!schema || !schema->is_string() ||
       schema->as_string() != kPredictSchema)
-    throw std::invalid_argument("predict model JSON: schema is not '" +
-                                std::string(kPredictSchema) + "'");
+    throw DataError("predict model JSON: schema is not '" +
+                    std::string(kPredictSchema) + "'");
 
   PredictModel model;
   const trace::JsonValue* machines = doc.find("machines");
   if (!machines || !machines->is_object())
-    throw std::invalid_argument("predict model JSON: missing machines table");
+    throw DataError("predict model JSON: missing machines table");
   for (const auto& [name, m] : machines->members()) {
     const auto scalar = [&](const char* key) {
       const trace::JsonValue* v = m.find(key);
       if (!v || !v->is_number())
-        throw std::invalid_argument(
-            std::string("predict model JSON: machine '") + name +
-            "' missing '" + key + "'");
+        throw DataError(std::string("predict model JSON: machine '") + name +
+                        "' missing '" + key + "'");
       return v->as_number();
     };
     MachineScalars s;
@@ -283,13 +284,13 @@ PredictModel model_from_json(const trace::JsonValue& doc) {
 
   const trace::JsonValue* phases = doc.find("phases");
   if (!phases || !phases->is_array())
-    throw std::invalid_argument("predict model JSON: missing phases array");
+    throw DataError("predict model JSON: missing phases array");
   for (const trace::JsonValue& entry : phases->items()) {
     PhasePredictor p;
     const auto str = [&](const char* key) {
       const trace::JsonValue* v = entry.find(key);
       if (!v || !v->is_string())
-        throw std::invalid_argument(
+        throw DataError(
             std::string("predict model JSON: phase entry missing '") + key +
             "'");
       return v->as_string();
@@ -297,7 +298,7 @@ PredictModel model_from_json(const trace::JsonValue& doc) {
     const auto num = [&](const char* key) {
       const trace::JsonValue* v = entry.find(key);
       if (!v || !v->is_number())
-        throw std::invalid_argument(
+        throw DataError(
             std::string("predict model JSON: phase entry missing '") + key +
             "'");
       return v->as_number();
@@ -311,8 +312,7 @@ PredictModel model_from_json(const trace::JsonValue& doc) {
     p.terms_used = static_cast<int>(num("terms_used"));
     const trace::JsonValue* tree = entry.find("tree");
     if (!tree)
-      throw std::invalid_argument(
-          "predict model JSON: phase entry missing 'tree'");
+      throw DataError("predict model JSON: phase entry missing 'tree'");
     p.tree = node_from_json(*tree);
     model.phases.push_back(std::move(p));
   }
@@ -324,9 +324,12 @@ PredictModel load_model(const std::string& path) {
   const std::optional<trace::JsonValue> doc =
       trace::JsonValue::parse(trace::read_text_file(path), &error);
   if (!doc)
-    throw std::invalid_argument("cannot parse predict model '" + path +
-                                "': " + error);
-  return model_from_json(*doc);
+    throw DataError("cannot parse predict model '" + path + "': " + error);
+  try {
+    return model_from_json(*doc);
+  } catch (const DataError& e) {
+    throw DataError("invalid predict model '" + path + "': " + e.what());
+  }
 }
 
 trace::JsonValue prediction_json(const Prediction& p) {

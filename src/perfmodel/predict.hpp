@@ -12,8 +12,8 @@
 //
 // The serialised form is PREDICT_MODEL.json, schema `agcm-predict-v1`
 // (docs/perfmodel.md): deterministic insertion-ordered JSON, written by
-// bench_predict_model, consumed by the tools/predict.py what-if CLI and
-// the campaign admission planner (campaign/planner.hpp).
+// bench_predict_model, consumed by the `agcm_run --predict` what-if mode
+// and the campaign admission planner (campaign/planner.hpp).
 #pragma once
 
 #include <string>
@@ -102,19 +102,19 @@ PredictModel train_model(const std::vector<Observation>& observations);
 
 /// Predicts the five per-step component times at `point`. `filter_enabled`
 /// / `physics_enabled` zero the corresponding phases; otherwise a missing
-/// (phase, selector) predictor throws std::invalid_argument (e.g. a filter
-/// backend the model was never trained on).
+/// (phase, selector) predictor throws ConfigError (e.g. a filter backend
+/// the model was never trained on).
 Prediction predict(const PredictModel& model, const Point& point,
                    bool filter_enabled = true, bool physics_enabled = true);
 
 /// Serialisation. model_from_json accepts a full PREDICT_MODEL.json
 /// document (extra blocks — training, holdout, gates — are ignored) and
-/// throws std::invalid_argument on malformed input.
+/// throws DataError on malformed input.
 trace::JsonValue model_to_json(const PredictModel& model);
 PredictModel model_from_json(const trace::JsonValue& value);
 
-/// Reads and parses a PREDICT_MODEL.json file; throws on I/O or parse
-/// errors.
+/// Reads and parses a PREDICT_MODEL.json file; throws DataError naming the
+/// file when it is unreadable, not JSON, or not a valid model.
 PredictModel load_model(const std::string& path);
 
 /// {"filter_per_step_sec": ..., ..., "total_per_step_sec": ...} — the

@@ -131,6 +131,33 @@ TEST(History, TruncatedFileThrows) {
   std::remove(path.c_str());
 }
 
+TEST(History, OversizedHeaderRejectedBeforeAllocating) {
+  // A ~50-byte file whose plausible-looking header declares a 2^20 x 2^20
+  // field (8 TiB of doubles): the reader must see the payload is not there
+  // instead of trying to allocate it.
+  const auto path = temp_path("agcm_test_oversized.hist");
+  {
+    std::ofstream out(path, std::ios::binary);
+    const auto put = [&](const auto& v) {
+      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    out.write("AGCMHIST", 8);
+    put(std::uint32_t{1});  // version
+    put(host_endianness_marker());
+    put(std::int32_t{1 << 20});  // nlon
+    put(std::int32_t{1 << 20});  // nlat
+    put(std::int32_t{1});        // nlev
+    put(0.0);                    // time_sec
+    put(std::int64_t{0});        // step
+    put(std::uint32_t{1});       // nfields
+    put(std::uint32_t{1});       // name length
+    out.write("h", 1);
+  }
+  EXPECT_LT(std::filesystem::file_size(path), 64u);
+  EXPECT_THROW(read_history(path), DataError);
+  std::remove(path.c_str());
+}
+
 TEST(History, WrongFieldSizeRejectedOnWrite) {
   const auto path = temp_path("agcm_test_badsize.hist");
   HistoryFile h = sample_history();

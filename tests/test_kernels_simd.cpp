@@ -114,9 +114,12 @@ TEST(SimdDispatch, InfoIsConsistent) {
   // The active tier must be one the host supports.
   EXPECT_TRUE(simd::tier_supported(info.active));
   // A tier can only be supported if its kernels were compiled in.
-  if (!info.built_avx2) EXPECT_FALSE(simd::tier_supported(simd::Tier::kAvx2));
-  if (!info.built_avx512)
+  if (!info.built_avx2) {
+    EXPECT_FALSE(simd::tier_supported(simd::Tier::kAvx2));
+  }
+  if (!info.built_avx512) {
     EXPECT_FALSE(simd::tier_supported(simd::Tier::kAvx512));
+  }
 }
 
 TEST(SimdDispatch, ForceTierHonoursSupport) {

@@ -5,16 +5,24 @@
 // recovers the *discrete* complexity class exactly (grid exponents are
 // artefacts, coefficients are not). Verdict strings and report JSON are
 // also deterministic, so they are string-compared directly.
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dynamics/dynamics.hpp"
+#include "filter/bank.hpp"
+#include "grid/decomp.hpp"
 #include "perfmodel/compose.hpp"
 #include "perfmodel/model.hpp"
 #include "perfmodel/predict.hpp"
 #include "perfmodel/report.hpp"
+#include "util/error.hpp"
 
 namespace agcm::perfmodel {
 namespace {
@@ -361,6 +369,44 @@ TEST(PerfCompose, UnknownDriverAndExtentThrow) {
   }
 }
 
+TEST(PerfCompose, FilteredLineDriversMatchFilterBank) {
+  // The line-count drivers must count exactly the lines the filter backends
+  // schedule, including awkward geometries: odd nlat, mesh rows that do
+  // not divide nlat, and row centres exactly on the 45/60 degree cutoffs
+  // (nlat = 9 has a centre at 60, nlat = 18 and 90 at 45).
+  struct Geometry {
+    int nlat, nlev, rows, cols;
+  };
+  for (const Geometry g : {Geometry{9, 2, 2, 3}, Geometry{18, 3, 4, 1},
+                           Geometry{45, 2, 4, 2}, Geometry{47, 1, 5, 3},
+                           Geometry{90, 2, 7, 4}}) {
+    const int nlon = 16;
+    const Point p = compose_point(nlon, g.nlat, g.nlev, g.rows, g.cols);
+    const grid::LatLonGrid grid(nlon, g.nlat, g.nlev);
+    const filter::FilterBank bank(grid,
+                                  dynamics::Dynamics::filtered_variables());
+    const grid::Partition1D bands(g.nlat, g.rows);
+    int row_max = 0;
+    for (int r = 0; r < g.rows; ++r) {
+      int lines = 0;
+      for (int v = 0; v < bank.nvars(); ++v)
+        for (const int j : bank.rows(v))
+          if (j >= bands.start(r) && j < bands.end(r)) lines += g.nlev;
+      row_max = std::max(row_max, lines);
+    }
+    const int total = static_cast<int>(bank.lines().size());
+    const int balanced = (total + p.ranks() - 1) / p.ranks();
+    EXPECT_DOUBLE_EQ(driver_value("lin_lines_row_sec", p) * p.flops_per_sec /
+                         nlon,
+                     row_max)
+        << "nlat=" << g.nlat << " rows=" << g.rows;
+    EXPECT_DOUBLE_EQ(driver_value("lin_lines_bal_sec", p) * p.flops_per_sec /
+                         nlon,
+                     balanced)
+        << "nlat=" << g.nlat << " ranks=" << p.ranks();
+  }
+}
+
 TEST(PerfCompose, NodeJsonRoundTripsByteStable) {
   const Node tree_node = sequence(
       {leaf("points_sec", 2.5, {1.0, 1}),
@@ -377,7 +423,7 @@ TEST(PerfCompose, NodeJsonRoundTripsByteStable) {
 
   trace::JsonValue bad = trace::JsonValue::object();
   bad.set("op", trace::JsonValue("no-such-op"));
-  EXPECT_THROW(node_from_json(bad), std::invalid_argument);
+  EXPECT_THROW(node_from_json(bad), DataError);
 }
 
 TEST(PerfCompose, LinearTermsRejectConcurrentAndMatchEvaluate) {
@@ -480,10 +526,11 @@ TEST(PerfPredict, RecoversSyntheticCompositeLawsThroughTraining) {
   EXPECT_DOUBLE_EQ(
       predict(model, one_rank, false, false).halo, 0.0);
 
-  // An untrained filter backend is an error, not a silent zero.
+  // An untrained filter backend is a configuration error, not a silent
+  // zero.
   Point p = compose_point();
   EXPECT_THROW(predict(model, p, /*filter_enabled=*/true, false),
-               std::invalid_argument);
+               ConfigError);
 }
 
 TEST(PerfPredict, ModelJsonRoundTripPreservesPredictions) {
@@ -499,6 +546,57 @@ TEST(PerfPredict, ModelJsonRoundTripPreservesPredictions) {
     EXPECT_DOUBLE_EQ(a.halo, b.halo);
     EXPECT_DOUBLE_EQ(a.total(), b.total());
   }
+}
+
+const std::string kBaselineModel =
+    std::string(AGCM_SOURCE_DIR) + "/bench/baselines/PREDICT_MODEL.json";
+
+TEST(PerfPredict, CommittedModelReproducesItsHoldoutPredictionsExactly) {
+  // The committed artefact stores the engine's own predictions for every
+  // holdout configuration; re-predicting from the stored point must give
+  // them back bit for bit, or the drivers have changed under the model.
+  const PredictModel model = load_model(kBaselineModel);
+  std::string error;
+  const auto doc =
+      trace::JsonValue::parse(trace::read_text_file(kBaselineModel), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const trace::JsonValue* holdout = doc->find("holdout");
+  ASSERT_NE(holdout, nullptr);
+  ASSERT_FALSE(holdout->items().empty());
+  for (const trace::JsonValue& entry : holdout->items()) {
+    const Prediction got =
+        predict(model, point_from_json(*entry.find("point")),
+                entry.find("filter_enabled")->as_bool(),
+                entry.find("physics_enabled")->as_bool());
+    EXPECT_EQ(prediction_json(got).dump(), entry.find("predicted")->dump())
+        << entry.find("name")->as_string();
+  }
+}
+
+TEST(PerfPredict, LoadModelRejectsCorruptDocumentsWithDataError) {
+  const std::string text = trace::read_text_file(kBaselineModel);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "agcm_test_corrupt_model.json")
+          .string();
+  const auto expect_data_error = [&](const std::string& body) {
+    std::ofstream(path, std::ios::binary) << body;
+    try {
+      load_model(path);
+      ADD_FAILURE() << "load_model accepted a corrupt document";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_data_error(text.substr(0, text.size() / 2));  // truncated
+  expect_data_error(R"({"schema": "agcm-predict-v0", "phases": []})");
+  expect_data_error(R"({"schema": "agcm-predict-v1", "machines": {},
+      "phases": [{"phase": "fd", "selector": "", "c0": 0, "r2": 1,
+                  "rmse": 0, "n_train": 3, "terms_used": 1,
+                  "tree": {"op": "leaf", "driver": "no_such_driver",
+                           "exponent_a": 1, "log_power_b": 0,
+                           "weight": 1}}]})");
+  std::remove(path.c_str());
 }
 
 TEST(PerfPredict, PhaseSkeletonsExistForEveryBackendAndRejectUnknown) {

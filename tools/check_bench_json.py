@@ -426,7 +426,7 @@ def check_node(path: str, where: str, node: object) -> None:
 
 def check_predict_model(path: str, doc: dict) -> str:
     """PREDICT_MODEL.json (agcm-predict-v1, written by bench_predict_model
-    and consumed by tools/predict.py and the campaign planner)."""
+    and consumed by `agcm_run --predict` and the campaign planner)."""
     machines = doc.get("machines")
     if not isinstance(machines, dict) or not machines:
         fail(path, "'machines' must be a non-empty object")
