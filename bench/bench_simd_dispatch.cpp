@@ -16,28 +16,21 @@
 //    aligned buffers (n=1152, m=144; larger shapes are bandwidth-bound and
 //    would measure the memory bus, not the ISA — see docs/kernels.md);
 //  * stencil   — the separate-fields Laplace engine (informational);
-//  * miniblas  — daxpy (bitwise) and ddot (reduction, ulp-bounded);
-//  * longwave + FFT — the opt-in reduction-family entry points
-//    (longwave_sweep_simd, FftPlan::forward_simd at n=1024 and n=144),
-//    ulp-bounded vs their scalar twins, plus a forced-scalar bitwise
-//    identity check (tier scalar must be the scalar code exactly).
+//  * daxpy     — the miniblas dispatched form (informational).
 //
 // Every trial restarts from a fresh copy of the same initial state
 // (best-of-N min time, the bench_kernel_engine convention).
 //
 // Acceptance gates (exit 1 on failure, recorded in the BENCH JSON):
-//   * contracted families (advection, pointwise, stencil, daxpy) BITWISE
-//     identical to their scalar references on every checked tier;
-//   * reduction families within kMaxUlp of scalar, and bitwise under a
-//     forced-scalar tier;
+//   * every family (advection, pointwise, stencil, daxpy) BITWISE
+//     identical to its scalar reference on every checked tier, the forced-
+//     scalar tier included;
 //   * when the active tier is a SIMD tier: advection and pointwise at the
 //     active tier >= 1.5x the forced-scalar engine. Skipped (with a note)
 //     when the resolved tier is scalar — e.g. the AGCM_SIMD=scalar CI leg.
 //
 // `--check-only` skips all timing and emits only deterministic fields so
 // CI's determinism fence can byte-compare two runs on the same host.
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -47,8 +40,6 @@
 #include "dynamics/advection.hpp"
 #include "dynamics/advection_seed_ref.hpp"
 #include "dynamics/state.hpp"
-#include "fft/fft.hpp"
-#include "kernels/column_kernels.hpp"
 #include "kernels/simd/dispatch.hpp"
 #include "kernels/stencil_kernels.hpp"
 #include "singlenode/miniblas.hpp"
@@ -77,26 +68,6 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// ULP distance between two doubles (monotone bit-pattern trick); NaN or
-/// infinity anywhere maps to a huge distance so gates fail loudly.
-double ulp_diff(double a, double b) {
-  if (!std::isfinite(a) || !std::isfinite(b)) return 1e30;
-  auto ordered = [](double x) {
-    std::uint64_t u;
-    std::memcpy(&u, &x, sizeof(u));
-    return (u & 0x8000000000000000ull) ? ~u : (u | 0x8000000000000000ull);
-  };
-  const std::uint64_t ua = ordered(a), ub = ordered(b);
-  return static_cast<double>(ua > ub ? ua - ub : ub - ua);
-}
-
-double max_ulp(std::span<const double> a, std::span<const double> b) {
-  double worst = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    worst = std::max(worst, ulp_diff(a[i], b[i]));
-  return worst;
-}
-
 /// Deterministic dyadic test data (the dispatch self-check's LCG), so every
 /// run — and every tier — sees identical input bits.
 void fill_det(std::span<double> v, unsigned seed, double base) {
@@ -118,7 +89,7 @@ class ForcedTier {
 
 struct PathResult {
   double seconds = 0.0;        ///< best timed block (0 in check-only)
-  std::vector<double> fields;  ///< final bytes, for bit/ulp compare
+  std::vector<double> fields;  ///< final bytes, for the bitwise compare
 };
 
 // --- advection (production engine, forced tier) -----------------------------
@@ -275,7 +246,7 @@ PathResult run_stencil(simd::Tier tier, bool engine, int reps, int trials) {
   return out;
 }
 
-// --- miniblas ---------------------------------------------------------------
+// --- daxpy -----------------------------------------------------------------
 
 PathResult run_daxpy(simd::Tier tier, bool dispatch, int reps, int trials) {
   using namespace agcm::singlenode;
@@ -303,102 +274,6 @@ PathResult run_daxpy(simd::Tier tier, bool dispatch, int reps, int trials) {
   return out;
 }
 
-PathResult run_ddot(simd::Tier tier, bool dispatch, int reps, int trials) {
-  using namespace agcm::singlenode;
-  constexpr std::size_t kN = 8192;
-  std::vector<double> x(kN), y(kN);
-  fill_det(x, 59u, 1.0);
-  fill_det(y, 71u, -1.0);
-
-  const ForcedTier forced(tier);
-  PathResult out;
-  double acc = 0.0;
-  for (int t = 0; t < trials; ++t) {
-    acc = 0.0;
-    const Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      acc += dispatch ? ddot_dispatch(x, y) : ddot(x, y);
-    }
-    const double sec = sw.seconds();
-    if (t == 0 || sec < out.seconds) out.seconds = sec;
-  }
-  out.fields = {acc / reps};
-  return out;
-}
-
-// --- longwave (opt-in reduction family) -------------------------------------
-
-PathResult run_longwave(simd::Tier tier, bool dispatch, int nlev, int reps,
-                        int trials) {
-  using namespace agcm::kernels;
-  std::vector<double> emis(static_cast<std::size_t>(nlev));
-  fill_longwave_emissivity(emis.data(), nlev);
-  std::vector<double> theta0(static_cast<std::size_t>(nlev));
-  fill_det(theta0, 83u, 290.0);
-
-  const ForcedTier forced(tier);
-  PathResult out;
-  std::vector<double> theta;
-  for (int t = 0; t < trials; ++t) {
-    theta = theta0;  // identical work every trial
-    const Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      if (dispatch) {
-        longwave_sweep_simd(theta.data(), nlev, emis.data(), 450.0);
-      } else {
-        longwave_sweep(theta.data(), nlev, emis.data(), 450.0);
-      }
-    }
-    const double sec = sw.seconds();
-    if (t == 0 || sec < out.seconds) out.seconds = sec;
-  }
-  out.fields = theta;
-  return out;
-}
-
-// --- FFT (opt-in reduction family) ------------------------------------------
-
-PathResult run_fft(simd::Tier tier, bool dispatch, int n, int reps,
-                   int trials) {
-  using agcm::fft::Complex;
-  const agcm::fft::FftPlan plan(n);
-  std::vector<double> re(static_cast<std::size_t>(n)),
-      im(static_cast<std::size_t>(n));
-  fill_det(re, 97u, 0.0);
-  fill_det(im, 113u, 0.0);
-  std::vector<Complex> init(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    init[static_cast<std::size_t>(i)] = {re[static_cast<std::size_t>(i)],
-                                         im[static_cast<std::size_t>(i)]};
-
-  const ForcedTier forced(tier);
-  PathResult out;
-  std::vector<Complex> data;
-  for (int t = 0; t < trials; ++t) {
-    data = init;  // fresh input every trial (transform is in place)
-    const Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      if (dispatch) {
-        plan.forward_simd(data);
-        plan.inverse_simd(data);
-      } else {
-        plan.forward(data);
-        plan.inverse(data);
-      }
-    }
-    const double sec = sw.seconds();
-    if (t == 0 || sec < out.seconds) out.seconds = sec;
-  }
-  // One final forward so the compared bits are a spectrum, not a round trip.
-  plan.forward(data);
-  out.fields.reserve(2 * static_cast<std::size_t>(n));
-  for (const Complex& c : data) {
-    out.fields.push_back(c.real());
-    out.fields.push_back(c.imag());
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -420,11 +295,6 @@ int main(int argc, char** argv) {
           : "SIMD dispatch: per-tier host speed and correctness");
 
   constexpr double kSpeedGate = 1.5;  // active tier vs forced-scalar engine
-  constexpr double kMaxUlp = 16.0;    // longwave/fft vs scalar
-  // ddot reassociates a length-8192 sum into lanes; the sequential-vs-lane
-  // difference scales with n*eps of the term magnitudes (thousands of ulp
-  // worst case), so its bound is orders looser than the per-point families.
-  constexpr double kMaxUlpDot = 512.0;
 
   const simd::Tier active = simd::active_tier();
   std::vector<simd::Tier> tiers{simd::Tier::kScalar};
@@ -436,8 +306,6 @@ int main(int argc, char** argv) {
   const int pw_reps = g_check_only ? 1 : 8000;
   const int sten_reps = g_check_only ? 1 : 4;
   const int blas_reps = g_check_only ? 1 : 4000;
-  const int lw_reps = g_check_only ? 1 : 8000;
-  const int fft_reps = g_check_only ? 1 : 1000;
   const int trials = g_check_only ? 1 : 7;
 
   // Scalar-tier references (and, for advection, the seed implementation).
@@ -451,31 +319,12 @@ int main(int argc, char** argv) {
       run_stencil(simd::Tier::kScalar, false, sten_reps, trials);
   const PathResult blas_scalar =
       run_daxpy(simd::Tier::kScalar, false, blas_reps, trials);
-  const PathResult dot_scalar =
-      run_ddot(simd::Tier::kScalar, false, blas_reps, trials);
-  const PathResult lw_scalar =
-      run_longwave(simd::Tier::kScalar, false, 64, lw_reps, trials);
-  const PathResult fft_scalar =
-      run_fft(simd::Tier::kScalar, false, 1024, fft_reps, trials);
-  const PathResult fft144_scalar =
-      run_fft(simd::Tier::kScalar, false, 144, fft_reps, trials);
 
-  // Forced-scalar dispatch must be the scalar code exactly (bitwise), even
-  // for the reduction families — equal-work short runs on both sides.
-  const bool forced_scalar_bits =
-      bitwise_equal(run_longwave(simd::Tier::kScalar, false, 64, 3, 1).fields,
-                    run_longwave(simd::Tier::kScalar, true, 64, 3, 1).fields) &&
-      bitwise_equal(run_fft(simd::Tier::kScalar, false, 1024, 2, 1).fields,
-                    run_fft(simd::Tier::kScalar, true, 1024, 2, 1).fields) &&
-      bitwise_equal(run_fft(simd::Tier::kScalar, false, 144, 2, 1).fields,
-                    run_fft(simd::Tier::kScalar, true, 144, 2, 1).fields);
-
-  // Per-tier runs: bitwise for the contracted families, ulp for reductions.
+  // Per-tier runs, each compared bitwise with the scalar references.
   bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true;
-  double ddot_worst = 0.0, lw_worst = 0.0, fft_worst = 0.0;
   struct TierRow {
     simd::Tier tier;
-    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, ddot_ms, lw_ms, fft_ms;
+    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms;
   };
   std::vector<TierRow> rows;
   for (simd::Tier tier : tiers) {
@@ -484,49 +333,26 @@ int main(int argc, char** argv) {
     const PathResult pw = run_pointwise(tier, true, pw_reps, trials);
     const PathResult sten = run_stencil(tier, true, sten_reps, trials);
     const PathResult axp = run_daxpy(tier, true, blas_reps, trials);
-    const PathResult dot = run_ddot(tier, true, blas_reps, trials);
-    const PathResult lw = run_longwave(tier, true, 64, lw_reps, trials);
-    const PathResult fft1k = run_fft(tier, true, 1024, fft_reps, trials);
-    const PathResult fft144 = run_fft(tier, true, 144, fft_reps, trials);
 
     adv_bits = adv_bits && bitwise_equal(rows_scalar.fields, advr.fields) &&
                bitwise_equal(adv_seed.fields, adv.fields);
     pw_bits = pw_bits && bitwise_equal(pw_scalar.fields, pw.fields);
     sten_bits = sten_bits && bitwise_equal(sten_seed.fields, sten.fields);
     daxpy_bits = daxpy_bits && bitwise_equal(blas_scalar.fields, axp.fields);
-    ddot_worst =
-        std::max(ddot_worst, max_ulp(dot_scalar.fields, dot.fields));
-    lw_worst = std::max(lw_worst, max_ulp(lw_scalar.fields, lw.fields));
-    fft_worst =
-        std::max(fft_worst, max_ulp(fft_scalar.fields, fft1k.fields));
-    fft_worst =
-        std::max(fft_worst, max_ulp(fft144_scalar.fields, fft144.fields));
 
     rows.push_back({tier, advr.seconds * 1e3, adv.seconds * 1e3,
-                    pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3,
-                    dot.seconds * 1e3, lw.seconds * 1e3, fft1k.seconds * 1e3});
+                    pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3});
   }
 
-  const bool correctness = adv_bits && pw_bits && sten_bits && daxpy_bits &&
-                           forced_scalar_bits && ddot_worst <= kMaxUlpDot &&
-                           lw_worst <= kMaxUlp && fft_worst <= kMaxUlp;
+  const bool correctness = adv_bits && pw_bits && sten_bits && daxpy_bits;
 
-  Table bits("Cross-tier correctness vs scalar references",
-             {"Family", "Contract", "Result"});
+  Table bits("Cross-tier correctness vs scalar references (bitwise)",
+             {"Family", "Result"});
   auto verdict = [](bool ok) { return ok ? "identical" : "MISMATCH"; };
-  bits.add_row({"advection (rows + engine vs seed)", "bitwise",
-                verdict(adv_bits)});
-  bits.add_row({"pointwise", "bitwise", verdict(pw_bits)});
-  bits.add_row({"stencil separate", "bitwise", verdict(sten_bits)});
-  bits.add_row({"daxpy", "bitwise", verdict(daxpy_bits)});
-  bits.add_row({"forced-scalar longwave+fft", "bitwise",
-                verdict(forced_scalar_bits)});
-  bits.add_row({"ddot", "<= " + Table::num(kMaxUlpDot, 0) + " ulp",
-                Table::num(ddot_worst, 1) + " ulp"});
-  bits.add_row({"longwave", "<= " + Table::num(kMaxUlp, 0) + " ulp",
-                Table::num(lw_worst, 1) + " ulp"});
-  bits.add_row({"fft fwd (1024, 144)", "<= " + Table::num(kMaxUlp, 0) + " ulp",
-                Table::num(fft_worst, 1) + " ulp"});
+  bits.add_row({"advection (rows + engine vs seed)", verdict(adv_bits)});
+  bits.add_row({"pointwise", verdict(pw_bits)});
+  bits.add_row({"stencil separate", verdict(sten_bits)});
+  bits.add_row({"daxpy", verdict(daxpy_bits)});
   agcm::bench::emit_table(report, bits);
 
   report.set("mode", g_check_only ? "check-only" : "full");
@@ -538,10 +364,6 @@ int main(int argc, char** argv) {
   report.set("pointwise_bitwise_identical", pw_bits);
   report.set("stencil_bitwise_identical", sten_bits);
   report.set("daxpy_bitwise_identical", daxpy_bits);
-  report.set("forced_scalar_bitwise_identical", forced_scalar_bits);
-  report.set("ddot_max_ulp", ddot_worst);
-  report.set("longwave_max_ulp", lw_worst);
-  report.set("fft_max_ulp", fft_worst);
   report.set("gate_speedup_min", kSpeedGate);
 
   bool gates = correctness;
@@ -549,7 +371,7 @@ int main(int argc, char** argv) {
     Table speed("Per-tier best-of-" + std::to_string(trials) +
                     " host time (ms; speedup vs forced-scalar engine)",
                 {"Tier", "Advect rows", "Advect engine", "Pointwise",
-                 "Stencil", "daxpy", "ddot", "Longwave", "FFT 1024"});
+                 "Stencil", "daxpy"});
     const TierRow& base = rows.front();
     auto cell = [&](double ms, double base_ms) {
       return Table::num(ms, 3) + " (" + Table::num(base_ms / ms, 2) + "x)";
@@ -558,9 +380,7 @@ int main(int argc, char** argv) {
       speed.add_row({simd::tier_name(r.tier), cell(r.rows_ms, base.rows_ms),
                      cell(r.adv_ms, base.adv_ms), cell(r.pw_ms, base.pw_ms),
                      cell(r.sten_ms, base.sten_ms),
-                     cell(r.daxpy_ms, base.daxpy_ms),
-                     cell(r.ddot_ms, base.ddot_ms), cell(r.lw_ms, base.lw_ms),
-                     cell(r.fft_ms, base.fft_ms)});
+                     cell(r.daxpy_ms, base.daxpy_ms)});
     }
     agcm::bench::emit_table(report, speed);
 
@@ -599,9 +419,7 @@ int main(int argc, char** argv) {
       g_check_only
           ? "check-only: deterministic fields only (no host timings)"
           : "gates: advection and pointwise >= " + Table::num(kSpeedGate, 1) +
-                "x scalar at the active tier; all contracted families "
-                "bitwise; reductions <= " +
-                Table::num(kMaxUlp, 0) + " ulp");
+                "x scalar at the active tier; every family bitwise");
 
   report.set("gates_passed", gates);
   report.finish();

@@ -27,7 +27,6 @@
 #include "trace/export.hpp"
 #include "trace/json.hpp"
 #include "trace/tracer.hpp"
-#include "util/logging.hpp"
 
 namespace {
 
@@ -86,9 +85,7 @@ int main(int argc, char** argv) {
     const io::Config config = io::Config::from_string(
         trace::read_text_file(config_path) + overrides);
     const core::RunSpec spec = core::run_spec_from(config);
-
-    for (const std::string& key : config.unused_keys())
-      log::warn("config key '{}' was not recognised", key);
+    config.reject_unused_keys();
 
     const core::ModelConfig& model = spec.model;
     if (!model_path.empty()) {

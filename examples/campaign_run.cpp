@@ -33,7 +33,6 @@
 #include "io/config.hpp"
 #include "perfmodel/predict.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace {
 
@@ -92,8 +91,7 @@ int main(int argc, char** argv) {
   try {
     const io::Config config = io::Config::from_file(config_path);
     const campaign::Campaign matrix = campaign::campaign_from(config);
-    for (const std::string& key : config.unused_keys())
-      log::warn("config key '{}' was not recognised", key);
+    config.reject_unused_keys();
 
     std::printf("campaign '%s': %zu experiments\n", matrix.name.c_str(),
                 matrix.cells.size());

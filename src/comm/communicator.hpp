@@ -101,14 +101,6 @@ class Communicator {
     return value;
   }
 
-  /// Buffered sends never block, so send-then-recv is deadlock-free.
-  template <typename T>
-  void sendrecv(int dst, std::span<const T> send_data, int src,
-                std::span<T> recv_data, int tag) const {
-    send<T>(dst, tag, send_data);
-    recv<T>(src, tag, recv_data);
-  }
-
   // --- zero-copy pooled transport ------------------------------------------
   //
   // The pooled path packs a message *once*, directly into the wire buffer:
@@ -199,36 +191,6 @@ class Communicator {
   template <typename T>
   std::vector<T> allgatherv(std::span<const T> mine,
                             std::span<const int> counts) const;
-
-  /// Fixed-size allgather: every rank contributes `mine` (equal sizes) and
-  /// receives the rank-order concatenation.
-  template <typename T>
-  std::vector<T> allgather(std::span<const T> mine) const {
-    const std::vector<int> counts(static_cast<std::size_t>(size()),
-                                  static_cast<int>(mine.size()));
-    return allgatherv<T>(mine, counts);
-  }
-
-  /// Fixed-size personalised all-to-all: `send.size() == size()*block` and
-  /// block elements go to each rank.
-  template <typename T>
-  std::vector<T> alltoall(std::span<const T> send, int block) const {
-    const std::vector<int> counts(static_cast<std::size_t>(size()), block);
-    return alltoallv<T>(send, counts, counts);
-  }
-
-  /// Inclusive prefix scan: rank r receives op(x_0, ..., x_r), element-wise.
-  /// Implemented as the classic chain (deterministic, O(P) latency — the
-  /// era-typical portable implementation).
-  template <typename T>
-  void scan(std::span<const T> in, std::span<T> out,
-            const std::function<T(T, T)>& op) const;
-
-  /// Reduce + scatter of equal blocks: every rank gets the element-wise
-  /// reduction of its own `block`-sized slice across all ranks.
-  template <typename T>
-  std::vector<T> reduce_scatter_block(std::span<const T> in, int block,
-                                      const std::function<T(T, T)>& op) const;
 
   /// Personalised all-to-all with per-pair counts. `send_counts[r]` elements
   /// go to rank r (taken from `send_data` in rank order); the result is the
@@ -469,41 +431,6 @@ std::vector<T> Communicator::allgatherv(std::span<const T> mine,
   all.resize(total);
   broadcast<T>(0, std::span<T>(all.data(), all.size()));
   return all;
-}
-
-template <typename T>
-void Communicator::scan(std::span<const T> in, std::span<T> out,
-                        const std::function<T(T, T)>& op) const {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AGCM_TRACE_SPAN("comm.scan", *ctx_);
-  AGCM_ASSERT(in.size() == out.size());
-  constexpr int kTag = kMaxUserTag - 6;
-  std::copy(in.begin(), in.end(), out.begin());
-  if (rank_ > 0) {
-    std::vector<T> prefix(in.size());
-    recv<T>(rank_ - 1, kTag, prefix);
-    charge_flops(static_cast<double>(in.size()));
-    for (std::size_t i = 0; i < out.size(); ++i)
-      out[i] = op(prefix[i], out[i]);
-  }
-  if (rank_ + 1 < size()) {
-    send<T>(rank_ + 1, kTag, std::span<const T>(out.data(), out.size()));
-  }
-}
-
-template <typename T>
-std::vector<T> Communicator::reduce_scatter_block(
-    std::span<const T> in, int block, const std::function<T(T, T)>& op) const {
-  static_assert(std::is_trivially_copyable_v<T>);
-  AGCM_TRACE_SPAN("comm.reduce_scatter", *ctx_);
-  const int p = size();
-  AGCM_ASSERT(static_cast<int>(in.size()) == p * block);
-  // Reduce everything to rank 0, then scatter the blocks — the simple
-  // portable composition of the era.
-  std::vector<T> reduced(in.size());
-  reduce<T>(0, in, reduced, op);
-  std::vector<int> counts(static_cast<std::size_t>(p), block);
-  return scatterv<T>(0, reduced, counts);
 }
 
 template <typename T>

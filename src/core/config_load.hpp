@@ -37,9 +37,9 @@ lb::Scheme parse_lb_scheme(const std::string& name);
 physics::PhysicsRegime parse_physics_regime(const std::string& name);
 simnet::SimBackend parse_sim_backend(const std::string& name);
 
-/// Builds a RunSpec from a parsed config. Does not check unused_keys();
-/// callers that want typo warnings do that themselves after any extra keys
-/// of their own.
+/// Builds a RunSpec from a parsed config. Does not check unused_keys():
+/// callers reject typos themselves (io::Config::reject_unused_keys) after
+/// reading any extra keys of their own.
 RunSpec run_spec_from(const io::Config& config);
 
 /// Convenience: from_file + run_spec_from.

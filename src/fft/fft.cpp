@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "fft/workspace.hpp"
-#include "kernels/simd/dispatch.hpp"
 #include "util/error.hpp"
 
 namespace agcm::fft {
@@ -103,24 +102,11 @@ FftPlan::FftPlan(int n) : n_(n) {
   int m = 1;
   int max_generic = 0;
   for (int r : radices) {
-    Stage st{r, m, tw_fwd_.size(), 0, 0};
+    Stage st{r, m, tw_fwd_.size(), 0};
     const int L = r * m;
     for (int q = 0; q < m; ++q) {
       for (int i = 1; i < r; ++i) {
         tw_fwd_.push_back(unit_root(static_cast<double>(q) * i, L));
-      }
-    }
-    if (r == 4) {
-      // Split per-leg copy of the same twiddles for the SIMD butterfly:
-      // tw1 then tw2 then tw3, each m consecutive complexes, so vector
-      // lanes load consecutive q instead of gathering with stride 3.
-      st.tw4_off = tw4_fwd_.size();
-      for (int i = 1; i < r; ++i) {
-        for (int q = 0; q < m; ++q) {
-          tw4_fwd_.push_back(
-              tw_fwd_[st.tw_off + static_cast<std::size_t>(q) * 3 +
-                      static_cast<std::size_t>(i - 1)]);
-        }
       }
     }
     if (r != 2 && r != 3 && r != 4 && r != 5) {
@@ -137,9 +123,6 @@ FftPlan::FftPlan(int n) : n_(n) {
 
   tw_inv_.resize(tw_fwd_.size());
   std::transform(tw_fwd_.begin(), tw_fwd_.end(), tw_inv_.begin(),
-                 [](const Complex& c) { return std::conj(c); });
-  tw4_inv_.resize(tw4_fwd_.size());
-  std::transform(tw4_fwd_.begin(), tw4_fwd_.end(), tw4_inv_.begin(),
                  [](const Complex& c) { return std::conj(c); });
   root_inv_.resize(root_fwd_.size());
   std::transform(root_fwd_.begin(), root_fwd_.end(), root_inv_.begin(),
@@ -162,10 +145,9 @@ void FftPlan::apply_permutation(Complex* a) const {
   }
 }
 
-template <bool kInverse, bool kSimd>
+template <bool kInverse>
 void FftPlan::run_stages(Complex* a) const {
   const Complex* tw_base = (kInverse ? tw_inv_ : tw_fwd_).data();
-  const Complex* tw4_base = (kInverse ? tw4_inv_ : tw4_fwd_).data();
   const Complex* root_base = (kInverse ? root_inv_ : root_fwd_).data();
   for (const Stage& st : stages_) {
     const int m = st.m;
@@ -174,13 +156,6 @@ void FftPlan::run_stages(Complex* a) const {
     const Complex* tw = tw_base + st.tw_off;
     switch (r) {
       case 2: {
-        if constexpr (kSimd) {
-          // Radix-2 twiddles are already one complex per q (stride 1), so
-          // the dispatch kernel consumes the shared table directly.
-          simd::ops().fft_radix2_stage(reinterpret_cast<double*>(a), n_, m,
-                                       reinterpret_cast<const double*>(tw));
-          break;
-        }
         for (int b = 0; b < n_; b += L) {
           Complex* p0 = a + b;
           Complex* p1 = p0 + m;
@@ -217,15 +192,6 @@ void FftPlan::run_stages(Complex* a) const {
         break;
       }
       case 4: {
-        if constexpr (kSimd) {
-          const Complex* t1 = tw4_base + st.tw4_off;
-          simd::ops().fft_radix4_stage(
-              reinterpret_cast<double*>(a), n_, m,
-              reinterpret_cast<const double*>(t1),
-              reinterpret_cast<const double*>(t1 + m),
-              reinterpret_cast<const double*>(t1 + 2 * m), kInverse);
-          break;
-        }
         for (int b = 0; b < n_; b += L) {
           Complex* p0 = a + b;
           Complex* p1 = p0 + m;
@@ -323,27 +289,13 @@ void FftPlan::run_stages(Complex* a) const {
 void FftPlan::forward(std::span<Complex> data) const {
   AGCM_ASSERT(static_cast<int>(data.size()) == n_);
   apply_permutation(data.data());
-  run_stages<false, false>(data.data());
+  run_stages<false>(data.data());
 }
 
 void FftPlan::inverse(std::span<Complex> data) const {
   AGCM_ASSERT(static_cast<int>(data.size()) == n_);
   apply_permutation(data.data());
-  run_stages<true, false>(data.data());
-  const double scale = 1.0 / n_;
-  for (Complex& c : data) c *= scale;
-}
-
-void FftPlan::forward_simd(std::span<Complex> data) const {
-  AGCM_ASSERT(static_cast<int>(data.size()) == n_);
-  apply_permutation(data.data());
-  run_stages<false, true>(data.data());
-}
-
-void FftPlan::inverse_simd(std::span<Complex> data) const {
-  AGCM_ASSERT(static_cast<int>(data.size()) == n_);
-  apply_permutation(data.data());
-  run_stages<true, true>(data.data());
+  run_stages<true>(data.data());
   const double scale = 1.0 / n_;
   for (Complex& c : data) c *= scale;
 }

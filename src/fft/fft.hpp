@@ -38,8 +38,8 @@ namespace agcm::fft {
 
 using Complex = std::complex<double>;
 
-/// Twiddle/scratch storage aligned to a cache line so the SIMD stage path
-/// can use aligned loads and no table ever straddles a line boundary.
+/// Twiddle/scratch storage aligned to a cache line so no table ever
+/// straddles a line boundary.
 using AlignedComplexVec =
     std::vector<Complex, util::AlignedAllocator<Complex, 64>>;
 
@@ -62,17 +62,6 @@ class FftPlan {
 
   /// In-place inverse DFT including the 1/n normalisation.
   void inverse(std::span<Complex> data) const;
-
-  /// forward/inverse with the radix-2 and radix-4 butterfly passes routed
-  /// through the SIMD dispatch table (kernels/simd/dispatch.hpp); radix
-  /// 3/5/generic stages stay scalar. The butterflies are per-point (no
-  /// reassociation), but the family ships under the ulp contract, so these
-  /// are OPT-IN entry points: the production filter path keeps forward/
-  /// inverse — its spectra feed the frozen virtual-time artefacts
-  /// (docs/kernels.md, frozen-artefact rule). Under a forced-scalar tier
-  /// they are bitwise identical to forward/inverse.
-  void forward_simd(std::span<Complex> data) const;
-  void inverse_simd(std::span<Complex> data) const;
 
   /// Forward transform of a real line; returns the full complex spectrum
   /// (length n, conjugate-symmetric). Allocates its result — prefer the
@@ -128,14 +117,9 @@ class FftPlan {
     int m;
     std::size_t tw_off;
     std::size_t root_off;
-    /// Radix-4 only: offset into tw4_fwd_/tw4_inv_, the split per-leg
-    /// twiddle layout the SIMD butterfly consumes (tw1[0..m), tw2[0..m),
-    /// tw3[0..m) contiguous — a vector lane loads consecutive q without
-    /// the stride-3 gather the interleaved tw layout would force).
-    std::size_t tw4_off;
   };
 
-  template <bool kInverse, bool kSimd>
+  template <bool kInverse>
   void run_stages(Complex* a) const;
   void apply_permutation(Complex* a) const;
 
@@ -143,8 +127,6 @@ class FftPlan {
   std::vector<Stage> stages_;       ///< execution order (m == 1 first)
   AlignedComplexVec tw_fwd_;        ///< per-stage twiddles, forward
   AlignedComplexVec tw_inv_;        ///< per-stage twiddles, conjugated
-  AlignedComplexVec tw4_fwd_;       ///< radix-4 split per-leg twiddles
-  AlignedComplexVec tw4_inv_;       ///< ... conjugated
   AlignedComplexVec root_fwd_;      ///< generic-radix roots, forward
   AlignedComplexVec root_inv_;      ///< generic-radix roots, conjugated
   std::vector<int> perm_swaps_;     ///< digit-reversal as (a,b) swap pairs

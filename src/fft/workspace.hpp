@@ -74,7 +74,7 @@ class FftWorkspace {
     std::shared_ptr<const FftPlan> plan;  ///< usually the process-wide plan
   };
   std::vector<Entry> plans_;  ///< few distinct lengths; linear scan
-  AlignedComplexVec complex_;  ///< 64-byte aligned for the SIMD stage path
+  AlignedComplexVec complex_;  ///< 64-byte aligned, like the plan tables
   std::vector<int> index_;
 };
 

@@ -231,7 +231,7 @@ void run_partition(const PartitionedKernel& kernel, std::span<double> line_a,
 
     // Frequency-domain MAC: acc = sum_d H_d * X_{m-d}, complex multiply
     // expanded over the split planes so every pass runs through the
-    // contracted pointwise / daxpy families (bitwise across SIMD tiers).
+    // dispatched pointwise / daxpy families (bitwise across SIMD tiers).
     std::fill(acc_re, acc_re + fft_size, 0.0);
     std::fill(acc_im, acc_im + fft_size, 0.0);
     const std::size_t len = static_cast<std::size_t>(fft_size);

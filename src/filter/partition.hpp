@@ -23,7 +23,7 @@
 //
 // Design notes:
 //   * Frequency-domain storage is split into re/im planes so the
-//     multiply-accumulate runs through the CONTRACTED SIMD families
+//     multiply-accumulate runs through the dispatched SIMD families
 //     (pointwise panels + daxpy, kernels/simd/dispatch.hpp): bitwise
 //     identical on every tier, scalar fallback automatic on demotion.
 //     The interleaved AlignedComplexVec form is kept alongside as the
@@ -145,7 +145,7 @@ class PartitionWorkspace {
 
 /// Filters one circular line in place with the partitioned kernel:
 /// line[i] <- sum_s kernel[s] * line[(i - s) mod n]. Allocation-free after
-/// workspace warm-up; bitwise identical across SIMD tiers (contracted
+/// workspace warm-up; bitwise identical across SIMD tiers (dispatched
 /// families + scalar FFT path only).
 void filter_line_partition(const PartitionedKernel& kernel,
                            std::span<double> line);

@@ -131,4 +131,17 @@ std::vector<std::string> Config::unused_keys() const {
   return out;
 }
 
+void Config::reject_unused_keys() const {
+  const std::vector<std::string> unused = unused_keys();
+  if (unused.empty()) return;
+  std::string names;
+  for (const std::string& key : unused) {
+    if (!names.empty()) names += ", ";
+    names += "'" + key + "'";
+  }
+  throw ConfigError(
+      (unused.size() == 1 ? "unrecognised config key " :
+                            "unrecognised config keys ") + names);
+}
+
 }  // namespace agcm::io

@@ -38,6 +38,10 @@ class Config {
   /// files ("filter_algorthm = ..." silently ignored otherwise).
   std::vector<std::string> unused_keys() const;
 
+  /// Throws ConfigError naming every key in unused_keys(), if any. Call it
+  /// after every getter the caller will ever use has run.
+  void reject_unused_keys() const;
+
  private:
   std::optional<std::string> raw(const std::string& key) const;
 

@@ -17,9 +17,9 @@ constexpr int kTileJ = 8;
 
 // The row kernels below route through the SIMD dispatch table
 // (kernels/simd/dispatch.hpp): flux_row covers both directions via pointer
-// shifts, advect_update_row is the fused upwind update. Both are
-// CONTRACTED families — every tier is bitwise identical to the seed path,
-// so dispatching them in production cannot perturb the frozen artefacts.
+// shifts, advect_update_row is the fused upwind update. Like every
+// dispatched family, every tier is bitwise identical to the seed path, so
+// dispatching them in production cannot perturb the frozen artefacts.
 
 /// fx(i) = u(i) * 0.5 * (h(i) + h(i+1)) * dy for i in [-1, ni): the seed
 /// expression, evaluated by the dispatched flux kernel with every pointer

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "kernels/simd/dispatch.hpp"
 #include "util/shared_cache.hpp"
 
 namespace agcm::kernels {
@@ -120,17 +119,6 @@ void longwave_sweep(double* theta, int nlev, const double* emis,
     double exchange = exchange_run(0.0, th, 0, k1, em, k1, -1, t1);
     exchange =
         exchange_run(exchange, th, k1 + 1, nlev - 1 - k1, em, 1, +1, t1);
-    th[k1] += dt_sec * (exchange - 0.8) / 86400.0;
-  }
-}
-
-void longwave_sweep_simd(double* theta, int nlev, const double* emis,
-                         double dt_sec) {
-  const simd::KernelOps& ops = simd::ops();
-  double* __restrict th = theta;
-  for (int k1 = 0; k1 < nlev; ++k1) {
-    const double t1 = th[k1];
-    const double exchange = ops.longwave_exchange(th, nlev, k1, emis, t1);
     th[k1] += dt_sec * (exchange - 0.8) / 86400.0;
   }
 }

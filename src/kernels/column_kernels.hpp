@@ -45,16 +45,6 @@ void clear_emissivity_cache();
 void longwave_sweep(double* theta, int nlev, const double* emis,
                     double dt_sec);
 
-/// SIMD-dispatched longwave sweep: the same per-layer update as
-/// longwave_sweep, with the pair-exchange sum evaluated by the dispatch
-/// table's reduction kernel (lane accumulators). ULP-BOUNDED, not bitwise:
-/// production physics (physics::step_column) keeps longwave_sweep — theta
-/// bits feed the convection iteration counts and through them the frozen
-/// virtual-time artefacts (docs/kernels.md, frozen-artefact rule). Under a
-/// forced-scalar tier this IS longwave_sweep, bit for bit.
-void longwave_sweep_simd(double* theta, int nlev, const double* emis,
-                         double dt_sec);
-
 /// The cumulus-convection adjustment: iteratively mixes unstable adjacent
 /// layers, condensing moisture into latent heat and precipitation.
 /// Returns the iteration count (>= 1); adds condensed moisture to

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "kernels/simd/kernels.hpp"
 
@@ -14,14 +15,10 @@ namespace {
 
 constexpr const char* kTierNames[] = {"scalar", "avx2", "avx512"};
 
-constexpr const char* kFamilyNames[] = {
-    "flux_row",      "advect_update_row", "stencil7_interior",
-    "pointwise_panel", "daxpy",           "ddot",
-    "longwave_exchange", "fft_radix2",    "fft_radix4"};
-
-constexpr bool kFamilyContracted[] = {
-    true,  true,  true,  true,  true,   // flux/update/stencil/pointwise/daxpy
-    false, false, false, false};        // ddot/longwave/radix2/radix4
+constexpr const char* kFamilyNames[] = {"flux_row", "advect_update_row",
+                                        "stencil7_interior", "pointwise_panel",
+                                        "daxpy"};
+static_assert(std::size(kFamilyNames) == kFamilyCount);
 
 const KernelOps* tier_table(Tier t) {
   switch (t) {
@@ -74,7 +71,7 @@ std::vector<std::string> detect_features() {
   return out;
 }
 
-// ---- bitwise self-check of the contracted families ----------------------
+// ---- bitwise self-check of every family -------------------------------
 //
 // Deterministic dyadic fill (an LCG scaled to exact power-of-two steps) so
 // the check itself is reproducible and mixes signs — the upwind selects
@@ -91,7 +88,7 @@ bool bits_equal(const double* a, const double* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-/// Runs candidate vs scalar for one contracted family over awkward sizes
+/// Runs candidate vs scalar for one family over awkward sizes
 /// (including remainder lanes 1..7) and returns true on bitwise identity.
 bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   constexpr int kMax = 41;      // covers several vectors plus odd tails
@@ -138,8 +135,6 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
         ref.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o1 + kPad);
         cand.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o2 + kPad);
         break;
-      default:
-        return true;  // reduction families: ulp contract, never checked
     }
     if (!bits_equal(o1, o2, kBuf)) return false;
   }
@@ -151,8 +146,8 @@ struct State {
   KernelOps ops;
 };
 
-/// Builds the table for `tier`, self-checking every contracted family and
-/// demoting mismatches to scalar.
+/// Builds the table for `tier`, self-checking every family and demoting
+/// mismatches to scalar.
 void apply_tier(State& st, Tier tier) {
   const KernelOps& scalar = detail::scalar_ops();
   const KernelOps* table = tier_table(tier);
@@ -164,7 +159,7 @@ void apply_tier(State& st, Tier tier) {
     st.ops = scalar;
     return;
   }
-  // Check each contracted family; on mismatch, point that slot back at the
+  // Check each family; on mismatch, point that slot back at the
   // scalar kernel (the rest of the tier stays active).
   if (!check_family(Family::kFluxRow, *table, scalar)) {
     st.ops.flux_row = scalar.flux_row;
@@ -250,10 +245,6 @@ bool parse_tier(std::string_view name, Tier& out) {
 
 const char* family_name(Family f) {
   return kFamilyNames[static_cast<int>(f)];
-}
-
-bool family_is_contracted(Family f) {
-  return kFamilyContracted[static_cast<int>(f)];
 }
 
 const KernelOps& ops() { return state().ops; }

@@ -8,27 +8,23 @@
 // of hot inner-loop kernels for that tier (docs/kernels.md, "SIMD dispatch
 // tier").
 //
-// FP contract per kernel family:
-//   * CONTRACTED (bitwise) families — advection flux + upwind-update rows,
-//     the 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy —
-//     are independent per-point updates whose SIMD forms perform exactly
-//     the seed's multiplies/adds per lane (no FMA: the SIMD translation
-//     units are compiled with -ffp-contract=off, and the baseline x86-64
-//     scalar build has no FMA to contract into). Every tier's output is
-//     bitwise identical to the scalar engine, which is itself bitwise
-//     identical to the preserved seed paths. These kernels run dispatched
-//     in production.
-//   * REDUCTION (ulp-bounded) families — ddot, the longwave pair-exchange
-//     sum, the FFT radix-2/4 butterfly stages — reassociate when split into
-//     SIMD lanes. Their SIMD forms are opt-in entry points, gated by
-//     max-ulp tests and benches; the frozen virtual-time artefacts keep the
-//     sequential scalar paths (docs/kernels.md, "frozen-artefact rule").
+// FP contract: every family — advection flux + upwind-update rows, the
+// 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy — is an
+// independent per-point update whose SIMD form performs exactly the seed's
+// multiplies/adds per lane (no FMA: the SIMD translation units are
+// compiled with -ffp-contract=off, and the baseline x86-64 scalar build has
+// no FMA to contract into). Every tier's output is therefore bitwise
+// identical to the scalar engine, which is itself bitwise identical to the
+// preserved seed paths, and every family runs dispatched in production.
+// Dot products, the longwave pair-exchange sum and the FFT stages have no
+// dispatched form: they stay sequential scalar code, so no sum that feeds
+// the frozen virtual-time artefacts is ever reassociated.
 //
 // Robustness: after resolving a tier, the dispatcher runs a bitwise
-// self-check of every CONTRACTED family against the scalar kernels on
-// synthetic data. A family that cannot reproduce the scalar bits on this
-// compiler/host (e.g. an exotic toolchain that contracts the scalar code)
-// is demoted to scalar individually — performance degrades, bits never do.
+// self-check of every family against the scalar kernels on synthetic data.
+// A family that cannot reproduce the scalar bits on this compiler/host
+// (e.g. an exotic toolchain that contracts the scalar code) is demoted to
+// scalar individually — performance degrades, bits never do.
 //
 // Overrides: AGCM_SIMD={scalar,avx2,avx512} caps the tier (CI forced-
 // fallback legs, A/B testing); requests above what the host/build supports
@@ -60,31 +56,21 @@ enum class Family : int {
   kStencil7Interior,
   kPointwisePanel,
   kDaxpy,
-  kDdot,
-  kLongwaveExchange,
-  kFftRadix2,
-  kFftRadix4,
 };
-inline constexpr int kFamilyCount = 9;
+inline constexpr int kFamilyCount = 5;
 
 const char* family_name(Family f);
-
-/// True for the families whose SIMD kernels are bitwise identical to the
-/// scalar engine (and therefore run dispatched in production); false for
-/// the ulp-bounded reduction families (opt-in entry points only).
-bool family_is_contracted(Family f);
 
 /// Per-tier function table of the hot inner loops. All pointers are always
 /// non-null (scalar fills any slot a tier cannot cover).
 struct KernelOps {
   /// out[i] = vel[i] * 0.5 * (h[i] + hn[i]) * scale for i in [0, n).
   /// Serves both advection flux directions (flux_x calls it with pointers
-  /// shifted by -1 and hn = h + 1). CONTRACTED.
+  /// shifted by -1 and hn = h + 1).
   void (*flux_row)(int n, double scale, const double* vel, const double* h,
                    const double* hn, double* out);
   /// One tracer's upwind flux-form update over one row (the seed's
   /// expression tree per point; see kernels/advection_kernels.cpp).
-  /// CONTRACTED.
   void (*advect_update_row)(int ni, double dt_inv_area, const double* fxr,
                             const double* fyr, const double* fys,
                             const double* cr, const double* cs,
@@ -92,34 +78,15 @@ struct KernelOps {
                             const double* hnr, double* up);
   /// out[i] += f[i+1] + f[i-1] + fjp[i] + fjm[i] + fkp[i] + fkm[i]
   ///           - 6.0 * f[i] for i in [0, n); `f` addresses the first
-  /// interior point, so f[-1] must be valid. CONTRACTED.
+  /// interior point, so f[-1] must be valid.
   void (*stencil7_interior)(int n, const double* f, const double* fjp,
                             const double* fjm, const double* fkp,
                             const double* fkm, double* out);
   /// One §3.4 pointwise ⊗ panel: out[q] = a[q] * b[q] for q in [0, m).
-  /// CONTRACTED.
   void (*pointwise_panel)(std::size_t m, const double* a, const double* b,
                           double* out);
-  /// y[i] = y[i] + alpha * x[i] (mul-then-add, never fused). CONTRACTED.
+  /// y[i] = y[i] + alpha * x[i] (mul-then-add, never fused).
   void (*daxpy)(std::size_t n, double alpha, const double* x, double* y);
-  /// dot(x, y). REDUCTION: SIMD tiers use lane accumulators (reassociated;
-  /// ulp-bounded vs the sequential scalar sum).
-  double (*ddot)(std::size_t n, const double* x, const double* y);
-  /// The longwave pair-exchange sum for layer k1:
-  ///   sum_{k2 != k1} emis[|k1-k2|] * (theta[k2] - t1),
-  /// split at the diagonal exactly like kernels::longwave_sweep. REDUCTION.
-  double (*longwave_exchange)(const double* theta, int nlev, int k1,
-                              const double* emis, double t1);
-  /// One radix-2 butterfly stage over an interleaved complex-double array
-  /// of n complexes with sub-transform size m; `tw` is the stage's twiddle
-  /// table (m interleaved complexes). REDUCTION (per-point complex
-  /// arithmetic; classed with the butterflies' frozen-path rule).
-  void (*fft_radix2_stage)(double* a, int n, int m, const double* tw);
-  /// One radix-4 butterfly stage; tw1/tw2/tw3 are the per-leg twiddle
-  /// tables (m interleaved complexes each). REDUCTION.
-  void (*fft_radix4_stage)(double* a, int n, int m, const double* tw1,
-                           const double* tw2, const double* tw3,
-                           bool inverse);
 };
 
 /// The resolved dispatch decision (exported into bench/trace metadata).

@@ -5,9 +5,9 @@
 // compiler told the target has FMA (e.g. via a wider -march) would happily
 // contract even *intrinsic* mul+add sequences into fused ops, breaking the
 // bitwise contract against the scalar tier. With plain mul/add/sub/div
-// only — never an FMA — every contracted-family kernel below performs the
-// seed's exact IEEE operations per lane. Tails run the same scalar
-// expressions (also uncontracted in this TU).
+// only — never an FMA — every kernel below performs the seed's exact IEEE
+// operations per lane. Tails run the same scalar expressions (also
+// uncontracted in this TU).
 #include "kernels/simd/kernels.hpp"
 
 #if defined(__AVX2__)
@@ -129,172 +129,11 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-inline double hsum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
-double ddot(std::size_t n, const double* x, const double* y) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  double total = hsum(acc);
-  for (; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-double longwave_exchange(const double* theta, int nlev, int k1,
-                         const double* emis, double t1) {
-  const __m256d vt1 = _mm256_set1_pd(t1);
-  __m256d vacc = _mm256_setzero_pd();
-  double acc = 0.0;
-  // Below the diagonal: emis index k1 - k2 descends as k2 ascends, so the
-  // emissivity load is reversed lane-wise.
-  int p = 0;
-  for (; p + 4 <= k1; p += 4) {
-    const __m256d th = _mm256_loadu_pd(theta + p);
-    const __m256d em = _mm256_permute4x64_pd(
-        _mm256_loadu_pd(emis + k1 - p - 3), 0x1B);
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(em, _mm256_sub_pd(th, vt1)));
-  }
-  for (; p < k1; ++p) acc += emis[k1 - p] * (theta[p] - t1);
-  // Above the diagonal: both streams ascend.
-  const int count = nlev - 1 - k1;
-  int q = 0;
-  for (; q + 4 <= count; q += 4) {
-    const __m256d th = _mm256_loadu_pd(theta + k1 + 1 + q);
-    const __m256d em = _mm256_loadu_pd(emis + 1 + q);
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(em, _mm256_sub_pd(th, vt1)));
-  }
-  for (; q < count; ++q) acc += emis[1 + q] * (theta[k1 + 1 + q] - t1);
-  return acc + hsum(vacc);
-}
-
-// ---- complex helpers (interleaved [re, im] lanes) -----------------------
-
-/// Sign mask flipping the REAL (even) lanes.
-inline __m256d neg_even() { return _mm256_set_pd(0.0, -0.0, 0.0, -0.0); }
-/// Sign mask flipping the IMAG (odd) lanes.
-inline __m256d neg_odd() { return _mm256_set_pd(-0.0, 0.0, -0.0, 0.0); }
-
-/// Complex multiply, std::complex's expression order per component:
-/// (xre*wre - xim*wim, xre*wim + xim*wre). IEEE a + (-b) == a - b, so the
-/// sign-flip-then-add form is bitwise the scalar sub/add pair.
-inline __m256d cmul(__m256d x, __m256d w) {
-  const __m256d xre = _mm256_permute_pd(x, 0x0);  // dup even lanes
-  const __m256d xim = _mm256_permute_pd(x, 0xF);  // dup odd lanes
-  const __m256d ws = _mm256_permute_pd(w, 0x5);   // swap re/im
-  const __m256d t1 = _mm256_mul_pd(xre, w);
-  const __m256d t2 = _mm256_mul_pd(xim, ws);
-  return _mm256_add_pd(t1, _mm256_xor_pd(t2, neg_even()));
-}
-
-/// Multiply by +i: (re, im) -> (-im, re).
-inline __m256d cmul_i(__m256d x) {
-  return _mm256_xor_pd(_mm256_permute_pd(x, 0x5), neg_even());
-}
-
-/// Multiply by -i: (re, im) -> (im, -re).
-inline __m256d cmul_negi(__m256d x) {
-  return _mm256_xor_pd(_mm256_permute_pd(x, 0x5), neg_odd());
-}
-
-void fft_radix2_stage(double* a, int n, int m, const double* tw) {
-  const int m2 = 2 * m;
-  for (int b2 = 0; b2 < 2 * n; b2 += 2 * m2) {
-    double* p0 = a + b2;
-    double* p1 = p0 + m2;
-    int q2 = 0;
-    for (; q2 + 4 <= m2; q2 += 4) {
-      const __m256d u = _mm256_loadu_pd(p0 + q2);
-      const __m256d t =
-          cmul(_mm256_loadu_pd(p1 + q2), _mm256_loadu_pd(tw + q2));
-      _mm256_storeu_pd(p0 + q2, _mm256_add_pd(u, t));
-      _mm256_storeu_pd(p1 + q2, _mm256_sub_pd(u, t));
-    }
-    for (; q2 < m2; q2 += 2) {
-      const double ure = p0[q2], uim = p0[q2 + 1];
-      const double vre = p1[q2], vim = p1[q2 + 1];
-      const double wre = tw[q2], wim = tw[q2 + 1];
-      const double tre = vre * wre - vim * wim;
-      const double tim = vre * wim + vim * wre;
-      p0[q2] = ure + tre;
-      p0[q2 + 1] = uim + tim;
-      p1[q2] = ure - tre;
-      p1[q2 + 1] = uim - tim;
-    }
-  }
-}
-
-void fft_radix4_stage(double* a, int n, int m, const double* tw1,
-                      const double* tw2, const double* tw3, bool inverse) {
-  const int m2 = 2 * m;
-  for (int b2 = 0; b2 < 2 * n; b2 += 4 * m2) {
-    double* p0 = a + b2;
-    double* p1 = p0 + m2;
-    double* p2 = p1 + m2;
-    double* p3 = p2 + m2;
-    int q2 = 0;
-    for (; q2 + 4 <= m2; q2 += 4) {
-      const __m256d x0 = _mm256_loadu_pd(p0 + q2);
-      const __m256d x1 =
-          cmul(_mm256_loadu_pd(p1 + q2), _mm256_loadu_pd(tw1 + q2));
-      const __m256d x2 =
-          cmul(_mm256_loadu_pd(p2 + q2), _mm256_loadu_pd(tw2 + q2));
-      const __m256d x3 =
-          cmul(_mm256_loadu_pd(p3 + q2), _mm256_loadu_pd(tw3 + q2));
-      const __m256d t0 = _mm256_add_pd(x0, x2);
-      const __m256d t1 = _mm256_sub_pd(x0, x2);
-      const __m256d t2 = _mm256_add_pd(x1, x3);
-      const __m256d d = _mm256_sub_pd(x1, x3);
-      const __m256d jd = inverse ? cmul_i(d) : cmul_negi(d);
-      _mm256_storeu_pd(p0 + q2, _mm256_add_pd(t0, t2));
-      _mm256_storeu_pd(p1 + q2, _mm256_add_pd(t1, jd));
-      _mm256_storeu_pd(p2 + q2, _mm256_sub_pd(t0, t2));
-      _mm256_storeu_pd(p3 + q2, _mm256_sub_pd(t1, jd));
-    }
-    for (; q2 < m2; q2 += 2) {
-      const double w1re = tw1[q2], w1im = tw1[q2 + 1];
-      const double w2re = tw2[q2], w2im = tw2[q2 + 1];
-      const double w3re = tw3[q2], w3im = tw3[q2 + 1];
-      const double x0re = p0[q2], x0im = p0[q2 + 1];
-      const double x1re = p1[q2] * w1re - p1[q2 + 1] * w1im;
-      const double x1im = p1[q2] * w1im + p1[q2 + 1] * w1re;
-      const double x2re = p2[q2] * w2re - p2[q2 + 1] * w2im;
-      const double x2im = p2[q2] * w2im + p2[q2 + 1] * w2re;
-      const double x3re = p3[q2] * w3re - p3[q2 + 1] * w3im;
-      const double x3im = p3[q2] * w3im + p3[q2 + 1] * w3re;
-      const double t0re = x0re + x2re, t0im = x0im + x2im;
-      const double t1re = x0re - x2re, t1im = x0im - x2im;
-      const double t2re = x1re + x3re, t2im = x1im + x3im;
-      const double dre = x1re - x3re, dim = x1im - x3im;
-      const double jdre = inverse ? -dim : dim;
-      const double jdim = inverse ? dre : -dre;
-      p0[q2] = t0re + t2re;
-      p0[q2 + 1] = t0im + t2im;
-      p1[q2] = t1re + jdre;
-      p1[q2 + 1] = t1im + jdim;
-      p2[q2] = t0re - t2re;
-      p2[q2 + 1] = t0im - t2im;
-      p3[q2] = t1re - jdre;
-      p3[q2 + 1] = t1im - jdim;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps* avx2_ops() {
-  static const KernelOps ops{flux_row,        advect_update_row,
-                             stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+  static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
+                             pointwise_panel, daxpy};
   return &ops;
 }
 

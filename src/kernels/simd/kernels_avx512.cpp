@@ -123,167 +123,11 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-double ddot(std::size_t n, const double* x, const double* y) {
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_add_pd(
-        acc, _mm512_mul_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i)));
-  }
-  double total = _mm512_reduce_add_pd(acc);
-  for (; i < n; ++i) total += x[i] * y[i];
-  return total;
-}
-
-double longwave_exchange(const double* theta, int nlev, int k1,
-                         const double* emis, double t1) {
-  const __m512d vt1 = _mm512_set1_pd(t1);
-  const __m512i rev = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  __m512d vacc = _mm512_setzero_pd();
-  double acc = 0.0;
-  // Below the diagonal: emis index k1 - k2 descends as k2 ascends, so the
-  // emissivity load is lane-reversed.
-  int p = 0;
-  for (; p + 8 <= k1; p += 8) {
-    const __m512d th = _mm512_loadu_pd(theta + p);
-    const __m512d em =
-        _mm512_permutexvar_pd(rev, _mm512_loadu_pd(emis + k1 - p - 7));
-    vacc = _mm512_add_pd(vacc, _mm512_mul_pd(em, _mm512_sub_pd(th, vt1)));
-  }
-  for (; p < k1; ++p) acc += emis[k1 - p] * (theta[p] - t1);
-  // Above the diagonal: both streams ascend.
-  const int count = nlev - 1 - k1;
-  int q = 0;
-  for (; q + 8 <= count; q += 8) {
-    const __m512d th = _mm512_loadu_pd(theta + k1 + 1 + q);
-    const __m512d em = _mm512_loadu_pd(emis + 1 + q);
-    vacc = _mm512_add_pd(vacc, _mm512_mul_pd(em, _mm512_sub_pd(th, vt1)));
-  }
-  for (; q < count; ++q) acc += emis[1 + q] * (theta[k1 + 1 + q] - t1);
-  return acc + _mm512_reduce_add_pd(vacc);
-}
-
-// ---- complex helpers (interleaved [re, im] lanes) -----------------------
-
-inline __m512d neg_even() {
-  return _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0);
-}
-inline __m512d neg_odd() {
-  return _mm512_set_pd(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
-}
-
-/// Complex multiply, std::complex's expression order per component (see
-/// kernels_avx2.cpp for the derivation; a + (-b) == a - b bitwise).
-inline __m512d cmul(__m512d x, __m512d w) {
-  const __m512d xre = _mm512_permute_pd(x, 0x00);  // dup even lanes
-  const __m512d xim = _mm512_permute_pd(x, 0xFF);  // dup odd lanes
-  const __m512d ws = _mm512_permute_pd(w, 0x55);   // swap re/im
-  const __m512d t1 = _mm512_mul_pd(xre, w);
-  const __m512d t2 = _mm512_mul_pd(xim, ws);
-  return _mm512_add_pd(t1, _mm512_xor_pd(t2, neg_even()));
-}
-
-/// Multiply by +i: (re, im) -> (-im, re).
-inline __m512d cmul_i(__m512d x) {
-  return _mm512_xor_pd(_mm512_permute_pd(x, 0x55), neg_even());
-}
-
-/// Multiply by -i: (re, im) -> (im, -re).
-inline __m512d cmul_negi(__m512d x) {
-  return _mm512_xor_pd(_mm512_permute_pd(x, 0x55), neg_odd());
-}
-
-void fft_radix2_stage(double* a, int n, int m, const double* tw) {
-  const int m2 = 2 * m;
-  for (int b2 = 0; b2 < 2 * n; b2 += 2 * m2) {
-    double* p0 = a + b2;
-    double* p1 = p0 + m2;
-    int q2 = 0;
-    for (; q2 + 8 <= m2; q2 += 8) {
-      const __m512d u = _mm512_loadu_pd(p0 + q2);
-      const __m512d t =
-          cmul(_mm512_loadu_pd(p1 + q2), _mm512_loadu_pd(tw + q2));
-      _mm512_storeu_pd(p0 + q2, _mm512_add_pd(u, t));
-      _mm512_storeu_pd(p1 + q2, _mm512_sub_pd(u, t));
-    }
-    for (; q2 < m2; q2 += 2) {
-      const double ure = p0[q2], uim = p0[q2 + 1];
-      const double vre = p1[q2], vim = p1[q2 + 1];
-      const double wre = tw[q2], wim = tw[q2 + 1];
-      const double tre = vre * wre - vim * wim;
-      const double tim = vre * wim + vim * wre;
-      p0[q2] = ure + tre;
-      p0[q2 + 1] = uim + tim;
-      p1[q2] = ure - tre;
-      p1[q2 + 1] = uim - tim;
-    }
-  }
-}
-
-void fft_radix4_stage(double* a, int n, int m, const double* tw1,
-                      const double* tw2, const double* tw3, bool inverse) {
-  const int m2 = 2 * m;
-  for (int b2 = 0; b2 < 2 * n; b2 += 4 * m2) {
-    double* p0 = a + b2;
-    double* p1 = p0 + m2;
-    double* p2 = p1 + m2;
-    double* p3 = p2 + m2;
-    int q2 = 0;
-    for (; q2 + 8 <= m2; q2 += 8) {
-      const __m512d x0 = _mm512_loadu_pd(p0 + q2);
-      const __m512d x1 =
-          cmul(_mm512_loadu_pd(p1 + q2), _mm512_loadu_pd(tw1 + q2));
-      const __m512d x2 =
-          cmul(_mm512_loadu_pd(p2 + q2), _mm512_loadu_pd(tw2 + q2));
-      const __m512d x3 =
-          cmul(_mm512_loadu_pd(p3 + q2), _mm512_loadu_pd(tw3 + q2));
-      const __m512d t0 = _mm512_add_pd(x0, x2);
-      const __m512d t1 = _mm512_sub_pd(x0, x2);
-      const __m512d t2 = _mm512_add_pd(x1, x3);
-      const __m512d d = _mm512_sub_pd(x1, x3);
-      const __m512d jd = inverse ? cmul_i(d) : cmul_negi(d);
-      _mm512_storeu_pd(p0 + q2, _mm512_add_pd(t0, t2));
-      _mm512_storeu_pd(p1 + q2, _mm512_add_pd(t1, jd));
-      _mm512_storeu_pd(p2 + q2, _mm512_sub_pd(t0, t2));
-      _mm512_storeu_pd(p3 + q2, _mm512_sub_pd(t1, jd));
-    }
-    for (; q2 < m2; q2 += 2) {
-      const double w1re = tw1[q2], w1im = tw1[q2 + 1];
-      const double w2re = tw2[q2], w2im = tw2[q2 + 1];
-      const double w3re = tw3[q2], w3im = tw3[q2 + 1];
-      const double x0re = p0[q2], x0im = p0[q2 + 1];
-      const double x1re = p1[q2] * w1re - p1[q2 + 1] * w1im;
-      const double x1im = p1[q2] * w1im + p1[q2 + 1] * w1re;
-      const double x2re = p2[q2] * w2re - p2[q2 + 1] * w2im;
-      const double x2im = p2[q2] * w2im + p2[q2 + 1] * w2re;
-      const double x3re = p3[q2] * w3re - p3[q2 + 1] * w3im;
-      const double x3im = p3[q2] * w3im + p3[q2 + 1] * w3re;
-      const double t0re = x0re + x2re, t0im = x0im + x2im;
-      const double t1re = x0re - x2re, t1im = x0im - x2im;
-      const double t2re = x1re + x3re, t2im = x1im + x3im;
-      const double dre = x1re - x3re, dim = x1im - x3im;
-      const double jdre = inverse ? -dim : dim;
-      const double jdim = inverse ? dre : -dre;
-      p0[q2] = t0re + t2re;
-      p0[q2 + 1] = t0im + t2im;
-      p1[q2] = t1re + jdre;
-      p1[q2 + 1] = t1im + jdim;
-      p2[q2] = t0re - t2re;
-      p2[q2 + 1] = t0im - t2im;
-      p3[q2] = t1re - jdre;
-      p3[q2 + 1] = t1im - jdim;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps* avx512_ops() {
-  static const KernelOps ops{flux_row,        advect_update_row,
-                             stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+  static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
+                             pointwise_panel, daxpy};
   return &ops;
 }
 

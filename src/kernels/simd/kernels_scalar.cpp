@@ -107,109 +107,11 @@ void daxpy(std::size_t n, double alpha, const double* __restrict x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-double ddot(std::size_t n, const double* __restrict x,
-            const double* __restrict y) {
-  // ONE sequential accumulator: this is the reduction order the frozen
-  // paths (and singlenode::ddot) use; the SIMD tiers reassociate.
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-/// acc += emis[e_begin + p*step] * (theta[k2_begin + p] - t1); the exact
-/// run loop of kernels::longwave_sweep (column_kernels.cpp).
-double exchange_run(double acc, const double* __restrict theta, int k2_begin,
-                    int count, const double* __restrict emis, int e_begin,
-                    int step, double t1) {
-#define AGCM_EXCH(p)                                                     \
-  acc += emis[e_begin + (p) * step] * (theta[k2_begin + (p)] - t1)
-  int p = 0;
-  for (; p + 4 <= count; p += 4) {
-    AGCM_EXCH(p);
-    AGCM_EXCH(p + 1);
-    AGCM_EXCH(p + 2);
-    AGCM_EXCH(p + 3);
-  }
-  for (; p < count; ++p) AGCM_EXCH(p);
-#undef AGCM_EXCH
-  return acc;
-}
-
-double longwave_exchange(const double* theta, int nlev, int k1,
-                         const double* emis, double t1) {
-  double acc = exchange_run(0.0, theta, 0, k1, emis, k1, -1, t1);
-  return exchange_run(acc, theta, k1 + 1, nlev - 1 - k1, emis, 1, +1, t1);
-}
-
-void fft_radix2_stage(double* __restrict a, int n, int m,
-                      const double* __restrict tw) {
-  const int m2 = 2 * m;  // doubles per sub-transform
-  for (int b2 = 0; b2 < 2 * n; b2 += 2 * m2) {
-    double* __restrict p0 = a + b2;
-    double* __restrict p1 = p0 + m2;
-    for (int q2 = 0; q2 < m2; q2 += 2) {
-      const double ure = p0[q2], uim = p0[q2 + 1];
-      const double vre = p1[q2], vim = p1[q2 + 1];
-      const double wre = tw[q2], wim = tw[q2 + 1];
-      // Complex multiply in std::complex's order: (ac - bd, ad + bc).
-      const double tre = vre * wre - vim * wim;
-      const double tim = vre * wim + vim * wre;
-      p0[q2] = ure + tre;
-      p0[q2 + 1] = uim + tim;
-      p1[q2] = ure - tre;
-      p1[q2 + 1] = uim - tim;
-    }
-  }
-}
-
-void fft_radix4_stage(double* __restrict a, int n, int m,
-                      const double* __restrict tw1,
-                      const double* __restrict tw2,
-                      const double* __restrict tw3, bool inverse) {
-  const int m2 = 2 * m;
-  for (int b2 = 0; b2 < 2 * n; b2 += 4 * m2) {
-    double* __restrict p0 = a + b2;
-    double* __restrict p1 = p0 + m2;
-    double* __restrict p2 = p1 + m2;
-    double* __restrict p3 = p2 + m2;
-    for (int q2 = 0; q2 < m2; q2 += 2) {
-      const double x0re = p0[q2], x0im = p0[q2 + 1];
-      const double w1re = tw1[q2], w1im = tw1[q2 + 1];
-      const double w2re = tw2[q2], w2im = tw2[q2 + 1];
-      const double w3re = tw3[q2], w3im = tw3[q2 + 1];
-      const double x1re = p1[q2] * w1re - p1[q2 + 1] * w1im;
-      const double x1im = p1[q2] * w1im + p1[q2 + 1] * w1re;
-      const double x2re = p2[q2] * w2re - p2[q2 + 1] * w2im;
-      const double x2im = p2[q2] * w2im + p2[q2 + 1] * w2re;
-      const double x3re = p3[q2] * w3re - p3[q2 + 1] * w3im;
-      const double x3im = p3[q2] * w3im + p3[q2 + 1] * w3re;
-      const double t0re = x0re + x2re, t0im = x0im + x2im;
-      const double t1re = x0re - x2re, t1im = x0im - x2im;
-      const double t2re = x1re + x3re, t2im = x1im + x3im;
-      const double dre = x1re - x3re, dim = x1im - x3im;
-      // forward: -i*d = (d.im, -d.re); inverse: +i*d = (-d.im, d.re).
-      const double jdre = inverse ? -dim : dim;
-      const double jdim = inverse ? dre : -dre;
-      p0[q2] = t0re + t2re;
-      p0[q2 + 1] = t0im + t2im;
-      p1[q2] = t1re + jdre;
-      p1[q2 + 1] = t1im + jdim;
-      p2[q2] = t0re - t2re;
-      p2[q2 + 1] = t0im - t2im;
-      p3[q2] = t1re - jdre;
-      p3[q2 + 1] = t1im - jdim;
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& scalar_ops() {
-  static const KernelOps ops{flux_row,        advect_update_row,
-                             stencil7_interior, pointwise_panel,
-                             daxpy,           ddot,
-                             longwave_exchange, fft_radix2_stage,
-                             fft_radix4_stage};
+  static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
+                             pointwise_panel, daxpy};
   return ops;
 }
 

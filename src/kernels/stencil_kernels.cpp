@@ -22,8 +22,8 @@ void laplace_sum_separate_engine(const singlenode::SeparateFields& in,
   const int n = in.n;
   out.assign(static_cast<std::size_t>(n) * n * n, 0.0);
   double* __restrict o = out.data();
-  // Interior rows go through the dispatched 7-point kernel (CONTRACTED:
-  // independent per-point updates, bitwise on every tier). The block-layout
+  // Interior rows go through the dispatched 7-point kernel (independent
+  // per-point updates, bitwise on every tier). The block-layout
   // engine below does NOT dispatch: its inner loop is one sequential
   // accumulator over the m fields per point, and lane-splitting that sum
   // would reassociate it (docs/kernels.md, frozen-artefact rule).

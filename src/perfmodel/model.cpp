@@ -37,7 +37,12 @@ std::string complexity_label(const Hypothesis& hyp) {
   if (hyp.b != 0) {
     if (!out.empty()) out += " * ";
     out += "log2(x)";
-    if (hyp.b != 1) out += "^" + std::to_string(hyp.b);
+    if (hyp.b != 1) {
+      // Two appends, not `"^" + std::to_string(...)`: GCC 12 reports a
+      // false -Wrestrict on literal + std::string&& at -O2/-O3.
+      out += '^';
+      out += std::to_string(hyp.b);
+    }
   }
   return out;
 }

@@ -85,11 +85,6 @@ void daxpy_dispatch(double alpha, std::span<const double> x,
   simd::ops().daxpy(x.size(), alpha, x.data(), y.data());
 }
 
-double ddot_dispatch(std::span<const double> x, std::span<const double> y) {
-  AGCM_ASSERT(x.size() == y.size());
-  return simd::ops().ddot(x.size(), x.data(), y.data());
-}
-
 void dcopy_strided(std::size_t n, const double* x, std::ptrdiff_t incx,
                    double* y, std::ptrdiff_t incy) {
   std::size_t i = 0;

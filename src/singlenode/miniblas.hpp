@@ -26,21 +26,14 @@ void daxpy_unrolled(double alpha, std::span<const double> x,
 double ddot(std::span<const double> x, std::span<const double> y);
 double ddot_unrolled(std::span<const double> x, std::span<const double> y);
 
-// --- SIMD-dispatched variants (kernels/simd/dispatch.hpp) ---------------
+// --- SIMD-dispatched variant (kernels/simd/dispatch.hpp) ----------------
 
-/// daxpy through the dispatch table. CONTRACTED: bitwise identical to
-/// daxpy/daxpy_unrolled on every tier (independent mul-then-add per
-/// point) — safe anywhere, including frozen paths.
+/// daxpy through the dispatch table, bitwise identical to daxpy and
+/// daxpy_unrolled on every tier (an independent mul-then-add per point).
+/// A dot product has no dispatched form: SIMD lanes would reassociate the
+/// sum, and the frozen paths need the sequential ddot / ddot_strided order.
 void daxpy_dispatch(double alpha, std::span<const double> x,
                     std::span<double> y);
-
-/// ddot through the dispatch table. REDUCTION: SIMD tiers use lane
-/// accumulators, so the sum is reassociated (ulp-bounded vs ddot). Do NOT
-/// substitute it on frozen-artefact paths — the FilterBank convolution and
-/// anything feeding the virtual clock keep the sequential ddot/ddot_strided
-/// (docs/kernels.md, frozen-artefact rule). Equals ddot bit for bit under
-/// a forced-scalar tier.
-double ddot_dispatch(std::span<const double> x, std::span<const double> y);
 
 // --- strided (BLAS inc-style) variants ----------------------------------
 //

@@ -37,9 +37,8 @@ void pointwise_multiply_unrolled(std::span<const double> a,
                                  std::span<double> out);
 
 /// Tiled form with the per-panel multiply routed through the SIMD dispatch
-/// table (kernels/simd/dispatch.hpp). CONTRACTED family: bitwise identical
-/// to the three scalar forms on every tier (independent per-point
-/// multiplies, no FMA).
+/// table (kernels/simd/dispatch.hpp). Bitwise identical to the three
+/// scalar forms on every tier (independent per-point multiplies, no FMA).
 void pointwise_multiply_dispatch(std::span<const double> a,
                                  std::span<const double> b,
                                  std::span<double> out);

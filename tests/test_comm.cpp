@@ -237,70 +237,6 @@ TEST_P(CollectiveSweep, BarrierAlignsVirtualClocks) {
   (void)result;
 }
 
-TEST_P(CollectiveSweep, AllgatherFixedSize) {
-  const int p = GetParam();
-  auto machine = make_machine();
-  machine.run(p, [&](RankContext& ctx) {
-    Communicator comm(ctx);
-    const std::vector<double> mine{10.0 * comm.rank(), 10.0 * comm.rank() + 1};
-    const auto all = comm.allgather<double>(mine);
-    ASSERT_EQ(static_cast<int>(all.size()), 2 * p);
-    for (int r = 0; r < p; ++r) {
-      EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(2 * r)], 10.0 * r);
-      EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(2 * r + 1)], 10.0 * r + 1);
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, AlltoallFixedBlock) {
-  const int p = GetParam();
-  auto machine = make_machine();
-  machine.run(p, [&](RankContext& ctx) {
-    Communicator comm(ctx);
-    std::vector<int> send(static_cast<std::size_t>(2 * p));
-    for (int d = 0; d < p; ++d) {
-      send[static_cast<std::size_t>(2 * d)] = 100 * comm.rank() + d;
-      send[static_cast<std::size_t>(2 * d + 1)] = -(100 * comm.rank() + d);
-    }
-    const auto recv = comm.alltoall<int>(send, 2);
-    ASSERT_EQ(static_cast<int>(recv.size()), 2 * p);
-    for (int s = 0; s < p; ++s) {
-      EXPECT_EQ(recv[static_cast<std::size_t>(2 * s)], 100 * s + comm.rank());
-      EXPECT_EQ(recv[static_cast<std::size_t>(2 * s + 1)],
-                -(100 * s + comm.rank()));
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, InclusiveScanMatchesPrefixSums) {
-  const int p = GetParam();
-  auto machine = make_machine();
-  machine.run(p, [&](RankContext& ctx) {
-    Communicator comm(ctx);
-    const std::vector<double> mine{static_cast<double>(comm.rank() + 1), 1.0};
-    std::vector<double> out(2);
-    comm.scan<double>(mine, out, [](double a, double b) { return a + b; });
-    const int r = comm.rank();
-    EXPECT_DOUBLE_EQ(out[0], (r + 1) * (r + 2) / 2.0);
-    EXPECT_DOUBLE_EQ(out[1], static_cast<double>(r + 1));
-  });
-}
-
-TEST_P(CollectiveSweep, ReduceScatterBlock) {
-  const int p = GetParam();
-  auto machine = make_machine();
-  machine.run(p, [&](RankContext& ctx) {
-    Communicator comm(ctx);
-    // Rank r contributes value (r+1) in every slot.
-    std::vector<double> in(static_cast<std::size_t>(3 * p),
-                           static_cast<double>(comm.rank() + 1));
-    const auto mine = comm.reduce_scatter_block<double>(
-        in, 3, [](double a, double b) { return a + b; });
-    ASSERT_EQ(mine.size(), 3u);
-    for (double v : mine) EXPECT_DOUBLE_EQ(v, p * (p + 1) / 2.0);
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16));
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "comm/mesh2d.hpp"
 #include "dynamics/state.hpp"
@@ -213,6 +214,24 @@ TEST(Config, UnusedKeysAreReported) {
   const auto unused = cfg.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo_key");
+}
+
+TEST(Config, MisspeltKeyIsRejectedByName) {
+  const auto typo = Config::from_string(
+      "physics_load_balance = true\nphysics_load_balanse = true\n");
+  EXPECT_TRUE(typo.get_bool("physics_load_balance", false));
+  try {
+    typo.reject_unused_keys();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'physics_load_balanse'"),
+              std::string::npos)
+        << e.what();
+  }
+
+  const auto clean = Config::from_string("physics_load_balance = true\n");
+  EXPECT_TRUE(clean.get_bool("physics_load_balance", false));
+  EXPECT_NO_THROW(clean.reject_unused_keys());
 }
 
 TEST(Config, MissingFileThrowsDataError) {

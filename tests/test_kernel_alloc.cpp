@@ -67,17 +67,24 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Every delete frees through one out-of-line helper. If GCC inlined a
+// bare std::free into a caller whose pointer came from the (opaque)
+// replacement operator new, it would report a false
+// -Wmismatched-new-delete.
+namespace {
+[[gnu::noinline]] void hook_free(void* p) noexcept { std::free(p); }
+}  // namespace
+void operator delete(void* p) noexcept { hook_free(p); }
+void operator delete[](void* p) noexcept { hook_free(p); }
+void operator delete(void* p, std::size_t) noexcept { hook_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { hook_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { hook_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { hook_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  hook_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  hook_free(p);
 }
 
 namespace agcm {

@@ -65,10 +65,6 @@ REQUIRED_FIELDS = {
         "pointwise_bitwise_identical": bool,
         "stencil_bitwise_identical": bool,
         "daxpy_bitwise_identical": bool,
-        "forced_scalar_bitwise_identical": bool,
-        "ddot_max_ulp": float,
-        "longwave_max_ulp": float,
-        "fft_max_ulp": float,
         "gate_speedup_min": float,
         "gates_passed": bool,
     },
