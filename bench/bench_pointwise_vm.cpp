@@ -9,6 +9,9 @@
 // routine buys over the naive loop nest.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "singlenode/miniblas.hpp"
@@ -99,4 +102,38 @@ BENCHMARK(BM_DaxpyUnrolled)->Arg(144 * 90)->Arg(144 * 90 * 9);
 }  // namespace
 }  // namespace agcm::singlenode
 
-BENCHMARK_MAIN();
+// Accepts the harness's uniform --json[=path] and --no-json flags
+// (bench_common.hpp) next to google-benchmark's own: --json writes the
+// google-benchmark JSON report to BENCH_pointwise_vm.json (or to `path`),
+// --no-json writes none, which is also the default; the last one wins.
+// They are stripped before benchmark::Initialize, which rejects flags it
+// does not know.
+int main(int argc, char** argv) {
+  std::optional<std::string> json_path;
+  std::vector<char*> args{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--no-json") {
+      json_path.reset();
+    } else if (arg == "--json") {
+      json_path = "BENCH_pointwise_vm.json";
+    } else if (arg.starts_with("--json=")) {
+      json_path = std::string(arg.substr(7));
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  std::string out_flag = "--benchmark_out=" + json_path.value_or("");
+  std::string format_flag = "--benchmark_out_format=json";
+  if (json_path) {
+    args.push_back(out_flag.data());
+    args.push_back(format_flag.data());
+  }
+  int nargs = static_cast<int>(args.size());
+  args.push_back(nullptr);
+  benchmark::Initialize(&nargs, args.data());
+  if (benchmark::ReportUnrecognizedArguments(nargs, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -26,6 +26,7 @@
 #include "io/config.hpp"
 #include "trace/export.hpp"
 #include "trace/json.hpp"
+#include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 
 namespace {
@@ -118,6 +119,12 @@ int main(int argc, char** argv) {
     if (spec.trace) {
       const auto& tracer = trace::Tracer::instance();
       print_table(trace::phase_table(trace::aggregate_phases(tracer)));
+      // Host-only readings of the transport; they vary with scheduling.
+      std::printf("host:");
+      for (const auto& [name, value] :
+           trace::MetricsRegistry::instance().host_gauges())
+        std::printf(" %s=%.0f", name.c_str(), value);
+      std::printf("\n");
       if (!spec.trace_json_path.empty()) {
         trace::write_chrome_trace(tracer, spec.trace_json_path);
         std::printf("wrote %s (chrome://tracing)\n",

@@ -145,6 +145,19 @@ RunReport run_model(const ModelConfig& config, int steps, int warmup_steps) {
   });
 
 
+  // Host-side transport diagnostics go to the registry's host gauges only:
+  // the pool counts vary with host scheduling, so the report never carries
+  // them.
+  if (trace::enabled()) {
+    auto& registry = trace::MetricsRegistry::instance();
+    registry.set_host_gauge("simnet.pool.reuses",
+                            static_cast<double>(run_result.pool_reuses));
+    registry.set_host_gauge("simnet.pool.misses",
+                            static_cast<double>(run_result.pool_misses));
+    registry.set_host_gauge("simnet.mailbox.live_channels",
+                            static_cast<double>(run_result.live_channels));
+  }
+
   RunReport report;
   report.steps = steps;
   report.steps_per_day = config.steps_per_day();

@@ -17,6 +17,23 @@ std::string trim(const std::string& s) {
   const auto end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
 }
+
+/// Levenshtein distance (insertions, deletions, substitutions).
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diagonal = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t above = row[j];
+      row[j] = std::min({above + 1, row[j - 1] + 1,
+                         diagonal + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diagonal = above;
+    }
+  }
+  return row[b.size()];
+}
 }  // namespace
 
 Config Config::from_file(const std::string& path) {
@@ -56,9 +73,9 @@ bool Config::has(const std::string& key) const {
 }
 
 std::optional<std::string> Config::raw(const std::string& key) const {
+  queried_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
-  touched_[key] = true;
   return it->second;
 }
 
@@ -126,7 +143,7 @@ int Config::require_int(const std::string& key) const {
 std::vector<std::string> Config::unused_keys() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {
-    if (!touched_.count(key)) out.push_back(key);
+    if (!queried_.count(key)) out.push_back(key);
   }
   return out;
 }
@@ -138,6 +155,16 @@ void Config::reject_unused_keys() const {
   for (const std::string& key : unused) {
     if (!names.empty()) names += ", ";
     names += "'" + key + "'";
+    const std::string* closest = nullptr;
+    std::size_t best = 3;  // suggest only within edit distance 2
+    for (const std::string& known : queried_) {
+      const std::size_t d = edit_distance(key, known);
+      if (d < best) {
+        best = d;
+        closest = &known;
+      }
+    }
+    if (closest != nullptr) names += " (did you mean '" + *closest + "'?)";
   }
   throw ConfigError(
       (unused.size() == 1 ? "unrecognised config key " :

@@ -6,9 +6,10 @@
 #pragma once
 
 #include <map>
-#include <vector>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace agcm::io {
 
@@ -39,14 +40,16 @@ class Config {
   std::vector<std::string> unused_keys() const;
 
   /// Throws ConfigError naming every key in unused_keys(), if any. Call it
-  /// after every getter the caller will ever use has run.
+  /// after every getter the caller will ever use has run. A key within edit
+  /// distance 2 of a key some getter asked for (present or not) gets a
+  /// "did you mean" hint naming the closest one.
   void reject_unused_keys() const;
 
  private:
   std::optional<std::string> raw(const std::string& key) const;
 
   std::map<std::string, std::string> values_;
-  mutable std::map<std::string, bool> touched_;
+  mutable std::set<std::string> queried_;  ///< every key a getter asked for
 };
 
 }  // namespace agcm::io

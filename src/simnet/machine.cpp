@@ -138,6 +138,9 @@ RunResult Machine::collect(
   }
   result.total_messages = network.total_messages();
   result.total_bytes = network.total_bytes();
+  result.pool_reuses = network.pool().reuses();
+  result.pool_misses = network.pool().misses();
+  result.live_channels = network.live_channels();
   return result;
 }
 

@@ -68,6 +68,13 @@ struct RunResult {
   std::uint64_t total_messages = 0;
   std::uint64_t total_bytes = 0;
 
+  // Host-only diagnostics of the transport machinery. The pool counts
+  // depend on how the host scheduled the ranks, so none of these enters a
+  // virtual result or a byte-compared artefact.
+  std::uint64_t pool_reuses = 0;    ///< BufferPool acquires served from the freelist
+  std::uint64_t pool_misses = 0;    ///< BufferPool acquires that allocated
+  std::uint64_t live_channels = 0;  ///< channels created, summed over mailboxes
+
   /// Virtual makespan: the slowest rank's finish time.
   double makespan() const;
 };

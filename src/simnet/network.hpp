@@ -10,9 +10,15 @@
 // The mailbox is sharded: every channel owns its queue, mutex and wakeup
 // slot, so a push wakes exactly the receiver parked on that channel instead
 // of broadcasting to every blocked receiver of the rank, and queue
-// operations never scan or lock unrelated channels. The channel table
-// itself is an unordered_map guarded by a separate mutex that is only held
-// for the O(1) lookup/insert.
+// operations never scan or lock unrelated channels. Channels are addressed
+// densely: each mailbox holds one lane pointer per source rank, and a lane
+// holds that source's channels in a short flat list of (tag, channel)
+// slots. Only the pair's sender and receiver ever touch a lane. Lookups are
+// lock-free (an acquire load and a scan of a few tags); a lane is created
+// on first touch by a compare-and-swap, and the first message on a new tag
+// appends its slot under the mailbox's append mutex. Lanes are allocated
+// lazily, so a mailbox costs one pointer per source until that source
+// sends to it.
 //
 // The wakeup slot is scheduler-integrated: under the fiber backend the
 // blocked receive publishes its Fiber* as the channel's waiter and parks
@@ -30,7 +36,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simnet/buffer_pool.hpp"
@@ -92,9 +97,16 @@ class PacketRing {
   std::size_t count_ = 0;
 };
 
-/// Per-destination mailbox; thread-safe, sharded per channel.
+/// Per-destination mailbox; thread-safe, sharded per channel, addressed by
+/// dense per-source lanes.
 class Mailbox {
  public:
+  /// A mailbox that receives from sources 0 .. nsources-1.
+  explicit Mailbox(int nsources);
+  ~Mailbox();
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
+
   void push(Packet packet);
 
   /// Blocks until a packet from (src, tag) is available; FIFO per channel.
@@ -113,24 +125,12 @@ class Mailbox {
   /// (src, tag) — the payload of the enriched timeout diagnostics.
   std::vector<ChannelInfo> pending_channels() const;
 
+  /// Sources that have touched this mailbox (lanes allocated so far).
+  std::size_t live_lanes() const;
+  /// Channels created so far, across every lane.
+  std::size_t live_channels() const;
+
  private:
-  using Key = std::pair<int, std::int64_t>;  // (src, tag)
-
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      // splitmix64-style mix of the two halves; cheap and collision-free in
-      // practice for the small (src, tag) universes a rank sees.
-      std::uint64_t x = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.first)) << 48) ^
-                        static_cast<std::uint64_t>(k.second);
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebULL;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
-    }
-  };
-
   /// One FIFO channel shard: own lock, own queue, own wakeup. `waiter` is
   /// the fiber-backend wakeup slot (guarded by `mutex`): the parked
   /// receiver, published just before it switches out, cleared by the sender
@@ -143,13 +143,35 @@ class Mailbox {
     PacketRing queue;
   };
 
-  /// Finds or creates the channel shard for `key`. Channels are created on
-  /// first touch and live for the mailbox's lifetime (stable addresses, so
-  /// waiting threads never hold the table lock).
-  Channel& channel(const Key& key);
+  /// Every channel from one source: a flat run of (tag, channel) slots,
+  /// continued in `next` once full. Slots below `size` are published and
+  /// immutable; readers scan them after an acquire load of `size`, with no
+  /// lock. Channels live for the mailbox's lifetime (stable addresses, so a
+  /// waiting receiver never holds any lock but its channel's).
+  struct Lane {
+    static constexpr std::size_t kSlots = 4;
+    ~Lane() { delete next.load(std::memory_order_relaxed); }
+    std::atomic<std::size_t> size{0};
+    std::int64_t tags[kSlots] = {};
+    std::unique_ptr<Channel> channels[kSlots];
+    std::atomic<Lane*> next{nullptr};  ///< owned
+  };
 
-  mutable std::mutex table_mutex_;
-  std::unordered_map<Key, std::unique_ptr<Channel>, KeyHash> channels_;
+  /// Finds or creates the channel shard for (src, tag).
+  Channel& channel(int src, std::int64_t tag);
+
+  /// Lock-free scan of a lane's published slots; null when `tag` has none.
+  static Channel* find(const Lane& lane, std::int64_t tag);
+
+  /// Calls `visit(src, tag, channel)` for every published channel.
+  template <typename Visit>
+  void for_each_channel(Visit&& visit) const;
+
+  /// Serialises appends of new tags (a pair's sender and receiver may both
+  /// touch a new tag first). Lookups never take it, and appends are rare:
+  /// one per channel per run.
+  std::mutex append_mutex_;
+  std::vector<std::atomic<Lane*>> lanes_;  ///< one per source; owned
 };
 
 /// The whole interconnect: one mailbox per rank, the shared payload buffer
@@ -168,6 +190,9 @@ class Network {
   void set_recv_timeout_ms(int ms) { timeout_ms_ = ms; }
   int recv_timeout_ms() const { return timeout_ms_; }
 
+  /// Channels created so far, summed over every mailbox (host diagnostics).
+  std::size_t live_channels() const;
+
   /// Global traffic counters (atomic, aggregated across ranks).
   void count_message(std::size_t bytes);
   std::uint64_t total_messages() const;
@@ -178,7 +203,7 @@ class Network {
   int nranks_;
   BufferPool pool_;  ///< declared before mailboxes_: queued packets release
                      ///< their buffers into the pool during destruction
-  std::vector<Mailbox> mailboxes_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   int timeout_ms_ = 60'000;
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> bytes_{0};

@@ -16,6 +16,7 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   distributions_.clear();
+  host_gauges_.clear();
 }
 
 void MetricsRegistry::add(std::string_view name, int rank, double delta) {
@@ -37,6 +38,17 @@ void MetricsRegistry::observe(std::string_view name, double value) {
   Distribution& dist = distributions_[std::string(name)];
   dist.stats.add(value);
   dist.hist.add(value);
+}
+
+void MetricsRegistry::set_host_gauge(std::string_view name, double value) {
+  if (!enabled()) return;
+  std::lock_guard lock(mutex_);
+  host_gauges_[std::string(name)] = value;
+}
+
+std::map<std::string, double> MetricsRegistry::host_gauges() const {
+  std::lock_guard lock(mutex_);
+  return host_gauges_;
 }
 
 double MetricsRegistry::total(const std::string& name) const {

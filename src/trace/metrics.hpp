@@ -48,7 +48,17 @@ class MetricsRegistry {
   /// percentiles are deterministic even under concurrent recording.
   void observe(std::string_view name, double value);
 
+  /// Sets host-only gauge `name`: a reading of the simulator's own
+  /// machinery (buffer-pool hits, live channels) that depends on how the
+  /// host scheduled the ranks. Host gauges are kept apart from every other
+  /// metric — names() and to_json() leave them out — so no byte-compared
+  /// artefact ever carries one.
+  void set_host_gauge(std::string_view name, double value);
+
   // --- snapshot ------------------------------------------------------------
+
+  /// Every host gauge, by name.
+  std::map<std::string, double> host_gauges() const;
 
   /// Sum of counter `name` across ranks (0 when absent).
   double total(const std::string& name) const;
@@ -88,6 +98,7 @@ class MetricsRegistry {
   std::map<std::string, PerRank> counters_;
   std::map<std::string, PerRank> gauges_;
   std::map<std::string, Distribution> distributions_;
+  std::map<std::string, double> host_gauges_;
 };
 
 }  // namespace agcm::trace

@@ -234,6 +234,43 @@ TEST(Config, MisspeltKeyIsRejectedByName) {
   EXPECT_NO_THROW(clean.reject_unused_keys());
 }
 
+TEST(Config, MisspeltKeySuggestsTheClosestQueriedKey) {
+  // The suggestion comes from every key a getter asked for, including keys
+  // the file does not set.
+  const auto typo = Config::from_string(
+      "nlon = 144\nphysics_load_balanse = true\nzzz_unrelated = 1\n");
+  EXPECT_EQ(typo.get_int("nlon", 0), 144);
+  EXPECT_FALSE(typo.get_bool("physics_load_balance", false));  // absent
+  EXPECT_EQ(typo.get_int("nlat", 90), 90);
+  try {
+    typo.reject_unused_keys();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'physics_load_balanse' (did you mean "
+                       "'physics_load_balance'?)"),
+              std::string::npos)
+        << msg;
+    // Nothing queried is within edit distance 2: no hint.
+    EXPECT_NE(msg.find("'zzz_unrelated'"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("'zzz_unrelated' (did you mean"), std::string::npos)
+        << msg;
+  }
+
+  // Distance 3 is too far; distance 2 (two substitutions) still hints.
+  const auto far = Config::from_string("nlevxyz = 9\nnlxy = 9\n");
+  (void)far.get_int("nlev", 9);
+  try {
+    far.reject_unused_keys();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.find("'nlevxyz' (did you mean"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'nlxy' (did you mean 'nlev'?)"), std::string::npos)
+        << msg;
+  }
+}
+
 TEST(Config, MissingFileThrowsDataError) {
   EXPECT_THROW(Config::from_file("/nonexistent/agcm.cfg"), DataError);
 }

@@ -112,7 +112,7 @@ TEST(VirtualClock, WaitUntil) {
 }
 
 TEST(Mailbox, FifoPerChannel) {
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   box.push(make_packet(std::byte{1}, /*src=*/0, /*tag=*/7));
   box.push(make_packet(std::byte{2}, 0, 7));
   EXPECT_EQ(box.pop(0, 7, 1000).payload[0], std::byte{1});
@@ -122,7 +122,7 @@ TEST(Mailbox, FifoPerChannel) {
 TEST(Mailbox, FifoSurvivesInterleavedChannels) {
   // Sharded channels must stay FIFO per (src, tag) even when pushes to other
   // channels interleave arbitrarily.
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   for (int i = 0; i < 16; ++i) {
     box.push(make_packet(std::byte(i), 0, 7));
     box.push(make_packet(std::byte(100 + i), 3, 7));
@@ -137,7 +137,7 @@ TEST(Mailbox, FifoSurvivesInterleavedChannels) {
 }
 
 TEST(Mailbox, ChannelsAreIndependent) {
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   box.push(make_packet(std::byte{9}, 1, 5));
   box.push(make_packet(std::byte{8}, 2, 5));
   EXPECT_EQ(box.pop(2, 5, 1000).payload[0], std::byte{8});
@@ -145,14 +145,14 @@ TEST(Mailbox, ChannelsAreIndependent) {
 }
 
 TEST(Mailbox, TimeoutThrowsCommError) {
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   EXPECT_THROW(box.pop(0, 0, 50), CommError);
 }
 
 TEST(Mailbox, TimeoutErrorListsPendingChannels) {
   // The deadlock diagnostic names what *is* queued, so a tag or source
   // mismatch is visible from the error message alone.
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   box.push(make_packet(std::byte{1}, 2, 11));
   box.push(make_packet(std::byte{2}, 2, 11));
   box.push(make_packet(std::byte{3}, 4, 3));
@@ -169,7 +169,7 @@ TEST(Mailbox, TimeoutErrorListsPendingChannels) {
 }
 
 TEST(Mailbox, TimeoutErrorOnEmptyMailbox) {
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   try {
     box.pop(1, 2, 50);
     FAIL() << "pop should have timed out";
@@ -179,7 +179,7 @@ TEST(Mailbox, TimeoutErrorOnEmptyMailbox) {
 }
 
 TEST(Mailbox, PendingChannelsSortedAndCounted) {
-  Mailbox box;
+  Mailbox box(/*nsources=*/8);
   box.push(make_packet(std::byte{0}, 3, 1));
   box.push(make_packet(std::byte{0}, 1, 9));
   box.push(make_packet(std::byte{0}, 1, 2));
@@ -194,6 +194,84 @@ TEST(Mailbox, PendingChannelsSortedAndCounted) {
   EXPECT_EQ(infos[2].src, 3);
   EXPECT_EQ(infos[2].tag, 1);
   EXPECT_EQ(box.pending(), 4u);
+}
+
+TEST(Mailbox, ManySourcesAndTagsKeepPerChannelFifo) {
+  // 64 sources x 11 tags: every lane overflows its first run of tag slots,
+  // and pushes to all 704 channels interleave. Each channel still drains in
+  // its own push order, whatever order the channels are drained in.
+  constexpr int kSources = 64;
+  constexpr int kTags = 11;
+  constexpr int kDepth = 3;
+  Mailbox box(kSources);
+  const auto value = [](int src, int tag, int seq) {
+    return std::byte((src * 31 + tag * 7 + seq) & 0xff);
+  };
+  for (int seq = 0; seq < kDepth; ++seq)
+    for (int tag = 0; tag < kTags; ++tag)
+      for (int src = 0; src < kSources; ++src)
+        box.push(make_packet(value(src, tag, seq), src, 1000 + tag));
+  EXPECT_EQ(box.live_lanes(), static_cast<std::size_t>(kSources));
+  EXPECT_EQ(box.live_channels(), static_cast<std::size_t>(kSources * kTags));
+  EXPECT_EQ(box.pending(), static_cast<std::size_t>(kSources * kTags * kDepth));
+  for (int src = kSources - 1; src >= 0; --src)
+    for (int tag = kTags - 1; tag >= 0; --tag)
+      for (int seq = 0; seq < kDepth; ++seq)
+        EXPECT_EQ(box.pop(src, 1000 + tag, 1000).payload[0],
+                  value(src, tag, seq));
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(Mailbox, PendingChannelsSortedAcrossLanes) {
+  // Channels come from several lanes, and one lane holds more tags than a
+  // run of slots, in descending tag order: the report is still sorted by
+  // (src, tag) and skips drained channels.
+  Mailbox box(8);
+  for (std::int64_t tag = 9; tag >= 1; --tag)
+    box.push(make_packet(std::byte{0}, 6, tag));
+  box.push(make_packet(std::byte{0}, 0, 5));
+  box.push(make_packet(std::byte{0}, 7, -3));
+  box.push(make_packet(std::byte{0}, 2, 4));
+  box.push(make_packet(std::byte{0}, 2, 4));
+  (void)box.pop(6, 4, 1000);  // drained channels are not reported
+  const auto infos = box.pending_channels();
+  ASSERT_EQ(infos.size(), 11u);
+  for (std::size_t i = 1; i < infos.size(); ++i) {
+    const bool ordered = infos[i - 1].src != infos[i].src
+                             ? infos[i - 1].src < infos[i].src
+                             : infos[i - 1].tag < infos[i].tag;
+    EXPECT_TRUE(ordered) << "entry " << i;
+  }
+  EXPECT_EQ(infos.front().src, 0);
+  EXPECT_EQ(infos[1].src, 2);
+  EXPECT_EQ(infos[1].depth, 2u);
+  EXPECT_EQ(infos[2].src, 6);
+  EXPECT_EQ(infos[2].tag, 1);
+  EXPECT_EQ(infos.back().src, 7);
+  EXPECT_EQ(infos.back().tag, -3);
+  EXPECT_EQ(box.live_channels(), 12u);
+  EXPECT_EQ(box.pending(), 12u);
+}
+
+TEST(Network, LanesAreAllocatedOnlyWhenTouched) {
+  // At P=1024 a mailbox holds one lane pointer per source; no lane (and so
+  // no channel) exists until a message is sent on that pair.
+  Network network(1024);
+  std::size_t lanes = 0;
+  for (int r = 0; r < network.nranks(); ++r)
+    lanes += network.mailbox(r).live_lanes();
+  EXPECT_EQ(lanes, 0u);
+  EXPECT_EQ(network.live_channels(), 0u);
+
+  network.mailbox(7).push(make_packet(std::byte{1}, 1000, 3));
+  network.mailbox(7).push(make_packet(std::byte{2}, 1000, 4));
+  network.mailbox(1023).push(make_packet(std::byte{3}, 0, 3));
+  lanes = 0;
+  for (int r = 0; r < network.nranks(); ++r)
+    lanes += network.mailbox(r).live_lanes();
+  EXPECT_EQ(lanes, 2u);
+  EXPECT_EQ(network.live_channels(), 3u);
+  EXPECT_EQ(network.mailbox(7).pop(1000, 4, 1000).payload[0], std::byte{2});
 }
 
 TEST(BufferPool, RecyclesStorageWithCapacityIntact) {
@@ -231,6 +309,130 @@ TEST(BufferPool, UnpooledBufferOwnsItsStorage) {
   Buffer b = Buffer::unpooled({std::byte{42}, std::byte{43}});
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(b[1], std::byte{43});
+}
+
+TEST(BufferPool, SizeClassBins) {
+  // Storage of capacity c is filed in bin floor_log2(c)+1; a request of n
+  // bytes starts at bin ceil_log2(n)+1, the first whose storage all fits.
+  EXPECT_EQ(BufferPool::capacity_bin(0), 0u);
+  EXPECT_EQ(BufferPool::capacity_bin(1), 1u);
+  EXPECT_EQ(BufferPool::capacity_bin(1023), 10u);
+  EXPECT_EQ(BufferPool::capacity_bin(1024), 11u);
+  EXPECT_EQ(BufferPool::capacity_bin(1025), 11u);
+  EXPECT_EQ(BufferPool::request_bin(0), 0u);
+  EXPECT_EQ(BufferPool::request_bin(1), 1u);
+  EXPECT_EQ(BufferPool::request_bin(2), 2u);
+  EXPECT_EQ(BufferPool::request_bin(1024), 11u);
+  EXPECT_EQ(BufferPool::request_bin(1025), 12u);
+  for (std::size_t n = 1; n < 5000; ++n) {
+    // Storage filed in the request's bin always covers the request.
+    EXPECT_GE(std::size_t{1} << (BufferPool::request_bin(n) - 1), n);
+  }
+}
+
+TEST(BufferPool, ZeroByteRequests) {
+  BufferPool pool;
+  {
+    Buffer empty = pool.acquire(0);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(pool.misses(), 1u);
+  }
+  EXPECT_EQ(pool.free_count(), 1u);
+  Buffer big = pool.acquire(100);  // grows the empty storage
+  EXPECT_EQ(pool.reuses(), 1u);
+  EXPECT_EQ(big.capacity(), 128u);
+  const std::byte* big_data = big.data();
+  big = Buffer();
+  Buffer again = pool.acquire(0);  // any storage serves a zero-byte request
+  EXPECT_EQ(again.size(), 0u);
+  EXPECT_EQ(again.data(), big_data);
+  EXPECT_EQ(pool.reuses(), 2u);
+  EXPECT_EQ(pool.misses(), 1u);
+}
+
+TEST(BufferPool, ExactPowerOfTwoAndOneMore) {
+  BufferPool pool;
+  {
+    Buffer exact = pool.acquire(256);
+    EXPECT_EQ(exact.capacity(), 256u);  // already a class size
+    Buffer above = pool.acquire(257);
+    EXPECT_EQ(above.capacity(), 512u);  // rounded up to the next class
+  }
+  // The 256-byte storage serves 256 exactly; 257 must take the 512 one.
+  Buffer a = pool.acquire(257);
+  EXPECT_EQ(a.capacity(), 512u);
+  Buffer b = pool.acquire(256);
+  EXPECT_EQ(b.capacity(), 256u);
+  EXPECT_EQ(pool.reuses(), 2u);
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(pool.free_count(), 0u);
+}
+
+TEST(BufferPool, RequestTakesSmallestFittingClass) {
+  BufferPool pool;
+  const std::byte* small_data = nullptr;
+  const std::byte* large_data = nullptr;
+  {
+    Buffer small = pool.acquire(64);
+    Buffer large = pool.acquire(4096);
+    small_data = small.data();
+    large_data = large.data();
+  }
+  Buffer first = pool.acquire(3000);  // only the 4096 one fits
+  EXPECT_EQ(first.data(), large_data);
+  Buffer second = pool.acquire(10);   // the 64 one: nothing smaller is free
+  EXPECT_EQ(second.data(), small_data);
+  EXPECT_EQ(pool.misses(), 2u);
+}
+
+TEST(BufferPool, SmallerRequestReusesLargerBuffer) {
+  BufferPool pool;
+  const std::byte* data = nullptr;
+  {
+    Buffer b = pool.acquire(1 << 16);
+    data = b.data();
+  }
+  Buffer small = pool.acquire(3);
+  EXPECT_EQ(small.data(), data);
+  EXPECT_EQ(small.size(), 3u);
+  EXPECT_EQ(small.capacity(), std::size_t{1} << 16);
+}
+
+TEST(BufferPool, GrowsTheLargestSmallerStorage) {
+  BufferPool pool;
+  const std::byte* smallest = nullptr;
+  {
+    Buffer a = pool.acquire(16);
+    Buffer b = pool.acquire(200);
+    Buffer c = pool.acquire(100);
+    smallest = a.data();
+  }
+  // Nothing covers 1000 bytes: the 256-byte storage (the largest free one)
+  // grows to the full 1024-byte class; the others stay in their bins.
+  Buffer grown = pool.acquire(1000);
+  EXPECT_EQ(grown.capacity(), 1024u);
+  EXPECT_EQ(pool.reuses(), 1u);
+  EXPECT_EQ(pool.free_count(), 2u);
+  Buffer mid = pool.acquire(100);
+  EXPECT_EQ(mid.capacity(), 128u);
+  Buffer low = pool.acquire(1);
+  EXPECT_EQ(low.data(), smallest);
+  EXPECT_EQ(pool.misses(), 3u);
+}
+
+TEST(BufferPool, PrewarmedStorageLandsInItsClass) {
+  BufferPool pool;
+  pool.prewarm(2, 1000);  // rounded up to the 1024-byte class
+  EXPECT_EQ(pool.free_count(), 2u);
+  Buffer a = pool.acquire(1024);
+  Buffer b = pool.acquire(513);
+  EXPECT_EQ(a.capacity(), 1024u);
+  EXPECT_EQ(b.capacity(), 1024u);
+  EXPECT_EQ(pool.reuses(), 2u);
+  EXPECT_EQ(pool.misses(), 0u);
+  Buffer c = pool.acquire(1);  // freelist empty now
+  EXPECT_EQ(pool.misses(), 1u);
+  EXPECT_EQ(pool.outstanding(), 3u);
 }
 
 TEST(Machine, RunsAllRanks) {
@@ -314,6 +516,44 @@ TEST(Machine, PayloadStorageRecyclesThroughPool) {
     EXPECT_LE(ctx.network().pool().misses(), 4u);
     EXPECT_GE(ctx.network().pool().reuses(), 8u);
   });
+}
+
+TEST(Machine, ConcurrentLaneAndChannelCreation) {
+  // Every pair talks on several tags at once, and receivers drain in the
+  // reverse order senders fill, so the sender and the receiver of a pair
+  // race to create its lane and each channel. FIFO holds per channel, and
+  // exactly one channel exists per (dst, src, tag).
+  Machine machine(MachineProfile::ideal());
+  machine.set_workers(4);
+  constexpr int kRanks = 12;
+  constexpr int kTags = 6;
+  constexpr int kRounds = 3;
+  const auto result = machine.run(kRanks, [](RankContext& ctx) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int dst = 0; dst < ctx.nranks(); ++dst) {
+        if (dst == ctx.rank()) continue;
+        for (int tag = 0; tag < kTags; ++tag) {
+          const std::vector<double> data{
+              static_cast<double>(ctx.rank() * 1000 + tag * 10 + round)};
+          ctx.send_bytes(dst, tag, as_bytes(data));
+        }
+      }
+    }
+    for (int src = ctx.nranks() - 1; src >= 0; --src) {
+      if (src == ctx.rank()) continue;
+      for (int tag = kTags - 1; tag >= 0; --tag) {
+        for (int round = 0; round < kRounds; ++round) {
+          const Buffer got = ctx.recv_bytes(src, tag);
+          double value = 0.0;
+          std::memcpy(&value, got.data(), sizeof(value));
+          EXPECT_EQ(value, static_cast<double>(src * 1000 + tag * 10 + round));
+        }
+      }
+    }
+  });
+  EXPECT_EQ(result.live_channels,
+            static_cast<std::uint64_t>(kRanks * (kRanks - 1) * kTags));
+  EXPECT_EQ(result.pool_reuses + result.pool_misses, result.total_messages);
 }
 
 TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {

@@ -623,6 +623,27 @@ TEST(TraceModel, TracingChangesVirtualResultsByExactlyZero) {
                             traced.rank_breakdowns[r].wait));
     }
     EXPECT_TRUE(same_bits(plain.per_step.total(), traced.per_step.total()));
+    EXPECT_TRUE(same_bits(plain.per_step.physics_balance,
+                          traced.per_step.physics_balance));
+    EXPECT_TRUE(same_bits(plain.percentiles.halo.p99,
+                          traced.percentiles.halo.p99));
+    EXPECT_TRUE(same_bits(plain.physics_imbalance_after,
+                          traced.physics_imbalance_after));
+    EXPECT_TRUE(same_bits(plain.mass_drift_rel, traced.mass_drift_rel));
+    EXPECT_EQ(plain.total_messages, traced.total_messages);
+    EXPECT_EQ(plain.total_bytes, traced.total_bytes);
+
+    // The traced run published the simnet host gauges, and they stay out of
+    // the serialised metrics that byte-compared artefacts embed.
+    const auto host = MetricsRegistry::instance().host_gauges();
+    ASSERT_EQ(host.size(), 3u);
+    EXPECT_GE(host.at("simnet.pool.reuses") + host.at("simnet.pool.misses"),
+              static_cast<double>(traced.total_messages));
+    EXPECT_GT(host.at("simnet.mailbox.live_channels"), 0.0);
+    const std::string json = MetricsRegistry::instance().to_json().dump();
+    EXPECT_EQ(json.find("simnet."), std::string::npos);
+    for (const std::string& name : MetricsRegistry::instance().names())
+      EXPECT_NE(name.rfind("simnet.", 0), 0u) << name;
   }
 }
 
