@@ -20,13 +20,14 @@
 // (ISSUE 2 requires speedup_n144 >= 3).
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fft/fft.hpp"
 #include "fft/recursive_ref.hpp"
-#include "fft/workspace.hpp"
+#include "fft/plan_cache.hpp"
 #include "filter/bank.hpp"
 #include "filter/serial.hpp"
 #include "grid/latlon.hpp"
@@ -151,7 +152,8 @@ int main(int argc, char** argv) {
     for (double& v : base) v = rng.uniform(-1.0, 1.0);
 
     const fft::RecursiveFftPlan seed_plan(nlon);
-    const fft::FftPlan& plan = fft::FftWorkspace::local().plan(nlon);
+    const std::shared_ptr<const fft::FftPlan> shared = fft::shared_plan(nlon);
+    const fft::FftPlan& plan = *shared;
     const double vflops = batch_virtual_flops(nlon, batch.size());
 
     // Reps sized for a few hundred ms per path at every length.

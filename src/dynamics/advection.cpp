@@ -112,7 +112,7 @@ KernelCost advect_tracers_optimized(
       metrics.dx_vface.data()};
   kernels::advect_tracers_engine(mview, h_old, h_new, u, v, tracers, box.ni,
                                  box.nj, nk, dt,
-                                 kernels::KernelWorkspace::local());
+                                 util::rank_local<kernels::KernelWorkspace>());
 
   // The virtual-cost model is the SEED's, unchanged: the engine reorganizes
   // host loops, not the modelled 1990s machine (docs/kernels.md).

@@ -12,10 +12,6 @@ namespace agcm::fft {
 
 namespace {
 
-/// Largest generic radix whose gather buffer lives on the stack. Larger
-/// prime factors fall back to the plan's scratch vector (see fft.hpp).
-constexpr int kStackRadix = 16;
-
 inline Complex unit_root(double numerator, double denominator) {
   const double angle = -2.0 * std::numbers::pi * numerator / denominator;
   return {std::cos(angle), std::sin(angle)};
@@ -100,7 +96,6 @@ FftPlan::FftPlan(int n) : n_(n) {
 
   // --- Stage plan: per-stage twiddle tables + generic-radix roots --------
   int m = 1;
-  int max_generic = 0;
   for (int r : radices) {
     Stage st{r, m, tw_fwd_.size(), 0};
     const int L = r * m;
@@ -114,7 +109,6 @@ FftPlan::FftPlan(int n) : n_(n) {
       for (int j = 0; j < r; ++j) {
         root_fwd_.push_back(unit_root(j, r));
       }
-      max_generic = std::max(max_generic, r);
     }
     stages_.push_back(st);
     m = L;
@@ -127,9 +121,6 @@ FftPlan::FftPlan(int n) : n_(n) {
   root_inv_.resize(root_fwd_.size());
   std::transform(root_fwd_.begin(), root_fwd_.end(), root_inv_.begin(),
                  [](const Complex& c) { return std::conj(c); });
-  if (max_generic > kStackRadix) {
-    generic_scratch_.resize(static_cast<std::size_t>(max_generic));
-  }
 }
 
 std::vector<int> FftPlan::stage_radices() const {
@@ -254,12 +245,14 @@ void FftPlan::run_stages(Complex* a) const {
         break;
       }
       default: {
-        // Generic-radix butterfly: gather the r twiddled inputs, then a
-        // direct r-point DFT against the precomputed root table.
+        // Generic-radix butterfly: gather the r twiddled inputs into the
+        // rank's gather buffer (the plan itself stays immutable, so shared
+        // plans are safe under concurrent transforms), then a direct
+        // r-point DFT against the precomputed root table.
         const Complex* root = root_base + st.root_off;
-        Complex stack_buf[kStackRadix];
-        Complex* buf =
-            r <= kStackRadix ? stack_buf : generic_scratch_.data();
+        Complex* buf = util::rank_local<FftWorkspace>()
+                           .gather.take(static_cast<std::size_t>(r))
+                           .data();
         for (int b = 0; b < n_; b += L) {
           for (int q = 0; q < m; ++q) {
             Complex* p = a + b + q;
@@ -370,10 +363,10 @@ void FftPlan::inverse_to_real_pair(std::span<const Complex> sx,
               static_cast<int>(sy.size()) == n_);
   AGCM_ASSERT(static_cast<int>(x.size()) == n_ &&
               static_cast<int>(y.size()) == n_);
-  // Merge z = sx + i sy into a workspace buffer (allocation-free once the
-  // thread's buffer has grown to n), then one inverse recovers both lines.
-  std::span<Complex> z =
-      FftWorkspace::local().complex_buffer(static_cast<std::size_t>(n_));
+  // Merge z = sx + i sy into the rank's complex buffer (allocation-free
+  // once it has grown to n), then one inverse recovers both lines.
+  std::span<Complex> z = util::rank_local<FftWorkspace>().complex.take(
+      static_cast<std::size_t>(n_));
   for (int k = 0; k < n_; ++k) {
     const auto uk = static_cast<std::size_t>(k);
     z[uk] = sx[uk] + mul_i(sy[uk]);

@@ -18,10 +18,12 @@
 //     in-place split/merge, the trick the era's vendor real-FFT entry
 //     points used.
 //
-// Layering note: per-call scratch for the few helpers that need it lives in
-// the thread-local FftWorkspace (fft/workspace.hpp), keyed per virtual
-// rank; FftPlan itself performs no allocation after construction. See
-// docs/fft.md for the plan layout and the workspace lifetime rules.
+// Layering note: an FftPlan is immutable after construction. The scratch
+// the generic-radix butterfly and inverse_to_real_pair need comes from the
+// calling rank's FftWorkspace (fft/workspace.hpp, via util::rank_local), so
+// one plan can serve any number of concurrent callers and no transform
+// allocates once that scratch is warm. See docs/fft.md for the plan layout
+// and the workspace borrow rules.
 //
 // Virtual-clock accounting (`flops()`) is frozen to the paper's 5 n log2 n
 // formula regardless of how the host kernel is implemented; only host
@@ -45,12 +47,9 @@ using AlignedComplexVec =
 
 /// Precomputed plan for a fixed transform length.
 ///
-/// Thread-safety: all transform entry points are const and allocation-free.
-/// Plans whose length contains a prime factor > 16 share one internal
-/// generic-radix scratch buffer per plan, so concurrent transforms on the
-/// *same* plan instance are only safe for lengths whose prime factors are
-/// all <= 16 (every AGCM grid length qualifies: 72, 144, 288, 360, 500).
-/// Per-thread plans — what FftWorkspace hands out — are always safe.
+/// Thread-safety: the plan is immutable and every transform entry point is
+/// const, so concurrent transforms on one shared instance are safe for any
+/// length (tests/test_fft.cpp, SharedPlanConcurrentTransformsBitIdentical).
 class FftPlan {
  public:
   explicit FftPlan(int n);
@@ -88,7 +87,7 @@ class FftPlan {
 
   /// Inverse of forward_real_pair: one complex inverse transform recovers
   /// both real lines. Needs one length-n complex merge buffer, borrowed
-  /// from the thread-local FftWorkspace (allocation-free after warm-up).
+  /// from the rank's FftWorkspace (allocation-free after warm-up).
   void inverse_to_real_pair(std::span<const Complex> sx,
                             std::span<const Complex> sy, std::span<double> x,
                             std::span<double> y) const;
@@ -130,10 +129,6 @@ class FftPlan {
   AlignedComplexVec root_fwd_;      ///< generic-radix roots, forward
   AlignedComplexVec root_inv_;      ///< generic-radix roots, conjugated
   std::vector<int> perm_swaps_;     ///< digit-reversal as (a,b) swap pairs
-  /// Gather buffer for generic-radix butterflies with radix > 16 (sized
-  /// once at construction; empty for smooth lengths). See the class
-  /// comment for the concurrency caveat.
-  mutable AlignedComplexVec generic_scratch_;
 };
 
 /// Prime factorisation helper (ascending, with multiplicity).

@@ -2,13 +2,13 @@
 // shared by every rank of every concurrently running Machine.
 //
 // Plan construction is deterministic (stage tables and twiddle factors are
-// pure functions of n), so a shared plan is bit-identical to a per-rank one
-// — the property tests/test_fft.cpp already pins for the per-rank cache.
-// Plans are handed out as shared_ptr<const FftPlan>: a campaign cell that
-// outlives a clear_plan_cache() keeps its plans alive through its own
-// references. fft::FftWorkspace::plan() memoizes the shared_ptr per rank,
-// so the warm transform path stays lock-free and allocation-free exactly
-// as before (tests/test_fft_alloc.cpp).
+// pure functions of n), so a shared plan is bit-identical to a fresh one,
+// and FftPlan holds no mutable state, so one instance serves concurrent
+// transforms (both pinned in tests/test_fft.cpp). This is the only plan
+// cache: users look a plan up once (filter construction, partitioned
+// kernel build) and hold the shared_ptr, so the warm transform path never
+// locks. A campaign cell that outlives a clear_plan_cache() keeps its
+// plans alive through its own references.
 //
 // Participates in util::SharedCaches: when the process-wide toggle is off,
 // shared_plan() builds an unshared plan (the historical cold path).

@@ -1,7 +1,7 @@
 #include <cmath>
 #include <vector>
 
-#include "fft/workspace.hpp"
+#include "fft/plan_cache.hpp"
 #include "filter/serial.hpp"
 #include "filter/variants.hpp"
 #include "util/error.hpp"
@@ -12,7 +12,7 @@ FftBalancedFilter::FftBalancedFilter(const comm::Mesh2D& mesh,
                                      const grid::Decomp2D& decomp,
                                      const FilterBank& bank)
     : PolarFilter(mesh, decomp, bank),
-      fft_plan_(fft::FftWorkspace::local().plan(decomp.nlon())) {
+      fft_plan_(fft::shared_plan(decomp.nlon())) {
   // One-time setup (Section 3.3): "some non-trivial set-up code is needed
   // to construct information which guides the data movements... The set-up
   // involves substantial bookkeeping and interprocessor communications."
@@ -57,7 +57,7 @@ void FftBalancedFilter::apply_impl(
   full_.resize(plan_.row_plan().line_elems());
   plan_.row_plan().to_lines_into(mesh(), held_, full_);
   const auto& owned = plan_.row_plan().owned_lines();
-  filter_owned_lines_fft(fft_plan_, bank(), owned, full_, clock);
+  filter_owned_lines_fft(*fft_plan_, bank(), owned, full_, clock);
 
   plan_.row_plan().to_chunks_into(mesh(), full_, held_);
 

@@ -1,6 +1,6 @@
 #include <vector>
 
-#include "fft/workspace.hpp"
+#include "fft/plan_cache.hpp"
 #include "filter/serial.hpp"
 #include "filter/variants.hpp"
 #include "trace/tracer.hpp"
@@ -39,7 +39,7 @@ FftTransposeFilter::FftTransposeFilter(const comm::Mesh2D& mesh,
                                        const grid::Decomp2D& decomp,
                                        const FilterBank& bank)
     : PolarFilter(mesh, decomp, bank),
-      fft_plan_(fft::FftWorkspace::local().plan(decomp.nlon())),
+      fft_plan_(fft::shared_plan(decomp.nlon())),
       plan_(mesh, decomp, local_lines()) {}
 
 void FftTransposeFilter::apply_impl(
@@ -68,7 +68,7 @@ void FftTransposeFilter::apply_impl(
   }
   {
     AGCM_TRACE_SPAN("filter.fft-lines", tctx);
-    filter_owned_lines_fft(fft_plan_, bank(), plan_.owned_lines(), full_,
+    filter_owned_lines_fft(*fft_plan_, bank(), plan_.owned_lines(), full_,
                            clock);
   }
   {

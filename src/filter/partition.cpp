@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "fft/workspace.hpp"
+#include "fft/plan_cache.hpp"
 #include "singlenode/miniblas.hpp"
 #include "singlenode/pointwise.hpp"
 
@@ -84,16 +84,17 @@ PartitionPlan PartitionPlan::make(int period, int kernel_len, int block) {
 PartitionedKernel::PartitionedKernel(std::span<const double> kernel,
                                      int period, int block)
     : plan_(PartitionPlan::make(period, static_cast<int>(kernel.size()),
-                                block)) {
+                                block)),
+      fft_plan_(fft::shared_plan(plan_.fft_size)) {
   const int fft_size = plan_.fft_size;
   const int nparts = plan_.nparts;
   const int taps = plan_.block;
   spectra_.assign(static_cast<std::size_t>(nparts) * fft_size,
                   fft::Complex{0.0, 0.0});
   split_.assign(static_cast<std::size_t>(2 * nparts) * fft_size, 0.0);
-  // One-time build: transform each zero-padded partition with the cached
-  // per-rank plan (the build allocates; every later use is read-only).
-  const fft::FftPlan& fp = fft::FftWorkspace::local().plan(fft_size);
+  // One-time build: transform each zero-padded partition with the kernel's
+  // plan (the build allocates; every later use is read-only).
+  const fft::FftPlan& fp = *fft_plan_;
   for (int p = 0; p < nparts; ++p) {
     std::span<fft::Complex> spec{
         spectra_.data() + static_cast<std::size_t>(p) * fft_size,
@@ -134,33 +135,6 @@ std::span<const double> PartitionedKernel::spectrum_im(int p) const {
 }
 
 // ---------------------------------------------------------------------------
-// PartitionWorkspace
-// ---------------------------------------------------------------------------
-
-PartitionWorkspace& PartitionWorkspace::local() {
-  if (util::ExecSlot* slot = util::ExecSlot::current()) {
-    return slot->get<PartitionWorkspace>();
-  }
-  thread_local PartitionWorkspace fallback;
-  return fallback;
-}
-
-std::span<fft::Complex> PartitionWorkspace::staging(std::size_t count) {
-  if (staging_.size() < count) staging_.resize(count);
-  return {staging_.data(), count};
-}
-
-std::span<fft::Complex> PartitionWorkspace::block(std::size_t count) {
-  if (block_.size() < count) block_.resize(count);
-  return {block_.data(), count};
-}
-
-std::span<double> PartitionWorkspace::planes(std::size_t count) {
-  if (planes_.size() < count) planes_.resize(count);
-  return {planes_.data(), count};
-}
-
-// ---------------------------------------------------------------------------
 // Streaming engine
 // ---------------------------------------------------------------------------
 
@@ -181,13 +155,14 @@ void run_partition(const PartitionedKernel& kernel, std::span<double> line_a,
   assert(static_cast<int>(line_a.size()) == n);
   assert(line_b.empty() || static_cast<int>(line_b.size()) == n);
 
-  const fft::FftPlan& fp = fft::FftWorkspace::local().plan(fft_size);
-  PartitionWorkspace& ws = PartitionWorkspace::local();
-  std::span<fft::Complex> stage = ws.staging(static_cast<std::size_t>(n));
-  std::span<fft::Complex> blk = ws.block(static_cast<std::size_t>(fft_size));
+  const fft::FftPlan& fp = kernel.fft_plan();
+  PartitionWorkspace& ws = util::rank_local<PartitionWorkspace>();
+  std::span<fft::Complex> stage = ws.staging.take(static_cast<std::size_t>(n));
+  std::span<fft::Complex> blk =
+      ws.block.take(static_cast<std::size_t>(fft_size));
   // Plane layout: nparts delay-line slots of [re | im], then the output
   // accumulator pair, then one multiply scratch plane.
-  std::span<double> planes = ws.planes(
+  std::span<double> planes = ws.planes.take(
       static_cast<std::size_t>(2 * nparts + 3) * fft_size);
   double* acc_re = planes.data() +
                    static_cast<std::size_t>(2 * nparts) * fft_size;

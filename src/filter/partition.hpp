@@ -28,15 +28,17 @@
 //     identical on every tier, scalar fallback automatic on demotion.
 //     The interleaved AlignedComplexVec form is kept alongside as the
 //     canonical cached artefact (64-byte aligned, like the FFT twiddles).
-//   * All per-call scratch lives in the per-rank PartitionWorkspace
-//     (util::ExecSlot, growth-only) — allocation-free after warm-up,
-//     enforced by tests/test_fft_alloc.cpp.
+//   * All per-call scratch lives in the rank's PartitionWorkspace
+//     (util::rank_local, growth-only) and each kernel holds its small-FFT
+//     plan — allocation-free after warm-up, enforced by
+//     tests/test_fft_alloc.cpp.
 //   * This backend is NEW relative to the paper: its virtual-clock
 //     accounting (PartitionPlan::flops) is deterministic but NOT part of
 //     the frozen Tables 1-11 formulas — the backend is opt-in and never
 //     runs inside a frozen artefact. See docs/filter.md.
 #pragma once
 
+#include <memory>
 #include <span>
 
 #include "fft/fft.hpp"
@@ -106,6 +108,8 @@ class PartitionedKernel {
                     int block = 0);
 
   const PartitionPlan& plan() const { return plan_; }
+  /// The shared length-fft_size transform the engine streams through.
+  const fft::FftPlan& fft_plan() const { return *fft_plan_; }
 
   /// Partition p's spectrum, interleaved (diagnostics/tests).
   std::span<const fft::Complex> spectrum(int p) const;
@@ -115,32 +119,20 @@ class PartitionedKernel {
 
  private:
   PartitionPlan plan_;
+  std::shared_ptr<const fft::FftPlan> fft_plan_;
   fft::AlignedComplexVec spectra_;  ///< P * N interleaved, partition-major
   AlignedDoubleVec split_;          ///< per partition: [re N | im N]
 };
 
-/// Per-rank scratch for the streaming engine: the packed input copy, the
-/// interleaved transform block, and the split-plane frequency-domain delay
-/// line. Growth-only (allocation-free after warm-up), resolved through the
-/// executing rank's ExecSlot like fft::FftWorkspace.
-class PartitionWorkspace {
- public:
-  static PartitionWorkspace& local();
-
-  PartitionWorkspace(const PartitionWorkspace&) = delete;
-  PartitionWorkspace& operator=(const PartitionWorkspace&) = delete;
-
-  std::span<fft::Complex> staging(std::size_t count);
-  std::span<fft::Complex> block(std::size_t count);
-  std::span<double> planes(std::size_t count);
-
- private:
-  friend class agcm::util::ExecSlot;
-  PartitionWorkspace() = default;
-
-  fft::AlignedComplexVec staging_;
-  fft::AlignedComplexVec block_;
-  AlignedDoubleVec planes_;
+/// Per-rank scratch for the streaming engine (util::rank_local): the packed
+/// input copy, the interleaved transform block, and the split-plane
+/// frequency-domain delay line.
+struct PartitionWorkspace {
+  using ComplexBuffer =
+      util::GrowBuffer<fft::Complex, util::AlignedAllocator<fft::Complex, 64>>;
+  ComplexBuffer staging;
+  ComplexBuffer block;
+  util::GrowBuffer<double, util::AlignedAllocator<double, 64>> planes;
 };
 
 /// Filters one circular line in place with the partitioned kernel:

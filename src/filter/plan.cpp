@@ -11,22 +11,15 @@ namespace agcm::filter {
 
 namespace {
 
-/// Growth-only scratch for the per-destination message-size vectors handed
-/// to alltoallv_packed. Per *rank*, not per thread: the exchange blocks in
-/// recv, so under the fiber backend another rank's fiber can run on this
-/// worker thread mid-call — a thread_local here would let it clobber the
-/// sizes while the parked exchange still reads them.
+/// Per-destination message-size vectors handed to alltoallv_packed. Per
+/// *rank* (util::rank_local), not per thread: the exchange blocks in recv,
+/// so under the fiber backend another rank's fiber can run on this worker
+/// thread mid-call and must not clobber the sizes the parked exchange
+/// still reads.
 struct SizesScratch {
-  std::vector<std::size_t> send;
-  std::vector<std::size_t> recv;
+  util::GrowBuffer<std::size_t> send;
+  util::GrowBuffer<std::size_t> recv;
 };
-
-SizesScratch& sizes_scratch() {
-  if (util::ExecSlot* slot = util::ExecSlot::current())
-    return slot->get<SizesScratch>();
-  thread_local SizesScratch scratch;  // off-machine callers (tests/tools)
-  return scratch;
-}
 
 }  // namespace
 
@@ -66,21 +59,23 @@ void RowTransposePlan::to_lines_into(const comm::Mesh2D& mesh,
   // permutation tables and no staging buffer: each destination's chunks are
   // gathered straight into its pooled wire buffer. The count scratch is
   // rank-local growth-only, so the steady-state path never allocates.
-  auto& [send_tl, recv_tl] = sizes_scratch();
-  send_tl.resize(static_cast<std::size_t>(ncols_));
-  recv_tl.resize(static_cast<std::size_t>(ncols_));
+  auto& sizes = util::rank_local<SizesScratch>();
+  std::span<std::size_t> send_bytes =
+      sizes.send.take(static_cast<std::size_t>(ncols_));
+  std::span<std::size_t> recv_bytes =
+      sizes.recv.take(static_cast<std::size_t>(ncols_));
   std::size_t send_total = 0;
   for (int c = 0; c < ncols_; ++c) {
     const auto uc = static_cast<std::size_t>(c);
-    send_tl[uc] = lines_to_col(c) * ni * sizeof(double);
-    recv_tl[uc] = owned_.size() *
+    send_bytes[uc] = lines_to_col(c) * ni * sizeof(double);
+    recv_bytes[uc] = owned_.size() *
                   static_cast<std::size_t>(col_width_[uc]) * sizeof(double);
-    send_total += send_tl[uc];
+    send_total += send_bytes[uc];
   }
   clock.memory_traffic(static_cast<double>(send_total));
 
   row.alltoallv_packed(
-      send_tl, recv_tl,
+      send_bytes, recv_bytes,
       [&](int dst, comm::PackedWriter& w) {
         for (std::size_t q = static_cast<std::size_t>(dst);
              q < lines_.size(); q += static_cast<std::size_t>(ncols_)) {
@@ -110,21 +105,23 @@ void RowTransposePlan::to_chunks_into(const comm::Mesh2D& mesh,
   AGCM_ASSERT(full_lines.size() == line_elems());
   AGCM_ASSERT(chunks.size() == lines_.size() * ni);
 
-  auto& [send_tl, recv_tl] = sizes_scratch();
-  send_tl.resize(static_cast<std::size_t>(ncols_));
-  recv_tl.resize(static_cast<std::size_t>(ncols_));
+  auto& sizes = util::rank_local<SizesScratch>();
+  std::span<std::size_t> send_bytes =
+      sizes.send.take(static_cast<std::size_t>(ncols_));
+  std::span<std::size_t> recv_bytes =
+      sizes.recv.take(static_cast<std::size_t>(ncols_));
   std::size_t send_total = 0;
   for (int c = 0; c < ncols_; ++c) {
     const auto uc = static_cast<std::size_t>(c);
-    send_tl[uc] = owned_.size() *
+    send_bytes[uc] = owned_.size() *
                   static_cast<std::size_t>(col_width_[uc]) * sizeof(double);
-    recv_tl[uc] = lines_to_col(c) * ni * sizeof(double);
-    send_total += send_tl[uc];
+    recv_bytes[uc] = lines_to_col(c) * ni * sizeof(double);
+    send_total += send_bytes[uc];
   }
   clock.memory_traffic(static_cast<double>(send_total));
 
   row.alltoallv_packed(
-      send_tl, recv_tl,
+      send_bytes, recv_bytes,
       [&](int dst, comm::PackedWriter& w) {
         // Destination column gets its slice of every owned line.
         const auto udst = static_cast<std::size_t>(dst);
@@ -244,17 +241,17 @@ void BalancedFilterPlan::redistribute_into(const comm::Mesh2D& mesh,
   AGCM_ASSERT(my_chunks.size() == my_chunk_elems());
   AGCM_ASSERT(held.size() == held_chunk_elems());
   const auto nrows = send_lines_.size();
-  auto& [send_tl, recv_tl] = sizes_scratch();
-  send_tl.resize(nrows);
-  recv_tl.resize(nrows);
+  auto& sizes = util::rank_local<SizesScratch>();
+  std::span<std::size_t> send_bytes = sizes.send.take(nrows);
+  std::span<std::size_t> recv_bytes = sizes.recv.take(nrows);
   for (std::size_t r = 0; r < nrows; ++r) {
-    send_tl[r] = (send_offsets_[r + 1] - send_offsets_[r]) * sizeof(double);
-    recv_tl[r] = (recv_offsets_[r + 1] - recv_offsets_[r]) * sizeof(double);
+    send_bytes[r] = (send_offsets_[r + 1] - send_offsets_[r]) * sizeof(double);
+    recv_bytes[r] = (recv_offsets_[r + 1] - recv_offsets_[r]) * sizeof(double);
   }
   // my_lines_ is ordered by global q, and dest rows are monotone in q, so
   // the chunk buffer is already grouped by destination: no permutation.
   col.alltoallv_packed(
-      send_tl, recv_tl,
+      send_bytes, recv_bytes,
       [&](int dst, comm::PackedWriter& w) {
         const auto ud = static_cast<std::size_t>(dst);
         w.write<double>(my_chunks.subspan(
@@ -274,15 +271,15 @@ void BalancedFilterPlan::restore_into(const comm::Mesh2D& mesh,
   AGCM_ASSERT(held_chunks.size() == held_chunk_elems());
   AGCM_ASSERT(mine.size() == my_chunk_elems());
   const auto nrows = send_lines_.size();
-  auto& [send_tl, recv_tl] = sizes_scratch();
-  send_tl.resize(nrows);
-  recv_tl.resize(nrows);
+  auto& sizes = util::rank_local<SizesScratch>();
+  std::span<std::size_t> send_bytes = sizes.send.take(nrows);
+  std::span<std::size_t> recv_bytes = sizes.recv.take(nrows);
   for (std::size_t r = 0; r < nrows; ++r) {
-    send_tl[r] = (recv_offsets_[r + 1] - recv_offsets_[r]) * sizeof(double);
-    recv_tl[r] = (send_offsets_[r + 1] - send_offsets_[r]) * sizeof(double);
+    send_bytes[r] = (recv_offsets_[r + 1] - recv_offsets_[r]) * sizeof(double);
+    recv_bytes[r] = (send_offsets_[r + 1] - send_offsets_[r]) * sizeof(double);
   }
   col.alltoallv_packed(
-      send_tl, recv_tl,
+      send_bytes, recv_bytes,
       [&](int dst, comm::PackedWriter& w) {
         const auto ud = static_cast<std::size_t>(dst);
         w.write<double>(held_chunks.subspan(

@@ -91,8 +91,8 @@ void filter_line_fft(const fft::FftPlan& plan, std::span<double> line,
                      std::span<const double> s_line) {
   AGCM_ASSERT(line.size() == s_line.size());
   AGCM_ASSERT(static_cast<int>(line.size()) == plan.size());
-  std::span<fft::Complex> z = fft::FftWorkspace::local().complex_buffer(
-      static_cast<std::size_t>(plan.size()));
+  std::span<fft::Complex> z =
+      util::rank_local<fft::FftWorkspace>().complex.take(line.size());
   filter_single_core(plan, line, s_line, z);
 }
 
@@ -103,7 +103,8 @@ void filter_line_pair_fft(const fft::FftPlan& plan, std::span<double> line_a,
   const auto n = static_cast<std::size_t>(plan.size());
   AGCM_ASSERT(line_a.size() == n && line_b.size() == n);
   AGCM_ASSERT(s_a.size() == n && s_b.size() == n);
-  std::span<fft::Complex> z = fft::FftWorkspace::local().complex_buffer(n);
+  std::span<fft::Complex> z =
+      util::rank_local<fft::FftWorkspace>().complex.take(n);
   filter_pair_core(plan, line_a, line_b, s_a, s_b, z);
 }
 
@@ -114,7 +115,7 @@ void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
   const std::size_t count = lines.size();
   AGCM_ASSERT(data.size() == count * n);
   if (count == 0) return;
-  auto& ws = fft::FftWorkspace::local();
+  auto& ws = util::rank_local<fft::FftWorkspace>();
 
   // Pair-packing order: greedily match each line with the first still
   // unpaired line sharing its response table row (pointer identity — one
@@ -123,7 +124,7 @@ void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
   // The schedule is deterministic and performs exactly floor(count/2)
   // pair + (count%2) single transforms, matching the frozen virtual-clock
   // accounting in filter_owned_lines_fft.
-  std::span<int> scratch = ws.index_buffer(2 * count);
+  std::span<int> scratch = ws.index.take(2 * count);
   int* order = scratch.data();
   int* pending = scratch.data() + count;
   std::size_t nord = 0;
@@ -150,7 +151,7 @@ void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
   for (std::size_t p = 0; p < npend; ++p) order[nord++] = pending[p];
   AGCM_ASSERT(nord == count);
 
-  std::span<fft::Complex> z = ws.complex_buffer(n);
+  std::span<fft::Complex> z = ws.complex.take(n);
   auto line_at = [&](int idx) {
     return std::span<double>(data.data() + static_cast<std::size_t>(idx) * n,
                              n);
@@ -177,14 +178,14 @@ int filter_lines_partition(const FilterBank& bank,
   const std::size_t count = lines.size();
   AGCM_ASSERT(data.size() == count * n);
   if (count == 0) return 0;
-  auto& ws = fft::FftWorkspace::local();
+  auto& ws = util::rank_local<fft::FftWorkspace>();
 
   // Same greedy same-row matching as filter_lines_fft, with one
   // difference: a partitioned pair must share the *identical* kernel (one
   // real kernel filters both packed lanes), so leftover lines never
   // cross-pair — they run single. Response-row pointer identity is the
   // row key, exactly as in the FFT batcher.
-  std::span<int> scratch = ws.index_buffer(2 * count);
+  std::span<int> scratch = ws.index.take(2 * count);
   int* order = scratch.data();
   int* pending = scratch.data() + count;
   std::size_t npairs = 0;

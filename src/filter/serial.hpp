@@ -3,9 +3,9 @@
 // versions also serve as the correctness oracle for the parallel module
 // tests.
 //
-// All FFT-based kernels here route their scratch through the thread-local
-// fft::FftWorkspace, so after the first call at a given length no filter
-// call allocates (enforced by tests/test_fft_alloc.cpp).
+// All FFT-based kernels here take their scratch from the rank's
+// fft::FftWorkspace (util::rank_local), so after the first call at a given
+// length no filter call allocates (enforced by tests/test_fft_alloc.cpp).
 #pragma once
 
 #include <span>

@@ -1,6 +1,7 @@
 // Concrete parallel filter variants. See parallel.hpp for the overview.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "fft/fft.hpp"
@@ -60,7 +61,7 @@ class FftTransposeFilter final : public PolarFilter {
   std::string_view name() const override { return "fft-transpose"; }
 
  private:
-  const fft::FftPlan& fft_plan_;  // cached in the rank's FftWorkspace
+  std::shared_ptr<const fft::FftPlan> fft_plan_;  // fft::shared_plan(nlon)
   RowTransposePlan plan_;
   // Growth-only scratch reused across apply() calls; together with the
   // pooled transport this makes the steady-state filter path allocation-free
@@ -117,7 +118,7 @@ class FftBalancedFilter final : public PolarFilter {
   double setup_cost_sec() const { return setup_cost_sec_; }
 
  private:
-  const fft::FftPlan& fft_plan_;  // cached in the rank's FftWorkspace
+  std::shared_ptr<const fft::FftPlan> fft_plan_;  // fft::shared_plan(nlon)
   BalancedFilterPlan plan_;
   double setup_cost_sec_ = 0.0;
   // Growth-only scratch reused across apply() calls (allocation-free

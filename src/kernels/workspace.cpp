@@ -2,22 +2,15 @@
 
 namespace agcm::kernels {
 
-KernelWorkspace& KernelWorkspace::local() {
-  // Per-rank when a simnet backend installed the rank's slot (the slot
-  // pins the workspace to the virtual rank across fiber migration);
-  // thread_local otherwise (tests/tools driving kernels off-machine).
-  if (util::ExecSlot* slot = util::ExecSlot::current())
-    return slot->get<KernelWorkspace>();
-  thread_local KernelWorkspace ws;
-  return ws;
-}
+namespace {
 
-void KernelWorkspace::reshape(grid::Array3D<double>& a, int ni, int nj,
-                              int nk, int ghost) {
+void reshape(grid::Array3D<double>& a, int ni, int nj, int nk, int ghost) {
   if (a.ni() == ni && a.nj() == nj && a.nk() == nk && a.ghost() == ghost)
     return;
   a = grid::Array3D<double>(ni, nj, nk, ghost);
 }
+
+}  // namespace
 
 grid::Array3D<double>& KernelWorkspace::flux_x(int ni, int nj, int nk) {
   reshape(flux_x_, ni, nj, nk, /*ghost=*/1);
@@ -31,24 +24,10 @@ grid::Array3D<double>& KernelWorkspace::flux_y(int ni, int nj, int nk) {
 
 std::span<grid::Array3D<double>> KernelWorkspace::tracer_updates(
     std::size_t count, int ni, int nj, int nk) {
-  if (updates_.size() < count) updates_.resize(count);
-  for (std::size_t t = 0; t < count; ++t)
-    reshape(updates_[t], ni, nj, nk, /*ghost=*/0);
-  return {updates_.data(), count};
-}
-
-std::span<double> KernelWorkspace::column_buffer(std::size_t count) {
-  if (column_.size() < count) column_.resize(count);
-  return {column_.data(), count};
-}
-
-void KernelWorkspace::reset() {
-  flux_x_ = grid::Array3D<double>();
-  flux_y_ = grid::Array3D<double>();
-  updates_.clear();
-  updates_.shrink_to_fit();
-  column_.clear();
-  column_.shrink_to_fit();
+  std::span<grid::Array3D<double>> updates = updates_.take(count);
+  for (grid::Array3D<double>& u : updates)
+    reshape(u, ni, nj, nk, /*ghost=*/0);
+  return updates;
 }
 
 }  // namespace agcm::kernels

@@ -88,8 +88,8 @@ ColumnResult step_column(const ColumnParams& params, std::uint64_t column_id,
   // is reserved even when the shared table below supersedes it, keeping
   // the borrow size (and thus the workspace high-water mark) cache-independent.
   const std::size_t n = static_cast<std::size_t>(nlev);
-  kernels::KernelWorkspace& ws = kernels::KernelWorkspace::local();
-  std::span<double> scratch = ws.column_buffer(5 * n);
+  std::span<double> scratch =
+      util::rank_local<kernels::KernelWorkspace>().column.take(5 * n);
 
   // --- longwave: all layer pairs exchange (O(K^2)) -----------------------
   // Hot sweep in the kernel engine: distance-indexed emissivity table

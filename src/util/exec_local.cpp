@@ -14,6 +14,7 @@ int allocate_exec_local_key() {
 
 namespace {
 thread_local ExecSlot* t_current_slot = nullptr;
+thread_local ExecSlot t_fallback_slot;  // off-machine callers
 }  // namespace
 
 ExecSlot::~ExecSlot() {
@@ -25,6 +26,10 @@ ExecSlot::~ExecSlot() {
 }
 
 ExecSlot* ExecSlot::current() noexcept { return t_current_slot; }
+
+ExecSlot& ExecSlot::active() noexcept {
+  return t_current_slot != nullptr ? *t_current_slot : t_fallback_slot;
+}
 
 ExecSlot::Scope::Scope(ExecSlot* slot) noexcept
     : previous_(std::exchange(t_current_slot, slot)) {}

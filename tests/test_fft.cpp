@@ -1,15 +1,18 @@
 // Tests for the FFT library: parameterized round-trip and reference-DFT
 // equivalence over many lengths (all prime factorisations), the convolution
-// theorem, and real-line helpers.
+// theorem, real-line helpers, and the shared plan cache (identity,
+// bit-equality with fresh plans, concurrent use of one instance).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
+#include <thread>
 
 #include "fft/dft_ref.hpp"
 #include "fft/fft.hpp"
+#include "fft/plan_cache.hpp"
 #include "fft/recursive_ref.hpp"
-#include "fft/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace agcm::fft {
@@ -284,10 +287,12 @@ TEST_P(EngineSweep, AgreesWithSeedRecursiveEngine) {
   EXPECT_LT(max_err(a, b), 1e-12 * n) << "n=" << n;
 }
 
+// 17, 34 and 578 = 2*17^2 take the generic-radix butterfly with a radix
+// above 16, whose gather buffer comes from the rank's FftWorkspace.
 INSTANTIATE_TEST_SUITE_P(Lengths, EngineSweep,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                           13, 14, 15, 16, 36, 72, 144, 360,
-                                           500));
+                                           13, 14, 15, 16, 17, 34, 36, 72, 144,
+                                           360, 500, 578));
 
 TEST(FftPlanStructure, StageRadicesMultiplyToLength) {
   for (int n : {2, 6, 12, 36, 72, 144, 360, 500, 97}) {
@@ -300,24 +305,23 @@ TEST(FftPlanStructure, StageRadicesMultiplyToLength) {
   }
 }
 
-TEST(FftWorkspaceCache, CachedPlanMatchesFreshPlanBitwise) {
-  // Plan construction is deterministic, so the workspace-cached plan and a
-  // fresh plan must produce *bit-identical* transforms.
-  auto& ws = FftWorkspace::local();
-  for (int n : {72, 144, 500}) {
+TEST(FftSharedPlan, SharedPlanMatchesFreshPlanBitwise) {
+  // Plan construction is deterministic, so the process-wide shared plan
+  // and a fresh plan must produce *bit-identical* transforms.
+  for (int n : {72, 144, 500, 578}) {
     const FftPlan fresh(n);
-    const FftPlan& cached = ws.plan(n);
-    EXPECT_EQ(cached.size(), n);
+    const std::shared_ptr<const FftPlan> shared = shared_plan(n);
+    EXPECT_EQ(shared->size(), n);
     auto a = random_signal(n, 7000 + static_cast<std::uint64_t>(n));
     auto b = a;
     fresh.forward(a);
-    cached.forward(b);
+    shared->forward(b);
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].real(), b[i].real()) << "n=" << n << " k=" << i;
       EXPECT_EQ(a[i].imag(), b[i].imag()) << "n=" << n << " k=" << i;
     }
     fresh.inverse(a);
-    cached.inverse(b);
+    shared->inverse(b);
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].real(), b[i].real()) << "n=" << n << " k=" << i;
       EXPECT_EQ(a[i].imag(), b[i].imag()) << "n=" << n << " k=" << i;
@@ -325,14 +329,72 @@ TEST(FftWorkspaceCache, CachedPlanMatchesFreshPlanBitwise) {
   }
 }
 
-TEST(FftWorkspaceCache, PlanReferenceIsStableAndNotDuplicated) {
-  auto& ws = FftWorkspace::local();
-  const std::size_t before = ws.plan_count();
-  const FftPlan& p1 = ws.plan(60);
-  const FftPlan& p2 = ws.plan(60);
-  EXPECT_EQ(&p1, &p2);  // same cached instance, never rebuilt
-  ws.plan(60);
-  EXPECT_LE(ws.plan_count(), before + 1);
+TEST(FftSharedPlan, SameLengthReturnsSameInstance) {
+  const std::shared_ptr<const FftPlan> p1 = shared_plan(60);
+  const std::shared_ptr<const FftPlan> p2 = shared_plan(60);
+  EXPECT_EQ(p1.get(), p2.get());  // one cached instance, never rebuilt
+  EXPECT_NE(shared_plan(72).get(), p1.get());
+}
+
+/// One forward transform plus one pair inverse of `x` on `plan`, written
+/// into `out` (forward spectrum, then the two recovered real lines). The
+/// pair inverse borrows the rank's complex buffer while its inner inverse
+/// takes the separate gather buffer.
+void forward_and_pair_inverse(const FftPlan& plan, std::vector<Complex> x,
+                              std::vector<double>& out) {
+  const auto n = x.size();
+  plan.forward(x);
+  std::vector<Complex> sy(n);
+  for (std::size_t k = 0; k < n; ++k) sy[k] = x[(k * 7 + 3) % n];
+  std::vector<double> rx(n), ry(n);
+  plan.inverse_to_real_pair(x, sy, rx, ry);
+  out.clear();
+  for (const Complex& c : x) {
+    out.push_back(c.real());
+    out.push_back(c.imag());
+  }
+  out.insert(out.end(), rx.begin(), rx.end());
+  out.insert(out.end(), ry.begin(), ry.end());
+}
+
+TEST(FftPlan, SharedPlanConcurrentTransformsBitIdentical) {
+  // 578 = 2 * 17^2: two radix-17 generic stages. An immutable plan has no
+  // scratch of its own, so four threads hammering one shared instance must
+  // reproduce the single-thread results bit for bit.
+  constexpr int kN = 578;
+  constexpr int kThreads = 4;
+  constexpr int kIters = 200;
+  const std::shared_ptr<const FftPlan> plan = shared_plan(kN);
+
+  std::vector<std::vector<Complex>> inputs;
+  std::vector<std::vector<double>> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    inputs.push_back(random_signal(kN, 9100 + static_cast<std::uint64_t>(t)));
+    forward_and_pair_inverse(*plan, inputs.back(), expected[t]);
+  }
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> got;
+      for (int it = 0; it < kIters; ++it) {
+        forward_and_pair_inverse(*plan, inputs[t], got);
+        const std::vector<double>& want = expected[t];
+        if (got.size() != want.size() ||
+            std::memcmp(got.data(), want.data(),
+                        want.size() * sizeof(double)) != 0) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0)
+        << "thread " << t << ": " << mismatches[t] << " of " << kIters
+        << " transforms differ from the single-thread run";
+  }
 }
 
 TEST(FlopModels, MonotoneAndOrdered) {

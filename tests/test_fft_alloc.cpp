@@ -1,6 +1,6 @@
 // Allocation-freedom test: after a warm-up call at a given length, no FFT
-// or FFT-filter entry point may touch the heap (ISSUE 2 acceptance
-// criterion; the scratch lives in the thread-local fft::FftWorkspace).
+// or FFT-filter entry point may touch the heap (the scratch lives in the
+// rank's fft::FftWorkspace, reached through util::rank_local).
 //
 // The check hooks the global operator new/delete with a counting wrapper.
 // This lives in its own test binary so the hooks cannot perturb the other
@@ -11,11 +11,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "fft/fft.hpp"
-#include "fft/workspace.hpp"
+#include "fft/plan_cache.hpp"
 #include "filter/bank.hpp"
 #include "filter/serial.hpp"
 #include "grid/latlon.hpp"
@@ -78,10 +79,9 @@ TEST(AllocationHook, CountsHeapTraffic) {
   EXPECT_GE(after - before, 2u);  // the vector object + its storage
 }
 
-TEST(FftAllocFree, TransformsAfterWarmup) {
-  const int n = 144;
-  auto& ws = FftWorkspace::local();
-  const FftPlan& plan = ws.plan(n);
+void expect_transforms_alloc_free(int n) {
+  const std::shared_ptr<const FftPlan> shared = shared_plan(n);
+  const FftPlan& plan = *shared;
 
   Rng rng(11);
   std::vector<Complex> z(static_cast<std::size_t>(n));
@@ -108,8 +108,16 @@ TEST(FftAllocFree, TransformsAfterWarmup) {
   plan.forward_real_pair(x, y, sx, sy);
   plan.inverse_to_real_pair(sx, sy, x2, y2);
   const std::size_t after = allocs();
-  EXPECT_EQ(after - before, 0u)
-      << (after - before) << " heap allocations on warmed-up FFT paths";
+  EXPECT_EQ(after - before, 0u) << (after - before)
+                                << " heap allocations on warmed-up FFT paths"
+                                << " at n=" << n;
+}
+
+TEST(FftAllocFree, TransformsAfterWarmup) {
+  expect_transforms_alloc_free(144);
+  // 578 = 2 * 17^2 runs the generic-radix butterfly, whose gather buffer
+  // is rank-local scratch: warm, it must not allocate either.
+  expect_transforms_alloc_free(578);
 }
 
 TEST(FftAllocFree, FilterKernelsAfterWarmup) {
@@ -117,8 +125,8 @@ TEST(FftAllocFree, FilterKernelsAfterWarmup) {
   const filter::FilterBank bank(
       grid, {{"u", filter::FilterKind::kStrong},
              {"t", filter::FilterKind::kWeak}});
-  auto& ws = FftWorkspace::local();
-  const FftPlan& plan = ws.plan(grid.nlon());
+  const std::shared_ptr<const FftPlan> shared = shared_plan(grid.nlon());
+  const FftPlan& plan = *shared;
   const auto n = static_cast<std::size_t>(grid.nlon());
 
   // A batch mixing variables, rows and layers (odd count exercises the
@@ -173,9 +181,10 @@ TEST(FftAllocFree, PartitionedFilterAfterWarmup) {
   const filter::LineKey la = batch[0];
 
   // Warm-up pass: builds the bank's lazy partition spectra (kernel +
-  // block transforms), the small-FFT plan and the PartitionWorkspace
-  // growth-only buffers. The batched driver warms every row the batch
-  // touches, so the timed pass below may allocate exactly nothing.
+  // block transforms, each kernel's small-FFT plan) and the
+  // PartitionWorkspace growth-only buffers. The batched driver warms every
+  // row the batch touches, so the timed pass below may allocate exactly
+  // nothing.
   const filter::PartitionedKernel& pk = bank.partition(la.var, la.j);
   filter::filter_line_partition(pk, a);
   filter::filter_line_pair_partition(pk, a, b);
