@@ -51,7 +51,7 @@
 #include "perfmodel/report.hpp"
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"
-#include "trace/stream_sink.hpp"
+#include "trace/export.hpp"
 #include "util/stats.hpp"
 
 namespace agcm {
@@ -75,12 +75,12 @@ struct FilterCell {
 /// Runs one filter sweep cell on a 1 x `cols` T3D mesh and returns the
 /// per-phase max-rank times (per timed apply) for the requested
 /// algorithms, plus the per-rank message count from the comm counters.
-/// The tracer and metrics registry are cycled per cell and the trace is
-/// drained into `sink`, so memory stays bounded no matter how long the
-/// sweep is.
+/// The tracer and metrics registry are cycled per cell and the cell's
+/// events are appended to `trace_out`, so memory stays bounded by one cell
+/// no matter how long the sweep is.
 FilterCell run_filter_cell(int nlon, int cols,
                            const std::vector<filter::FilterAlgorithm>& algos,
-                           trace::StreamingTraceSink& sink) {
+                           trace::ChromeTraceWriter& trace_out) {
   const auto profile = simnet::MachineProfile::cray_t3d();
   simnet::Machine machine(profile);
   machine.set_recv_timeout_ms(600'000);
@@ -127,7 +127,7 @@ FilterCell run_filter_cell(int nlon, int cols,
     out.max_rank_msgs =
         std::max(out.max_rank_msgs, count / (1.0 + kTimedApplies));
   }
-  sink.drain(trace::Tracer::instance());
+  trace_out.append(trace::Tracer::instance());
   return out;
 }
 
@@ -214,8 +214,8 @@ int main(int argc, char** argv) {
   using namespace agcm;
   auto opts = bench::BenchOptions::parse(argc, argv, "scaling_model");
   // This bench IS the tracing consumer: phase aggregates feed the fits, so
-  // tracing is always on and the trace streams to disk through the
-  // bounded-memory sink instead of JsonReport's end-of-run exporter.
+  // tracing is always on and the trace streams to disk cell by cell
+  // instead of through JsonReport's end-of-run exporter.
   trace::set_enabled(true);
   const std::string trace_path = opts.trace_path;
   opts.trace = false;
@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
       "~x*log2(x) (and asymptotically dominated by conv), transpose ~x in\n"
       "ranks, physics imbalance <= 8% after two pairwise iterations.\n");
 
-  trace::StreamingTraceSink sink(trace_path);
-  sink.begin(256);  // thread metadata up to the largest cell (P=256 sweep B)
+  // Thread metadata up to the largest cell (P=256 sweep B).
+  trace::ChromeTraceWriter trace_out(trace_path, 256);
 
   perfmodel::ModelReport model_report("scaling_model");
   {
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
         {filter::FilterAlgorithm::kConvolutionRing,
          filter::FilterAlgorithm::kFftTranspose,
          filter::FilterAlgorithm::kConvolutionPartitioned},
-        sink);
+        trace_out);
     conv_series.add(nlon, cell.phases.at("filter.convolution-ring"));
     fft_series.add(nlon, cell.phases.at("filter.fft-lines"));
     partition_series.add(nlon, cell.phases.at("filter.partition-lines"));
@@ -328,7 +328,7 @@ int main(int argc, char** argv) {
                                      "max_rank_messages", {}, {}};
   for (const int cols : widths) {
     const FilterCell cell = run_filter_cell(
-        288, cols, {filter::FilterAlgorithm::kFftTranspose}, sink);
+        288, cols, {filter::FilterAlgorithm::kFftTranspose}, trace_out);
     transpose_series.add(cols, cell.max_rank_msgs);
     std::printf(
         "  ranks %2d: transpose %.6f s, %.1f messages/rank (per apply)\n",
@@ -398,9 +398,8 @@ int main(int argc, char** argv) {
 
   // Close the streamed trace before the report (so both artefacts exist
   // even if the gate below fails the process).
-  sink.close();
-  std::printf("wrote %s (chrome://tracing, %zu spans streamed)\n",
-              trace_path.c_str(), sink.spans_written());
+  trace_out.close();
+  std::printf("wrote %s (chrome://tracing)\n", trace_path.c_str());
 
   // Structured mirror in BENCH_scaling_model.json (the fields
   // tools/check_bench_json.py and tools/perf_diff.py key on).

@@ -112,84 +112,6 @@ void exchange_north_south(const comm::Mesh2D& mesh, Array3D<double>& f,
   }
 }
 
-/// Aggregate mode: every message carries all fields' strips back-to-back
-/// (field order = batch order), so each neighbour direction costs one
-/// message latency regardless of the field count. Virtual time is
-/// *intentionally* different from per-field mode — this is the ablation
-/// knob, not the default path.
-void exchange_aggregate(const comm::Mesh2D& mesh,
-                        std::span<Array3D<double>* const> fields,
-                        const HaloProgram& prog) {
-  const comm::Communicator& world = mesh.world();
-  auto& clock = world.context().clock();
-  const int g = prog.g;
-  const auto nf = fields.size();
-
-  // Phase 1: east/west (longitude), periodic.
-  if (mesh.cols() == 1) {
-    for (Array3D<double>* f : fields) wrap_longitude_local(*f, g);
-    clock.memory_traffic(static_cast<double>(2 * nf * prog.i_elems) *
-                         sizeof(double));
-  } else {
-    comm::PackedWriter east_edges = world.packer(nf * prog.i_bytes());
-    comm::PackedWriter west_edges = world.packer(nf * prog.i_bytes());
-    for (Array3D<double>* f : fields) {
-      pack_i_strip(*f, f->ni() - g, g, east_edges.append<double>(prog.i_elems));
-      pack_i_strip(*f, 0, g, west_edges.append<double>(prog.i_elems));
-    }
-    clock.memory_traffic(static_cast<double>(2 * nf * prog.i_elems) *
-                         sizeof(double));
-    world.send_packed(mesh.east(), kTagEast, std::move(east_edges));
-    world.send_packed(mesh.west(), kTagWest, std::move(west_edges));
-    {
-      comm::PackedReader from_west = world.recv_packed(mesh.west(), kTagEast);
-      for (Array3D<double>* f : fields)
-        unpack_i_strip(*f, -g, g, from_west.view<double>(prog.i_elems));
-    }
-    {
-      comm::PackedReader from_east = world.recv_packed(mesh.east(), kTagWest);
-      for (Array3D<double>* f : fields)
-        unpack_i_strip(*f, f->ni(), g, from_east.view<double>(prog.i_elems));
-    }
-    clock.memory_traffic(static_cast<double>(2 * nf * prog.i_elems) *
-                         sizeof(double));
-  }
-
-  // Phase 2: north/south (latitude), non-periodic.
-  const auto north = mesh.north();
-  const auto south = mesh.south();
-  if (north) {
-    comm::PackedWriter to_north = world.packer(nf * prog.j_bytes());
-    for (Array3D<double>* f : fields)
-      pack_j_strip(*f, f->nj() - g, g, g, to_north.append<double>(prog.j_elems));
-    clock.memory_traffic(static_cast<double>(nf * prog.j_elems) *
-                         sizeof(double));
-    world.send_packed(*north, kTagNorth, std::move(to_north));
-  }
-  if (south) {
-    comm::PackedWriter to_south = world.packer(nf * prog.j_bytes());
-    for (Array3D<double>* f : fields)
-      pack_j_strip(*f, 0, g, g, to_south.append<double>(prog.j_elems));
-    clock.memory_traffic(static_cast<double>(nf * prog.j_elems) *
-                         sizeof(double));
-    world.send_packed(*south, kTagSouth, std::move(to_south));
-  }
-  if (south) {
-    comm::PackedReader from_south = world.recv_packed(*south, kTagNorth);
-    for (Array3D<double>* f : fields)
-      unpack_j_strip(*f, -g, g, g, from_south.view<double>(prog.j_elems));
-    clock.memory_traffic(static_cast<double>(nf * prog.j_elems) *
-                         sizeof(double));
-  }
-  if (north) {
-    comm::PackedReader from_north = world.recv_packed(*north, kTagSouth);
-    for (Array3D<double>* f : fields)
-      unpack_j_strip(*f, f->nj(), g, g, from_north.view<double>(prog.j_elems));
-    clock.memory_traffic(static_cast<double>(nf * prog.j_elems) *
-                         sizeof(double));
-  }
-}
-
 }  // namespace
 
 std::size_t i_strip_elems(const Array3D<double>& a, int width) {
@@ -256,12 +178,11 @@ void unpack_j_strip(Array3D<double>& a, int j_begin, int width, int g,
 void exchange_halo(const comm::Mesh2D& mesh, Array3D<double>& field,
                    int width) {
   Array3D<double>* fields[] = {&field};
-  exchange_halos(mesh, fields, width, HaloMode::kPerField);
+  exchange_halos(mesh, fields, width);
 }
 
 void exchange_halos(const comm::Mesh2D& mesh,
-                    std::span<Array3D<double>* const> fields, int width,
-                    HaloMode mode) {
+                    std::span<Array3D<double>* const> fields, int width) {
   if (fields.empty()) return;
   AGCM_ASSERT(fields[0] != nullptr);
   const Array3D<double>& first = *fields[0];
@@ -275,12 +196,8 @@ void exchange_halos(const comm::Mesh2D& mesh,
   }
   const HaloProgram prog(first, g);
 
-  if (mode == HaloMode::kAggregate) {
-    exchange_aggregate(mesh, fields, prog);
-    return;
-  }
-  // Per-field mode: bitwise the historical behaviour — each field performs
-  // the full two-phase exchange before the next one starts.
+  // Bitwise the historical behaviour: each field performs the full
+  // two-phase exchange before the next one starts.
   for (Array3D<double>* f : fields) {
     exchange_east_west(mesh, *f, prog);
     exchange_north_south(mesh, *f, prog);

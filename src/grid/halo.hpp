@@ -9,11 +9,9 @@
 // The exchange runs on the zero-copy pooled transport (docs/transport.md):
 // edge strips are packed by cached strip programs (fixed-length memcpy runs
 // derived from the array strides) directly into pooled wire buffers, and
-// unpacked in place from received payloads. The default per-field mode is
-// virtual-time neutral with the historical implementation — same messages,
-// same sizes, same charge sequence; `HaloMode::kAggregate` coalesces all
-// fields' strips into one message per neighbour per phase (an ablation knob
-// that trades messages for bandwidth, like the paper's Section 4 trades).
+// unpacked in place from received payloads. The exchange is virtual-time
+// neutral with the historical implementation — same messages, same sizes,
+// same charge sequence.
 #pragma once
 
 #include <span>
@@ -22,16 +20,6 @@
 #include "grid/array3d.hpp"
 
 namespace agcm::grid {
-
-/// How a multi-field exchange maps fields onto messages.
-enum class HaloMode {
-  /// One message per field per neighbour direction (the historical wire
-  /// pattern; virtual-time outputs are bitwise those of per-field calls).
-  kPerField,
-  /// One message per neighbour direction carrying all fields' strips
-  /// back-to-back: fewer, larger messages (latency-vs-bandwidth ablation).
-  kAggregate,
-};
 
 // --- strip programs ---------------------------------------------------------
 //
@@ -76,11 +64,10 @@ void exchange_halo(const comm::Mesh2D& mesh, Array3D<double>& field,
                    int width = -1);
 
 /// Batched exchange of several fields in one collective sweep. All fields
-/// must share a shape. In `kPerField` mode this is bit-identical (data and
-/// virtual time) to calling exchange_halo on each field in order; in
-/// `kAggregate` mode the fields share one message per neighbour per phase.
+/// must share a shape. Bit-identical (data and virtual time) to calling
+/// exchange_halo on each field in order: one message per field per
+/// neighbour direction.
 void exchange_halos(const comm::Mesh2D& mesh,
-                    std::span<Array3D<double>* const> fields, int width = -1,
-                    HaloMode mode = HaloMode::kPerField);
+                    std::span<Array3D<double>* const> fields, int width = -1);
 
 }  // namespace agcm::grid

@@ -148,11 +148,6 @@ std::size_t page_size() {
   return size;
 }
 
-std::size_t round_up_pages(std::size_t bytes) {
-  const std::size_t page = page_size();
-  return (bytes + page - 1) / page * page;
-}
-
 int env_int(const char* name) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return 0;
@@ -252,17 +247,9 @@ struct Fiber::Impl {
 class FiberScheduler {
  public:
   FiberScheduler(int count, const std::function<void(int)>& body,
-                 const FiberSchedulerOptions& options)
+                 int workers)
       : body_(body), nfibers_(count) {
-    stack_bytes_ = options.stack_bytes;
-    if (stack_bytes_ == 0) {
-      const int kb = env_int("AGCM_SIMNET_STACK_KB");
-      stack_bytes_ = kb > 0 ? static_cast<std::size_t>(kb) * 1024
-                            : std::size_t{512} * 1024;
-    }
-    stack_bytes_ = std::max(round_up_pages(stack_bytes_), 4 * page_size());
-
-    workers_ = options.workers;
+    workers_ = workers;
     if (workers_ <= 0) workers_ = env_int("AGCM_SIMNET_WORKERS");
     if (workers_ <= 0)
       workers_ = static_cast<int>(
@@ -326,27 +313,28 @@ class FiberScheduler {
 
   void allocate_stack(Fiber::Impl& f) {
     const std::size_t guard = page_size();
-    f.stack_total = guard + stack_bytes_;
+    f.stack_total = guard + kFiberStackBytes;
     void* base = ::mmap(nullptr, f.stack_total, PROT_READ | PROT_WRITE,
                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (base == MAP_FAILED)
       throw std::runtime_error(
           "simnet: mmap of fiber stack failed (" +
           std::to_string(f.stack_total) + " bytes for " +
-          std::to_string(nfibers_) + " fibers); reduce AGCM_SIMNET_STACK_KB "
-          "or use AGCM_SIMNET_BACKEND=threads");
+          std::to_string(nfibers_) + " fibers); run fewer ranks or use "
+          "AGCM_SIMNET_BACKEND=threads");
     ::mprotect(base, guard, PROT_NONE);
     f.stack_base = base;
     char* usable = static_cast<char*>(base) + guard;
     f.ctx.stack_bottom = usable;
-    f.ctx.stack_size = stack_bytes_;
+    f.ctx.stack_size = kFiberStackBytes;
 
 #if AGCM_FIBER_FAST_SWITCH
     // Seed the frame agcm_fiber_swap will "return" into on first entry
     // (layout documented at the asm definition). The top is 16-aligned so
     // agcm_fiber_entry's indirect call leaves %rsp per the SysV ABI.
-    const auto top = reinterpret_cast<std::uintptr_t>(usable + stack_bytes_) &
-                     ~std::uintptr_t{15};
+    const auto top =
+        reinterpret_cast<std::uintptr_t>(usable + kFiberStackBytes) &
+        ~std::uintptr_t{15};
     auto* frame = reinterpret_cast<std::uint64_t*>(top - 64);
     std::uint32_t mxcsr = 0;
     std::uint16_t fcw = 0;
@@ -366,7 +354,7 @@ class FiberScheduler {
 #else
     ::getcontext(&f.ctx.uc);
     f.ctx.uc.uc_stack.ss_sp = usable;
-    f.ctx.uc.uc_stack.ss_size = stack_bytes_;
+    f.ctx.uc.uc_stack.ss_size = kFiberStackBytes;
     f.ctx.uc.uc_link = nullptr;
     // makecontext only passes ints; split the pointer into two halves.
     const auto addr = reinterpret_cast<std::uintptr_t>(&f);
@@ -515,7 +503,6 @@ class FiberScheduler {
   std::function<void(int)> body_;
   int nfibers_ = 0;
   int workers_ = 0;
-  std::size_t stack_bytes_ = 0;
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
@@ -553,9 +540,9 @@ bool Fiber::run_deadlocked() const noexcept {
 }
 
 void run_fibers(int count, const std::function<void(int)>& body,
-                const FiberSchedulerOptions& options) {
+                int workers) {
   if (count <= 0) return;
-  FiberScheduler scheduler(count, body, options);
+  FiberScheduler scheduler(count, body, workers);
   scheduler.run();
 }
 

@@ -68,13 +68,9 @@ class FiberScheduler;
 /// condition-variable wait.
 Fiber* current_fiber() noexcept;
 
-/// Scheduler configuration. Zero values resolve to defaults (and the
-/// AGCM_SIMNET_WORKERS / AGCM_SIMNET_STACK_KB environment overrides).
-struct FiberSchedulerOptions {
-  int workers = 0;            ///< 0 = min(hardware_concurrency, fibers)
-  std::size_t stack_bytes = 0;  ///< 0 = 512 KiB per fiber (virtual, lazily
-                                ///< committed; one guard page below)
-};
+/// Stack size of every fiber: virtual memory, lazily committed, with one
+/// guard page below it.
+inline constexpr std::size_t kFiberStackBytes = std::size_t{512} * 1024;
 
 #if AGCM_SIMNET_HAS_FIBERS
 
@@ -82,9 +78,10 @@ struct FiberSchedulerOptions {
 /// pool, then rethrows the first exception any fiber threw (after all
 /// fibers have finished — mirroring the thread backend's join-then-rethrow
 /// contract). Each fiber owns a util::ExecSlot installed around every
-/// slice it runs, so per-rank workspaces are migration-safe.
-void run_fibers(int count, const std::function<void(int)>& body,
-                const FiberSchedulerOptions& options);
+/// slice it runs, so per-rank workspaces are migration-safe. `workers` <= 0
+/// resolves to AGCM_SIMNET_WORKERS when set, else hardware_concurrency;
+/// the pool never exceeds `count`.
+void run_fibers(int count, const std::function<void(int)>& body, int workers);
 
 /// Blocking-primitive interface used by simnet::Mailbox (see the protocol
 /// in the header comment). All methods are implemented in fiber.cpp; the

@@ -109,13 +109,10 @@ RunResult Machine::run(int nranks,
 
 #if AGCM_SIMNET_HAS_FIBERS
   if (backend_ == SimBackend::kFibers) {
-    FiberSchedulerOptions options;
-    options.workers = workers_;
-    options.stack_bytes = fiber_stack_bytes_;
     run_fibers(
         nranks,
         [&](int r) { program(*contexts[static_cast<std::size_t>(r)]); },
-        options);
+        workers_);
   } else {
     run_threads(nranks, program, contexts);
   }

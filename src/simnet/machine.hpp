@@ -116,10 +116,6 @@ class Machine {
   /// min(nranks, hardware_concurrency), or AGCM_SIMNET_WORKERS when set.
   void set_workers(int workers) { workers_ = workers; }
 
-  /// Per-fiber stack size; 0 (default) resolves to 512 KiB, or
-  /// AGCM_SIMNET_STACK_KB when set. Virtual memory, lazily committed.
-  void set_fiber_stack_bytes(std::size_t bytes) { fiber_stack_bytes_ = bytes; }
-
   /// The backend a fresh Machine starts with (environment-resolved).
   static SimBackend default_backend();
 
@@ -136,7 +132,6 @@ class Machine {
   SimBackend backend_;
   int recv_timeout_ms_ = 60'000;
   int workers_ = 0;
-  std::size_t fiber_stack_bytes_ = 0;
 };
 
 }  // namespace agcm::simnet

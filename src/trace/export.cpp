@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
+#include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/stats.hpp"
 
@@ -95,103 +97,134 @@ JsonValue phases_json(const std::vector<PhaseStats>& phases) {
 }
 
 namespace {
+
 constexpr double kSecToTraceUs = 1.0e6;  ///< virtual seconds -> trace "us"
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+constexpr std::string_view kFooter =
+    "\n], \"displayTimeUnit\": \"ms\", \"otherData\": {\"clock\": "
+    "\"virtual\", \"note\": \"timestamps are deterministic virtual seconds "
+    "(shown as us), not host time\"}}\n";
+
+/// Starts the next element of the "traceEvents" array.
+void next_element(std::string& out, std::size_t& count) {
+  out += count++ == 0 ? "\n  " : ",\n  ";
+}
+
+/// Document header plus the metadata naming the process and each rank.
+void append_header(std::string& out, std::size_t& count, int nranks) {
+  out += "{\"traceEvents\": [";
+  next_element(out, count);
+  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+         "\"args\":{\"name\":\"virtual multicomputer\"}}";
+  for (int rank = 0; rank < std::max(nranks, 1); ++rank) {
+    const std::string r = std::to_string(rank);
+    next_element(out, count);
+    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" + r +
+           ",\"args\":{\"name\":\"rank " + r + "\"}}";
+  }
+}
+
+/// Appends `e`, recorded by `rank`, as one Chrome-trace event; an open span
+/// appends nothing.
+void append_event(std::string& out, std::size_t& count, const Event& e,
+                  int rank) {
+  if (e.open) return;
+  const auto num = [&out](double v) { out += JsonValue::number_repr(v); };
+  next_element(out, count);
+  out += "{\"name\":";
+  out += JsonValue::quote(e.name);
+  out += ",\"cat\":\"virtual\",\"ph\":";
+  switch (e.kind) {
+    case EventKind::kSpan: out += "\"X\""; break;
+    // A thread-scoped instant.
+    case EventKind::kInstant: out += "\"i\",\"s\":\"t\""; break;
+    case EventKind::kCounter: out += "\"C\""; break;
+  }
+  out += ",\"ts\":";
+  num(e.t * kSecToTraceUs);
+  if (e.kind == EventKind::kSpan) {
+    out += ",\"dur\":";
+    num((e.end - e.t) * kSecToTraceUs);
+  }
+  out += ",\"pid\":0,\"tid\":";
+  out += std::to_string(rank);
+  if (e.kind == EventKind::kSpan) {
+    out += ",\"args\":{\"compute_sec\":";
+    num(e.split.compute);
+    out += ",\"overhead_sec\":";
+    num(e.split.overhead);
+    out += ",\"wait_sec\":";
+    num(e.split.wait);
+    out += '}';
+  } else if (e.kind == EventKind::kCounter) {
+    out += ",\"args\":{\"value\":";
+    num(e.value);
+    out += '}';
+  }
+  out += '}';
+}
+
 }  // namespace
 
-JsonValue chrome_trace(const Tracer& tracer) {
-  JsonValue events = JsonValue::array();
+ChromeTraceWriter::ChromeTraceWriter(std::string path, int nranks)
+    : path_(std::move(path)), file_(std::fopen(path_.c_str(), "wb")) {
+  if (!file_) throw DataError("cannot open '" + path_ + "' for writing");
+  buffer_.reserve(kChunkBytes + 4096);
+  append_header(buffer_, events_, nranks);
+}
 
-  // Metadata: name the process and one thread per rank.
-  {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "process_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", 0);
-    JsonValue args = JsonValue::object();
-    args.set("name", "virtual multicomputer");
-    meta.set("args", std::move(args));
-    events.push_back(std::move(meta));
+ChromeTraceWriter::~ChromeTraceWriter() {
+  try {
+    close();
+  } catch (const DataError&) {
   }
-  const int nranks = std::max(tracer.nranks(), 1);
-  for (int rank = 0; rank < nranks; ++rank) {
-    JsonValue meta = JsonValue::object();
-    meta.set("name", "thread_name");
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", rank);
-    JsonValue args = JsonValue::object();
-    args.set("name", "rank " + std::to_string(rank));
-    meta.set("args", std::move(args));
-    events.push_back(std::move(meta));
-  }
+}
 
-  // Spans as complete ("X") events with the breakdown split in args.
-  for (const SpanRecord& span : tracer.spans()) {
-    JsonValue event = JsonValue::object();
-    event.set("name", span.name);
-    event.set("cat", "virtual");
-    event.set("ph", "X");
-    event.set("ts", span.begin * kSecToTraceUs);
-    event.set("dur", span.duration() * kSecToTraceUs);
-    event.set("pid", 0);
-    event.set("tid", span.rank);
-    JsonValue args = JsonValue::object();
-    args.set("compute_sec", span.split.compute);
-    args.set("overhead_sec", span.split.overhead);
-    args.set("wait_sec", span.split.wait);
-    event.set("args", std::move(args));
-    events.push_back(std::move(event));
-  }
-
-  // Instants and counter samples.
+void ChromeTraceWriter::append(const Tracer& tracer) {
+  if (!file_) throw DataError("'" + path_ + "' is already closed");
   for (int rank = 0; rank < Tracer::kMaxRanks; ++rank) {
     for (const Event& e : tracer.events(rank)) {
-      if (e.kind == EventKind::kInstant) {
-        JsonValue event = JsonValue::object();
-        event.set("name", e.name);
-        event.set("cat", "virtual");
-        event.set("ph", "i");
-        event.set("s", "t");  // thread-scoped instant
-        event.set("ts", e.t * kSecToTraceUs);
-        event.set("pid", 0);
-        event.set("tid", rank);
-        events.push_back(std::move(event));
-      } else if (e.kind == EventKind::kCounter) {
-        JsonValue event = JsonValue::object();
-        event.set("name", e.name);
-        event.set("cat", "virtual");
-        event.set("ph", "C");
-        event.set("ts", e.t * kSecToTraceUs);
-        event.set("pid", 0);
-        event.set("tid", rank);
-        JsonValue args = JsonValue::object();
-        args.set("value", e.value);
-        event.set("args", std::move(args));
-        events.push_back(std::move(event));
-      }
+      append_event(buffer_, events_, e, rank);
+      if (buffer_.size() >= kChunkBytes) flush();
     }
   }
+}
 
-  JsonValue root = JsonValue::object();
-  root.set("traceEvents", std::move(events));
-  root.set("displayTimeUnit", "ms");
-  JsonValue other = JsonValue::object();
-  other.set("clock", "virtual");
-  other.set(
-      "note",
-      "timestamps are deterministic virtual seconds (shown as us), not host "
-      "time");
-  root.set("otherData", std::move(other));
-  return root;
+void ChromeTraceWriter::close() {
+  if (!file_) return;
+  buffer_ += kFooter;
+  flush();
+  const int rc = std::fclose(file_);
+  file_ = nullptr;
+  if (rc != 0) throw DataError("failed writing '" + path_ + "'");
+}
+
+void ChromeTraceWriter::flush() {
+  const std::size_t n = buffer_.size();
+  const bool ok = std::fwrite(buffer_.data(), 1, n, file_) == n;
+  buffer_.clear();
+  if (!ok) {
+    std::fclose(file_);
+    file_ = nullptr;
+    throw DataError("failed writing '" + path_ + "'");
+  }
 }
 
 std::string chrome_trace_json(const Tracer& tracer) {
-  return chrome_trace(tracer).dump();
+  std::string out;
+  std::size_t count = 0;
+  append_header(out, count, tracer.nranks());
+  for (int rank = 0; rank < Tracer::kMaxRanks; ++rank)
+    for (const Event& e : tracer.events(rank))
+      append_event(out, count, e, rank);
+  out += kFooter;
+  return out;
 }
 
 void write_chrome_trace(const Tracer& tracer, const std::string& path) {
-  write_text_file(path, chrome_trace_json(tracer));
+  ChromeTraceWriter writer(path, tracer.nranks());
+  writer.append(tracer);
+  writer.close();
 }
 
 std::string trace_csv(const Tracer& tracer) {

@@ -51,8 +51,9 @@ void Tracer::begin_span(int rank, std::string_view name, double t,
   Event event;
   event.name.assign(name);
   event.t = t;
-  event.split = at;
-  event.kind = EventKind::kSpanBegin;
+  event.split = at;  // the begin snapshot until end_span takes the delta
+  event.kind = EventKind::kSpan;
+  event.open = true;
   event.depth = static_cast<std::int32_t>(buf->open.size());
   buf->open.push_back(buf->events.size());
   buf->events.push_back(std::move(event));
@@ -62,16 +63,11 @@ void Tracer::end_span(int rank, double t, const TimeSplit& at) {
   if (!enabled()) return;
   RankBuffer* buf = buffer(rank);
   if (!buf || buf->open.empty()) return;  // unmatched end: drop
-  const std::size_t begin_index = buf->open.back();
+  Event& span = buf->events[buf->open.back()];
   buf->open.pop_back();
-  const Event& begin = buf->events[begin_index];
-  Event event;
-  event.name = begin.name;
-  event.t = t;
-  event.split = at;
-  event.kind = EventKind::kSpanEnd;
-  event.depth = begin.depth;
-  buf->events.push_back(std::move(event));
+  span.end = t;
+  span.split = at - span.split;
+  span.open = false;
 }
 
 void Tracer::instant(int rank, std::string_view name, double t) {
@@ -105,59 +101,13 @@ const std::vector<Event>& Tracer::events(int rank) const {
   return buf ? buf->events : kEmpty;
 }
 
-std::vector<Event> Tracer::take_events(int rank) {
-  if (rank < 0 || rank >= kMaxRanks) return {};
-  auto& slot = ranks_[static_cast<std::size_t>(rank)];
-  if (!slot) return {};
-  std::vector<Event> out = std::move(slot->events);
-  slot->events.clear();  // moved-from is valid-but-unspecified; make it empty
-  slot->open.clear();    // any still-open spans are dropped, like spans()
-  return out;
-}
-
 std::vector<SpanRecord> Tracer::spans() const {
   std::vector<SpanRecord> out;
   for (int rank = 0; rank < kMaxRanks; ++rank) {
-    const RankBuffer* buf = buffer(rank);
-    if (!buf || buf->events.empty()) continue;
-    // Match begin/end pairs with a local stack; emit in begin order.
-    std::vector<std::size_t> stack;
-    std::vector<SpanRecord> rank_spans;
-    std::vector<std::size_t> record_of_begin(buf->events.size(), 0);
-    for (std::size_t i = 0; i < buf->events.size(); ++i) {
-      const Event& event = buf->events[i];
-      if (event.kind == EventKind::kSpanBegin) {
-        SpanRecord record;
-        record.name = event.name;
-        record.rank = rank;
-        record.depth = event.depth;
-        record.begin = event.t;
-        record.end = event.t;
-        record.split = {};  // filled at the matching end
-        record_of_begin[i] = rank_spans.size();
-        stack.push_back(i);
-        rank_spans.push_back(std::move(record));
-      } else if (event.kind == EventKind::kSpanEnd && !stack.empty()) {
-        const std::size_t begin_index = stack.back();
-        stack.pop_back();
-        SpanRecord& record = rank_spans[record_of_begin[begin_index]];
-        record.end = event.t;
-        record.split = event.split - buf->events[begin_index].split;
-      }
+    for (const Event& e : events(rank)) {
+      if (e.kind != EventKind::kSpan || e.open) continue;
+      out.push_back({e.name, rank, e.depth, e.t, e.end, e.split});
     }
-    // Drop unterminated spans (still on the stack).
-    if (!stack.empty()) {
-      std::vector<bool> dead(rank_spans.size(), false);
-      for (const std::size_t begin_index : stack)
-        dead[record_of_begin[begin_index]] = true;
-      std::vector<SpanRecord> kept;
-      kept.reserve(rank_spans.size());
-      for (std::size_t i = 0; i < rank_spans.size(); ++i)
-        if (!dead[i]) kept.push_back(std::move(rank_spans[i]));
-      rank_spans = std::move(kept);
-    }
-    out.insert(out.end(), std::make_move_iterator(rank_spans.begin()),
-               std::make_move_iterator(rank_spans.end()));
   }
   return out;
 }

@@ -21,6 +21,11 @@
 //    buffer, so recording needs no locks and host scheduling cannot
 //    reorder a rank's events.
 //
+//  * A span is one Event: begin_span reserves its slot, end_span (the only
+//    place begin and end are paired) fills in the end time and breakdown
+//    delta. A span whose end never came stays flagged `open` and every
+//    reader drops it.
+//
 // Exporters (Chrome trace JSON, CSV, aggregate phase table) live in
 // trace/export.hpp; process-wide named counters in trace/metrics.hpp.
 #pragma once
@@ -60,24 +65,27 @@ inline TimeSplit to_split(const simnet::TimeBreakdown& b) {
 }
 
 enum class EventKind : std::uint8_t {
-  kSpanBegin,
-  kSpanEnd,
+  kSpan,
   kInstant,
   kCounter,
 };
 
-/// One recorded event. Span ends carry the matching begin's name so the
-/// exporters never need cross-event lookups.
+/// One recorded event. A span is one record: begin_span reserves it (so a
+/// rank's events stay in begin order) and end_span completes it in place.
 struct Event {
   std::string name;
   double t = 0.0;        ///< virtual seconds on the recording rank's clock
-  TimeSplit split;       ///< clock breakdown snapshot at `t` (span events)
+                         ///< (a span's begin)
+  double end = 0.0;      ///< span end (kSpan only)
+  TimeSplit split;       ///< kSpan: breakdown delta across the span (the
+                         ///< begin snapshot while still open)
   double value = 0.0;    ///< sample value (kCounter only)
   EventKind kind = EventKind::kInstant;
+  bool open = false;     ///< kSpan awaiting end_span; every reader skips it
   std::int32_t depth = 0;  ///< span nesting depth at the event
 };
 
-/// A matched begin/end pair, produced by Tracer::spans().
+/// A completed span with its rank, produced by Tracer::spans().
 struct SpanRecord {
   std::string name;
   int rank = 0;
@@ -119,17 +127,11 @@ class Tracer {
   // --- read access (between runs / after a run) ----------------------------
 
   /// Events recorded by `rank`, in recording order (= virtual-time order,
-  /// because each rank's clock is monotone).
+  /// because each rank's clock is monotone; a span sits at its begin).
+  /// Spans still flagged `open` are part of the buffer: readers skip them.
   const std::vector<Event>& events(int rank) const;
 
-  /// Moves out every event recorded by `rank`, leaving an empty buffer (the
-  /// storage for a chunked flush to a StreamingTraceSink — see
-  /// trace/stream_sink.hpp). Must be called between runs, like the other
-  /// read accessors; spans still open at the time are dropped, exactly as
-  /// spans() drops unterminated spans.
-  std::vector<Event> take_events(int rank);
-
-  /// All matched spans across ranks, rank-major then begin-order.
+  /// All completed spans across ranks, rank-major then begin-order.
   /// Unterminated spans (begin without end) are dropped.
   std::vector<SpanRecord> spans() const;
 
@@ -140,7 +142,7 @@ class Tracer {
 
   struct RankBuffer {
     std::vector<Event> events;
-    std::vector<std::size_t> open;  ///< indices of unmatched begins
+    std::vector<std::size_t> open;  ///< indices of the open spans
   };
 
   RankBuffer* buffer(int rank);

@@ -152,10 +152,8 @@ TEST(CommAllocFree, HaloExchangeAfterWarmup) {
     for (auto& f : fields) ptrs.push_back(&f);
 
     auto sweep = [&] {
-      grid::exchange_halos(mesh, ptrs);                    // batched
-      grid::exchange_halo(mesh, fields[0]);                // single-field
-      grid::exchange_halos(mesh, ptrs, /*width=*/1,
-                           grid::HaloMode::kAggregate);    // ablation mode
+      grid::exchange_halos(mesh, ptrs);      // batched
+      grid::exchange_halo(mesh, fields[0]);  // single-field
     };
 
     // Warm-up: pool growth, channel creation, gate channels.

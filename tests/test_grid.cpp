@@ -416,77 +416,6 @@ TEST(HaloBatched, MatchesPerFieldExchangeBitExact) {
   });
 }
 
-TEST(HaloBatched, AggregateModeMovesTheSameData) {
-  const int rows = 2, cols = 2, nlon = 12, nlat = 8, nlev = 2;
-  Machine machine(MachineProfile::ideal());
-  machine.set_recv_timeout_ms(10'000);
-  machine.run(rows * cols, [&](RankContext& ctx) {
-    Communicator world(ctx);
-    Mesh2D mesh(world, rows, cols);
-    const Decomp2D decomp(nlon, nlat, rows, cols);
-    const auto box = decomp.box(mesh.coord());
-
-    auto init = [&](Array3D<double>& f, int var) {
-      for (int k = 0; k < nlev; ++k)
-        for (int j = 0; j < box.nj; ++j)
-          for (int i = 0; i < box.ni; ++i)
-            f(i, j, k) = 1e4 * var + 100.0 * (box.j0 + j) + (box.i0 + i) +
-                         1e-3 * k;
-    };
-    std::vector<Array3D<double>> agg, ref;
-    for (int v = 0; v < 2; ++v) {
-      agg.emplace_back(box.ni, box.nj, nlev, 1);
-      ref.emplace_back(box.ni, box.nj, nlev, 1);
-      init(agg.back(), v);
-      init(ref.back(), v);
-    }
-
-    Array3D<double>* aptrs[] = {&agg[0], &agg[1]};
-    exchange_halos(mesh, aptrs, /*width=*/1, HaloMode::kAggregate);
-    for (auto& f : ref) exchange_halo(mesh, f);
-
-    for (int v = 0; v < 2; ++v) {
-      const auto a = agg[static_cast<std::size_t>(v)].raw();
-      const auto b = ref[static_cast<std::size_t>(v)].raw();
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-          << "field " << v;
-    }
-  });
-}
-
-TEST(HaloBatched, AggregateSendsFewerMessages) {
-  const int rows = 2, cols = 2;
-  // Counts the messages of one exchange sweep; `nfields` fields, given mode.
-  // Mesh/communicator setup traffic is identical across calls, so the
-  // single-field per-field run is the additive baseline.
-  auto count_messages = [&](HaloMode mode, int nfields) {
-    Machine machine(MachineProfile::ideal());
-    machine.set_recv_timeout_ms(10'000);
-    const auto result = machine.run(rows * cols, [&](RankContext& ctx) {
-      Communicator world(ctx);
-      Mesh2D mesh(world, rows, cols);
-      const Decomp2D decomp(12, 8, rows, cols);
-      const auto box = decomp.box(mesh.coord());
-      std::vector<Array3D<double>> fields;
-      std::vector<Array3D<double>*> ptrs;
-      for (int v = 0; v < nfields; ++v) {
-        fields.emplace_back(box.ni, box.nj, 2, 1);
-        fields.back().fill(static_cast<double>(v));
-      }
-      for (auto& f : fields) ptrs.push_back(&f);
-      exchange_halos(mesh, ptrs, /*width=*/1, mode);
-    });
-    return result.total_messages;
-  };
-  const auto setup_plus_one = count_messages(HaloMode::kPerField, 1);
-  const auto per_field3 = count_messages(HaloMode::kPerField, 3);
-  const auto aggregate3 = count_messages(HaloMode::kAggregate, 3);
-  // Aggregating 3 fields coalesces to exactly one single-field sweep's
-  // message count; the per-field mode pays it three times.
-  EXPECT_EQ(aggregate3, setup_plus_one);
-  EXPECT_GT(per_field3, aggregate3);
-}
-
 TEST(HaloBatched, RejectsMismatchedShapes) {
   Machine machine(MachineProfile::ideal());
   EXPECT_THROW(machine.run(1,

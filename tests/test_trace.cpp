@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "trace/histogram.hpp"
 #include "trace/json.hpp"
 #include "trace/metrics.hpp"
-#include "trace/stream_sink.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 
@@ -412,33 +412,30 @@ TEST(Histogram, NonPositiveBucketSortsFirstAndMergeWorks) {
   EXPECT_EQ(empty.bin_count(), 0u);
 }
 
-// ------------------------------------------------------ streaming sink ----
+// ------------------------------------------------- chrome trace writer ----
 
-TEST(StreamSink, DrainEmptiesTracerAndEmitsEquivalentSpans) {
+TEST(ChromeTraceWriter, AppendedRunsEmitEquivalentSpans) {
   TraceGuard guard(2);
-  const std::string path = "test_stream_sink_trace.json";
-  StreamingTraceSink sink(path, /*chunk_bytes=*/64);  // force many flushes
-  sink.begin(2);
+  const std::string path = "test_chrome_trace_writer.json";
+  ChromeTraceWriter writer(path, 2);
 
-  // Two "runs" drained separately, with an unterminated span that must be
+  // Two "runs" appended separately, with an unterminated span that must be
   // dropped (same rule as Tracer::spans()) and a hostile name that must be
   // escaped.
   Tracer::instance().begin_span(0, "alpha \"q\"", 0.0, {});
   Tracer::instance().end_span(0, 1.0, {1.0, 0.0, 0.0});
   Tracer::instance().counter(1, "bytes", 0.5, 42.0);
   Tracer::instance().begin_span(1, "open-forever", 0.25, {});
-  sink.drain(Tracer::instance());
-  EXPECT_EQ(Tracer::instance().total_events(), 0u);
+  writer.append(Tracer::instance());
+  EXPECT_EQ(Tracer::instance().total_events(), 3u);  // left as it was
 
   Tracer::instance().begin_run(2);
   Tracer::instance().begin_span(1, "beta", 2.0, {1.0, 0.5, 0.0});
   Tracer::instance().end_span(1, 3.0, {1.5, 1.0, 0.0});
   Tracer::instance().instant(0, "tick", 2.5);
-  sink.drain(Tracer::instance());
-  sink.close();
-
-  EXPECT_EQ(sink.spans_written(), 2u);
-  EXPECT_GT(sink.bytes_written(), 0u);
+  writer.append(Tracer::instance());
+  writer.close();
+  writer.close();  // idempotent
 
   const std::string text = read_text_file(path);
   std::string error;
@@ -478,33 +475,68 @@ TEST(StreamSink, DrainEmptiesTracerAndEmitsEquivalentSpans) {
   std::remove(path.c_str());
 }
 
-TEST(StreamSink, CloseWithoutDrainYieldsValidEmptyTrace) {
-  const std::string path = "test_stream_sink_empty.json";
+TEST(ChromeTraceWriter, CloseWithoutAppendYieldsValidEmptyTrace) {
+  const std::string path = "test_chrome_trace_writer_empty.json";
   {
-    StreamingTraceSink sink(path);
+    ChromeTraceWriter writer(path, 1);
     // Destructor must close and leave a syntactically complete document.
   }
   std::string error;
   const auto doc = JsonValue::parse(read_text_file(path), &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_TRUE(doc->find("traceEvents")->is_array());
+  const JsonValue* events = doc->find("traceEvents");
+  ASSERT_TRUE(events->is_array());
+  for (const JsonValue& e : events->items())
+    EXPECT_EQ(e.find("ph")->as_string(), "M");
   std::remove(path.c_str());
 }
 
-TEST(Tracer, TakeEventsMovesOutAndDropsOpenSpans) {
-  TraceGuard guard(1);
-  Tracer::instance().begin_span(0, "done", 0.0, {});
+TEST(ChromeTraceWriter, StringFormMatchesFileBytesInRecordingOrder) {
+  TraceGuard guard(2);
+  Tracer::instance().begin_span(0, "outer", 0.0, {});
+  Tracer::instance().counter(0, "inside", 0.5, 7.0);
+  Tracer::instance().begin_span(0, "inner", 0.5, {0.5, 0.0, 0.0});
+  Tracer::instance().end_span(0, 0.75, {0.75, 0.0, 0.0});
   Tracer::instance().end_span(0, 1.0, {1.0, 0.0, 0.0});
-  Tracer::instance().begin_span(0, "still-open", 2.0, {});
-  auto events = Tracer::instance().take_events(0);
-  EXPECT_EQ(events.size(), 3u);
-  EXPECT_EQ(Tracer::instance().total_events(), 0u);
-  EXPECT_TRUE(Tracer::instance().take_events(0).empty());
-  EXPECT_TRUE(Tracer::instance().take_events(-1).empty());
-  // The open stack was cleared too: a fresh end_span has nothing to match
-  // and is dropped rather than pairing with the stale begin.
-  Tracer::instance().end_span(0, 3.0, {});
-  EXPECT_TRUE(Tracer::instance().spans().empty());
+  Tracer::instance().instant(1, "tick", 0.25);
+
+  const std::string path = "test_chrome_trace_oneshot.json";
+  write_chrome_trace(Tracer::instance(), path);
+  const std::string text = chrome_trace_json(Tracer::instance());
+  EXPECT_EQ(read_text_file(path), text);
+  std::remove(path.c_str());
+
+  // A span sits at its begin: rank 0 reads outer, inside, inner.
+  const auto outer = text.find("\"outer\"");
+  const auto inside = text.find("\"inside\"");
+  const auto inner = text.find("\"inner\"");
+  ASSERT_NE(inner, std::string::npos);
+  EXPECT_LT(outer, inside);
+  EXPECT_LT(inside, inner);
+}
+
+TEST(ChromeTraceWriter, ThrowsOnFullDevice) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << full << " is absent";
+  TraceGuard guard(1);
+  for (int i = 0; i < 20'000; ++i) {
+    Tracer::instance().begin_span(0, "filler", i, {});
+    Tracer::instance().end_span(0, i + 1.0, {1.0, 0.0, 0.0});
+  }
+  // More than one 1 MiB write chunk.
+  ASSERT_GT(chrome_trace_json(Tracer::instance()).size(), std::size_t{1} << 20);
+
+  try {
+    ChromeTraceWriter writer(full, 1);
+    writer.append(Tracer::instance());
+    writer.close();
+    ADD_FAILURE() << "a short write went unreported";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find(full), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(write_chrome_trace(Tracer::instance(), full), DataError);
+  // A trace small enough to sit in the stdio buffer fails at close.
+  EXPECT_THROW(ChromeTraceWriter(full, 1).close(), DataError);
 }
 
 // ----------------------------------------- metrics edge cases ------------
