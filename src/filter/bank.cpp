@@ -13,27 +13,20 @@ FilterBank::FilterBank(const grid::LatLonGrid& grid,
   const int nlat = grid.nlat();
   const int nlon = grid.nlon();
 
-  response_strong_.resize(static_cast<std::size_t>(nlat));
-  response_weak_.resize(static_cast<std::size_t>(nlat));
-  kernel_strong_.resize(static_cast<std::size_t>(nlat));
-  kernel_weak_.resize(static_cast<std::size_t>(nlat));
-  partition_strong_.resize(static_cast<std::size_t>(nlat));
-  partition_weak_.resize(static_cast<std::size_t>(nlat));
-  kernel_once_strong_ =
-      std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
-  kernel_once_weak_ =
-      std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
-  partition_once_strong_ =
-      std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
-  partition_once_weak_ =
-      std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
-  for (int j = 0; j < nlat; ++j) {
-    const double lat = grid.lat_center(j);
-    const auto uj = static_cast<std::size_t>(j);
-    if (grid.poleward_of(j, cutoff_deg(FilterKind::kStrong)))
-      response_strong_[uj] = response_line(FilterKind::kStrong, nlon, lat);
-    if (grid.poleward_of(j, cutoff_deg(FilterKind::kWeak)))
-      response_weak_[uj] = response_line(FilterKind::kWeak, nlon, lat);
+  for (const FilterKind kind : {FilterKind::kStrong, FilterKind::kWeak}) {
+    KindTables& t = tables_[static_cast<std::size_t>(kind)];
+    t.response.resize(static_cast<std::size_t>(nlat));
+    t.kernel.resize(static_cast<std::size_t>(nlat));
+    t.partition.resize(static_cast<std::size_t>(nlat));
+    t.kernel_once =
+        std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
+    t.partition_once =
+        std::make_unique<std::once_flag[]>(static_cast<std::size_t>(nlat));
+    for (int j = 0; j < nlat; ++j) {
+      if (grid.poleward_of(j, cutoff_deg(kind)))
+        t.response[static_cast<std::size_t>(j)] =
+            response_line(kind, nlon, grid.lat_center(j));
+    }
   }
 
   rows_.resize(variables_.size());
@@ -67,46 +60,40 @@ const std::vector<int>& FilterBank::rows(int v) const {
   return rows_[static_cast<std::size_t>(v)];
 }
 
+const FilterBank::KindTables& FilterBank::tables(int v) const {
+  return tables_[static_cast<std::size_t>(
+      variables_[static_cast<std::size_t>(v)].kind)];
+}
+
 std::span<const double> FilterBank::response(int v, int j) const {
   AGCM_ASSERT(filtered(v, j));
-  const auto uj = static_cast<std::size_t>(j);
-  return variables_[static_cast<std::size_t>(v)].kind == FilterKind::kStrong
-             ? std::span<const double>(response_strong_[uj])
-             : std::span<const double>(response_weak_[uj]);
+  return tables(v).response[static_cast<std::size_t>(j)];
 }
 
 std::span<const double> FilterBank::kernel(int v, int j) const {
   AGCM_ASSERT(filtered(v, j));
   const auto uj = static_cast<std::size_t>(j);
-  const bool strong =
-      variables_[static_cast<std::size_t>(v)].kind == FilterKind::kStrong;
-  const std::vector<double>& resp =
-      strong ? response_strong_[uj] : response_weak_[uj];
-  std::vector<double>& kern = strong ? kernel_strong_[uj] : kernel_weak_[uj];
-  std::once_flag& once =
-      strong ? kernel_once_strong_[uj] : kernel_once_weak_[uj];
+  const KindTables& t = tables(v);
   // Lazy build (O(nlon^2)); call_once because a const bank is shared
   // across rank threads in the parallel-variant tests and benches.
-  std::call_once(once, [&] { kern = kernel_from_response(resp); });
-  return kern;
+  std::call_once(t.kernel_once[uj], [&] {
+    t.kernel[uj] = kernel_from_response(t.response[uj]);
+  });
+  return t.kernel[uj];
 }
 
 const PartitionedKernel& FilterBank::partition(int v, int j) const {
   AGCM_ASSERT(filtered(v, j));
   const auto uj = static_cast<std::size_t>(j);
-  const bool strong =
-      variables_[static_cast<std::size_t>(v)].kind == FilterKind::kStrong;
-  std::unique_ptr<PartitionedKernel>& part =
-      strong ? partition_strong_[uj] : partition_weak_[uj];
-  std::once_flag& once =
-      strong ? partition_once_strong_[uj] : partition_once_weak_[uj];
+  const KindTables& t = tables(v);
   // Lazy build on top of the (itself lazy) convolution kernel: nested
   // call_once on distinct flags, so a kernel-only run never transforms
   // partitions and a partition run builds the kernel exactly once.
-  std::call_once(once, [&] {
-    part = std::make_unique<PartitionedKernel>(kernel(v, j), grid_->nlon());
+  std::call_once(t.partition_once[uj], [&] {
+    t.partition[uj] =
+        std::make_unique<PartitionedKernel>(kernel(v, j), grid_->nlon());
   });
-  return *part;
+  return *t.partition[uj];
 }
 
 const std::vector<LineKey>& FilterBank::lines_of(int v) const {

@@ -16,6 +16,7 @@
 // a const FilterBank may be shared across rank threads.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -82,21 +83,23 @@ class FilterBank {
   const grid::LatLonGrid* grid_;
   std::vector<FilteredVariable> variables_;
   std::vector<std::vector<int>> rows_;  ///< per variable
-  // Tables keyed by (kind, j); weak and strong kept separately. Responses
-  // are eager (cheap, and the FFT variants key pair-packing off their row
-  // addresses); kernels are lazy (O(nlon^2) each, convolution-only).
-  std::vector<std::vector<double>> response_strong_, response_weak_;
-  mutable std::vector<std::vector<double>> kernel_strong_, kernel_weak_;
-  // Partitioned-OLS spectra, keyed like the kernels (lazy: only the
-  // partitioned backend pays the per-row transform cost).
-  mutable std::vector<std::unique_ptr<PartitionedKernel>> partition_strong_,
-      partition_weak_;
-  // One flag per latitude row and kind; std::once_flag is immovable, hence
-  // the arrays. Guards the lazy kernel / partition builds above.
-  mutable std::unique_ptr<std::once_flag[]> kernel_once_strong_;
-  mutable std::unique_ptr<std::once_flag[]> kernel_once_weak_;
-  mutable std::unique_ptr<std::once_flag[]> partition_once_strong_;
-  mutable std::unique_ptr<std::once_flag[]> partition_once_weak_;
+  // Tables keyed by (kind, j): one set per FilterKind. Responses are eager
+  // (cheap, and the FFT variants key pair-packing off their row addresses);
+  // kernels (O(nlon^2) each, convolution-only) and partitioned-OLS spectra
+  // (only the partitioned backend pays their per-row transform) are lazy.
+  struct KindTables {
+    std::vector<std::vector<double>> response;
+    mutable std::vector<std::vector<double>> kernel;
+    mutable std::vector<std::unique_ptr<PartitionedKernel>> partition;
+    // One flag per latitude row; std::once_flag is immovable, hence the
+    // arrays. Guards the lazy kernel / partition builds above.
+    mutable std::unique_ptr<std::once_flag[]> kernel_once;
+    mutable std::unique_ptr<std::once_flag[]> partition_once;
+  };
+  /// Variable v's tables.
+  const KindTables& tables(int v) const;
+
+  std::array<KindTables, 2> tables_;  ///< indexed by FilterKind
   std::vector<LineKey> lines_;
   std::vector<std::vector<LineKey>> lines_by_var_;
 };

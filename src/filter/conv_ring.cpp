@@ -47,9 +47,9 @@ void ConvolutionRingFilter::filter_variable(grid::Array3D<double>& field,
   // Rotating buffer starts as my own chunks; after r hops westward it holds
   // the chunks originally owned by column (mycol + r) mod ncols.
   grid::Array3D<double>* field_ptr = &field;
-  std::vector<double> held =
-      extract_chunks(std::span<grid::Array3D<double>* const>(&field_ptr, 1),
-                     box(), lines);
+  std::vector<double> held(nlines * ni);
+  extract_chunks_into(std::span<grid::Array3D<double>* const>(&field_ptr, 1),
+                      box(), lines, held);
 
   for (int r = 0; r < ncols; ++r) {
     const int src_col = (mesh().coord().col + r) % ncols;

@@ -32,9 +32,9 @@ void ConvolutionTreeFilter::filter_variable(grid::Array3D<double>& field,
     for (int k = 0; k < nlev; ++k) lines.push_back({0, j, k});
 
   grid::Array3D<double>* field_ptr = &field;
-  const std::vector<double> my_chunks =
-      extract_chunks(std::span<grid::Array3D<double>* const>(&field_ptr, 1),
-                     box(), lines);
+  std::vector<double> my_chunks(nlines * static_cast<std::size_t>(box().ni));
+  extract_chunks_into(std::span<grid::Array3D<double>* const>(&field_ptr, 1),
+                      box(), lines, my_chunks);
 
   // Tree-based allgather of every line: gather to row root via the binomial
   // tree, then broadcast the assembled buffer back down — "communications

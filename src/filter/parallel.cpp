@@ -105,14 +105,6 @@ void extract_chunks_into(std::span<grid::Array3D<double>* const> fields,
   }
 }
 
-std::vector<double> extract_chunks(
-    std::span<grid::Array3D<double>* const> fields, const grid::LocalBox& box,
-    std::span<const LineKey> lines) {
-  std::vector<double> chunks(lines.size() * static_cast<std::size_t>(box.ni));
-  extract_chunks_into(fields, box, lines, chunks);
-  return chunks;
-}
-
 void write_chunks(std::span<grid::Array3D<double>* const> fields,
                   const grid::LocalBox& box, std::span<const LineKey> lines,
                   std::span<const double> chunks) {
@@ -138,11 +130,9 @@ std::unique_ptr<PolarFilter> make_filter(FilterAlgorithm algorithm,
     case FilterAlgorithm::kConvolutionTree:
       return std::make_unique<ConvolutionTreeFilter>(mesh, decomp, bank);
     case FilterAlgorithm::kFftTranspose:
-      return std::make_unique<FftTransposeFilter>(mesh, decomp, bank);
     case FilterAlgorithm::kFftBalanced:
-      return std::make_unique<FftBalancedFilter>(mesh, decomp, bank);
     case FilterAlgorithm::kConvolutionPartitioned:
-      return std::make_unique<PartitionedConvFilter>(mesh, decomp, bank);
+      return std::make_unique<TransposeFilter>(mesh, decomp, bank, algorithm);
     case FilterAlgorithm::kImplicitZonal:
       return std::make_unique<ImplicitZonalFilter>(mesh, decomp, bank);
   }

@@ -18,6 +18,10 @@
 //                     within rows (Figure 3), FFT locally, and undo both
 //                     movements. Setup bookkeeping is done once.
 //
+// kFftTranspose, kFftBalanced and kConvolutionPartitioned are one class,
+// TransposeFilter (variants.hpp): the same transpose pipeline with an
+// optional Figure-2 stage and one of two line engines.
+//
 // All variants filter exactly the same set of lines with mathematically
 // equivalent operators, so their outputs agree to rounding — the
 // integration tests rely on this.
@@ -118,12 +122,7 @@ void extract_chunks_into(std::span<grid::Array3D<double>* const> fields,
                          std::span<const LineKey> lines,
                          std::span<double> chunks);
 
-/// Vector-returning convenience wrapper over extract_chunks_into.
-std::vector<double> extract_chunks(
-    std::span<grid::Array3D<double>* const> fields, const grid::LocalBox& box,
-    std::span<const LineKey> lines);
-
-/// Inverse of extract_chunks.
+/// Inverse of extract_chunks_into.
 void write_chunks(std::span<grid::Array3D<double>* const> fields,
                   const grid::LocalBox& box, std::span<const LineKey> lines,
                   std::span<const double> chunks);

@@ -145,20 +145,6 @@ void RowTransposePlan::to_chunks_into(const comm::Mesh2D& mesh,
   clock.memory_traffic(static_cast<double>(chunks.size()) * sizeof(double));
 }
 
-std::vector<double> RowTransposePlan::to_lines(
-    const comm::Mesh2D& mesh, std::span<const double> my_chunks) const {
-  std::vector<double> full(line_elems());
-  to_lines_into(mesh, my_chunks, full);
-  return full;
-}
-
-std::vector<double> RowTransposePlan::to_chunks(
-    const comm::Mesh2D& mesh, std::span<const double> full_lines) const {
-  std::vector<double> chunks(chunk_elems());
-  to_chunks_into(mesh, full_lines, chunks);
-  return chunks;
-}
-
 BalancedFilterPlan::BalancedFilterPlan(const comm::Mesh2D& mesh,
                                        const grid::Decomp2D& decomp,
                                        const FilterBank& bank) {
@@ -230,8 +216,6 @@ BalancedFilterPlan::BalancedFilterPlan(const comm::Mesh2D& mesh,
         recv_offsets_[ur] +
         static_cast<std::size_t>(recv_lines_[ur]) * static_cast<std::size_t>(ni_);
   }
-
-  row_plan_ = RowTransposePlan(mesh, decomp, held_lines_);
 }
 
 void BalancedFilterPlan::redistribute_into(const comm::Mesh2D& mesh,
@@ -290,20 +274,6 @@ void BalancedFilterPlan::restore_into(const comm::Mesh2D& mesh,
         const auto n = send_offsets_[us + 1] - send_offsets_[us];
         r.read<double>(mine.subspan(send_offsets_[us], n));
       });
-}
-
-std::vector<double> BalancedFilterPlan::redistribute(
-    const comm::Mesh2D& mesh, std::span<const double> my_chunks) const {
-  std::vector<double> held(held_chunk_elems());
-  redistribute_into(mesh, my_chunks, held);
-  return held;
-}
-
-std::vector<double> BalancedFilterPlan::restore(
-    const comm::Mesh2D& mesh, std::span<const double> held_chunks) const {
-  std::vector<double> mine(my_chunk_elems());
-  restore_into(mesh, held_chunks, mine);
-  return mine;
 }
 
 }  // namespace agcm::filter

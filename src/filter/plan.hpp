@@ -5,10 +5,11 @@
 // holding *whole* longitude circles (ready for a local FFT); the inverse
 // movement restores the original chunk layout.
 //
-// BalancedFilterPlan adds the Figure-2 movement in front: data rows are
-// first redistributed in the latitudinal direction so every processor row
-// holds approximately sum(R_j)/M lines (the paper's equation (3) applied
-// over mesh rows), regardless of how many rows each hemisphere filters.
+// BalancedFilterPlan is the Figure-2 movement the load-balanced filter runs
+// in front: data rows are first redistributed in the latitudinal direction
+// so every processor row holds approximately sum(R_j)/M lines (the paper's
+// equation (3) applied over mesh rows), regardless of how many rows each
+// hemisphere filters; a RowTransposePlan over its held_lines() follows.
 // Both plans are pure bookkeeping computed identically on every node from
 // global metadata — "the set-up involves substantial bookkeeping" (3.3).
 #pragma once
@@ -28,14 +29,15 @@ class RowTransposePlan {
   RowTransposePlan() = default;
 
   /// `lines` are the circles this processor row must filter; every node of
-  /// the row passes the identical list (asserted via its length).
+  /// the row must pass the identical list (not checked here: the transposes
+  /// would mismatch message sizes).
   RowTransposePlan(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
                    std::vector<LineKey> lines);
 
   const std::vector<LineKey>& lines() const { return lines_; }
 
   /// Keys of the whole lines this node assembles and filters, in the order
-  /// they appear in the buffer returned by to_lines().
+  /// they appear in the buffer filled by to_lines_into().
   const std::vector<LineKey>& owned_lines() const { return owned_keys_; }
 
   /// Size of the chunk buffer (my ni-wide chunk of every line in lines()).
@@ -65,12 +67,6 @@ class RowTransposePlan {
                       std::span<const double> full_lines,
                       std::span<double> chunks) const;
 
-  /// Vector-returning convenience wrappers over the _into forms.
-  std::vector<double> to_lines(const comm::Mesh2D& mesh,
-                               std::span<const double> my_chunks) const;
-  std::vector<double> to_chunks(const comm::Mesh2D& mesh,
-                                std::span<const double> full_lines) const;
-
  private:
   int owner_col(std::size_t q) const {
     return static_cast<int>(q % static_cast<std::size_t>(ncols_));
@@ -95,10 +91,10 @@ class RowTransposePlan {
   int nlon_ = 0;
 };
 
-/// The full Figure-2 + Figure-3 plan used by FftBalancedFilter.
+/// The Figure-2 latitudinal redistribution of the fft-load-balanced
+/// filter (TransposeFilter, variants.hpp).
 class BalancedFilterPlan {
  public:
-  BalancedFilterPlan() = default;
   BalancedFilterPlan(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
                      const FilterBank& bank);
 
@@ -108,9 +104,6 @@ class BalancedFilterPlan {
 
   /// Lines this node's row holds after the latitudinal redistribution.
   const std::vector<LineKey>& held_lines() const { return held_lines_; }
-
-  /// Stage-B transpose over held_lines().
-  const RowTransposePlan& row_plan() const { return row_plan_; }
 
   /// Chunk-buffer sizes for the two layouts.
   std::size_t my_chunk_elems() const {
@@ -133,12 +126,6 @@ class BalancedFilterPlan {
                     std::span<const double> held_chunks,
                     std::span<double> mine) const;
 
-  /// Vector-returning convenience wrappers over the _into forms.
-  std::vector<double> redistribute(const comm::Mesh2D& mesh,
-                                   std::span<const double> my_chunks) const;
-  std::vector<double> restore(const comm::Mesh2D& mesh,
-                              std::span<const double> held_chunks) const;
-
   /// Max over rows of (lines held) / ideal — 1.0 means perfectly balanced.
   double post_balance_ratio() const { return post_balance_ratio_; }
 
@@ -149,7 +136,6 @@ class BalancedFilterPlan {
   std::vector<int> recv_lines_;  ///< per src row, lines I receive
   std::vector<std::size_t> send_offsets_;  ///< prefix elems of send_lines_*ni
   std::vector<std::size_t> recv_offsets_;  ///< prefix elems of recv_lines_*ni
-  RowTransposePlan row_plan_;
   int ni_ = 0;  ///< my chunk width (identical within a mesh column)
   double post_balance_ratio_ = 1.0;
 };

@@ -108,13 +108,13 @@ void filter_line_pair_fft(const fft::FftPlan& plan, std::span<double> line_a,
   filter_pair_core(plan, line_a, line_b, s_a, s_b, z);
 }
 
-void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
-                      std::span<const LineKey> lines,
-                      std::span<double> data) {
+int filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
+                     std::span<const LineKey> lines,
+                     std::span<double> data) {
   const auto n = static_cast<std::size_t>(plan.size());
   const std::size_t count = lines.size();
   AGCM_ASSERT(data.size() == count * n);
-  if (count == 0) return;
+  if (count == 0) return 0;
   auto& ws = util::rank_local<fft::FftWorkspace>();
 
   // Pair-packing order: greedily match each line with the first still
@@ -123,7 +123,7 @@ void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
   // kind). Leftovers pair across responses; a final odd line runs single.
   // The schedule is deterministic and performs exactly floor(count/2)
   // pair + (count%2) single transforms, matching the frozen virtual-clock
-  // accounting in filter_owned_lines_fft.
+  // accounting of the transpose filter (transpose_filter.cpp).
   std::span<int> scratch = ws.index.take(2 * count);
   int* order = scratch.data();
   int* pending = scratch.data() + count;
@@ -169,6 +169,7 @@ void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
     filter_single_core(plan, line_at(order[p]),
                        bank.response(la.var, la.j), z);
   }
+  return static_cast<int>(count / 2);
 }
 
 int filter_lines_partition(const FilterBank& bank,

@@ -41,10 +41,10 @@ void filter_line_pair_fft(const fft::FftPlan& plan, std::span<double> line_a,
 /// variable kind and latitude — e.g. the nlev layers of one (var, j)), so
 /// most pairs take the cheap same-response spectral multiply. Exactly
 /// floor(n/2) pair transforms plus (n%2) single transforms are performed —
-/// the same schedule the virtual-clock accounting in
-/// filter_owned_lines_fft has always charged. Allocation-free after
-/// workspace warm-up.
-void filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
+/// the schedule the frozen virtual-clock accounting has always charged —
+/// and the pair count is returned, as filter_lines_partition does.
+/// Allocation-free after workspace warm-up.
+int filter_lines_fft(const fft::FftPlan& plan, const FilterBank& bank,
                       std::span<const LineKey> lines, std::span<double> data);
 
 /// Batched partitioned overlap-save driver (docs/filter.md) — the

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -30,7 +31,6 @@
 #include "comm/mesh2d.hpp"
 #include "filter/bank.hpp"
 #include "filter/parallel.hpp"
-#include "filter/variants.hpp"
 #include "grid/array3d.hpp"
 #include "grid/decomp.hpp"
 #include "grid/halo.hpp"
@@ -194,12 +194,16 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
     }
     for (auto& f : fields) ptrs.push_back(&f);
 
-    filter::FftTransposeFilter transpose(mesh, decomp, bank);
-    filter::FftBalancedFilter balanced(mesh, decomp, bank);
+    std::vector<std::unique_ptr<filter::PolarFilter>> filters;
+    for (const filter::FilterAlgorithm algorithm :
+         {filter::FilterAlgorithm::kFftTranspose,
+          filter::FilterAlgorithm::kFftBalanced,
+          filter::FilterAlgorithm::kConvolutionPartitioned}) {
+      filters.push_back(filter::make_filter(algorithm, mesh, decomp, bank));
+    }
 
     auto sweep = [&] {
-      transpose.apply(ptrs);
-      balanced.apply(ptrs);
+      for (const auto& f : filters) f->apply(ptrs);
     };
 
     for (int it = 0; it < 3; ++it) sweep();

@@ -354,11 +354,13 @@ TEST(BalancedPlan, RedistributeRestoreRoundTrip) {
                                static_cast<std::size_t>(box.ni));
     Rng rng(static_cast<std::uint64_t>(world.rank()) + 17);
     for (double& v : chunks) v = rng.uniform(-1.0, 1.0);
-    const auto held = plan.redistribute(mesh, chunks);
+    std::vector<double> held(plan.held_chunk_elems());
     EXPECT_EQ(held.size(),
               plan.held_lines().size() * static_cast<std::size_t>(box.ni));
-    const auto restored = plan.restore(mesh, held);
+    plan.redistribute_into(mesh, chunks, held);
+    std::vector<double> restored(plan.my_chunk_elems());
     ASSERT_EQ(restored.size(), chunks.size());
+    plan.restore_into(mesh, held, restored);
     for (std::size_t i = 0; i < chunks.size(); ++i)
       EXPECT_DOUBLE_EQ(restored[i], chunks[i]);
   });
@@ -389,9 +391,10 @@ TEST(RowTranspose, ToLinesToChunksRoundTrip) {
                static_cast<std::size_t>(i)] =
             1000.0 * static_cast<double>(q) + (box.i0 + i);
 
-    const auto full = plan.to_lines(mesh, chunks);
+    std::vector<double> full(plan.line_elems());
     ASSERT_EQ(full.size(),
               plan.owned_lines().size() * static_cast<std::size_t>(nlon));
+    plan.to_lines_into(mesh, chunks, full);
     // Find which global line indexes I own and verify assembly.
     std::size_t p = 0;
     for (std::size_t q = 0; q < lines.size(); ++q) {
@@ -403,25 +406,39 @@ TEST(RowTranspose, ToLinesToChunksRoundTrip) {
       ++p;
     }
 
-    const auto back = plan.to_chunks(mesh, full);
+    std::vector<double> back(plan.chunk_elems());
     ASSERT_EQ(back.size(), chunks.size());
+    plan.to_chunks_into(mesh, full, back);
     for (std::size_t i = 0; i < chunks.size(); ++i)
       EXPECT_DOUBLE_EQ(back[i], chunks[i]);
   });
 }
 
-TEST(BalancedFilter, SetupCostIsRecordedOnce) {
+TEST(TransposeFilter, SetupCostOnlyForTheBalancedStage) {
+  // The Figure-2 set-up (bookkeeping + cross-node agreement check) is paid
+  // once, in the constructor; the transpose-only algorithms cost nothing to
+  // build in virtual time.
   const LatLonGrid grid(24, 16, 2);
   const FilterBank bank(grid, {{"a", FilterKind::kStrong}});
-  Machine machine(MachineProfile::intel_paragon());
-  machine.set_recv_timeout_ms(10'000);
-  machine.run(4, [&](RankContext& ctx) {
-    Communicator world(ctx);
-    Mesh2D mesh(world, 2, 2);
-    const Decomp2D decomp(24, 16, 2, 2);
-    FftBalancedFilter filter(mesh, decomp, bank);
-    EXPECT_GT(filter.setup_cost_sec(), 0.0);
-  });
+  for (const FilterAlgorithm algorithm :
+       {FilterAlgorithm::kFftBalanced, FilterAlgorithm::kFftTranspose,
+        FilterAlgorithm::kConvolutionPartitioned}) {
+    Machine machine(MachineProfile::intel_paragon());
+    machine.set_recv_timeout_ms(10'000);
+    machine.run(4, [&](RankContext& ctx) {
+      Communicator world(ctx);
+      Mesh2D mesh(world, 2, 2);
+      const Decomp2D decomp(24, 16, 2, 2);
+      const double t0 = world.now();
+      const auto filter = make_filter(algorithm, mesh, decomp, bank);
+      const double cost = world.now() - t0;
+      if (algorithm == FilterAlgorithm::kFftBalanced) {
+        EXPECT_GT(cost, 0.0);
+      } else {
+        EXPECT_EQ(cost, 0.0) << algorithm_name(algorithm);
+      }
+    });
+  }
 }
 
 // --- implicit-zonal extension -----------------------------------------------

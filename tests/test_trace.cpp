@@ -13,7 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "comm/mesh2d.hpp"
 #include "core/model.hpp"
+#include "filter/parallel.hpp"
+#include "grid/decomp.hpp"
 #include "simnet/machine.hpp"
 #include "trace/export.hpp"
 #include "trace/histogram.hpp"
@@ -167,6 +170,55 @@ TEST(Tracer, WholeProgramSpanSplitEqualsMachineBreakdown) {
     EXPECT_TRUE(same_bits(s.split.overhead, b.overhead));
     EXPECT_TRUE(same_bits(s.split.wait, b.wait));
     EXPECT_TRUE(same_bits(s.end, b.total()));
+  }
+}
+
+TEST(Tracer, TransposeFiltersSplitIntoTransposeAndEngineSpans) {
+  // fft-transpose, fft-load-balanced and convolution-partitioned run one
+  // pipeline, so every apply() span holds the same children: two
+  // "filter.transpose" spans around one engine span.
+  const grid::LatLonGrid grid(24, 16, 2);
+  const filter::FilterBank bank(grid, {{"a", filter::FilterKind::kStrong}});
+  for (const auto& [algorithm, engine] :
+       {std::pair{filter::FilterAlgorithm::kFftTranspose, "filter.fft-lines"},
+        std::pair{filter::FilterAlgorithm::kFftBalanced, "filter.fft-lines"},
+        std::pair{filter::FilterAlgorithm::kConvolutionPartitioned,
+                  "filter.partition-lines"}}) {
+    const std::string parent =
+        "filter." + std::string(filter::algorithm_name(algorithm));
+    TraceGuard guard(2);
+    simnet::Machine machine(simnet::MachineProfile::cray_t3d());
+    machine.run(2, [&](simnet::RankContext& ctx) {
+      comm::Communicator world(ctx);
+      comm::Mesh2D mesh(world, 1, 2);
+      const grid::Decomp2D decomp(24, 16, 1, 2);
+      const grid::LocalBox box = decomp.box(mesh.coord());
+      grid::Array3D<double> field(box.ni, box.nj, 2);
+      grid::Array3D<double>* ptr = &field;
+      auto filt = filter::make_filter(algorithm, mesh, decomp, bank);
+      filt->apply(std::span<grid::Array3D<double>* const>(&ptr, 1));
+    });
+
+    for (int rank = 0; rank < 2; ++rank) {
+      std::vector<SpanRecord> outer;
+      std::vector<SpanRecord> inner;
+      for (const SpanRecord& s : Tracer::instance().spans()) {
+        if (s.rank != rank) continue;
+        if (s.name == parent) outer.push_back(s);
+        if (s.name == "filter.transpose" || s.name == engine)
+          inner.push_back(s);
+      }
+      ASSERT_EQ(outer.size(), 1u) << parent;
+      ASSERT_EQ(inner.size(), 3u) << parent;
+      EXPECT_EQ(inner[0].name, "filter.transpose");
+      EXPECT_EQ(inner[1].name, engine);
+      EXPECT_EQ(inner[2].name, "filter.transpose");
+      for (const SpanRecord& s : inner) {
+        EXPECT_EQ(s.depth, outer[0].depth + 1) << s.name;
+        EXPECT_GE(s.begin, outer[0].begin);
+        EXPECT_LE(s.end, outer[0].end);
+      }
+    }
   }
 }
 
