@@ -40,10 +40,12 @@ FilterCosts measure_filter(filter::FilterAlgorithm algorithm,
   simnet::Machine machine(simnet::MachineProfile::intel_paragon());
   machine.set_recv_timeout_ms(600'000);
   FilterCosts costs;
-  std::vector<double> per_rank(static_cast<std::size_t>(mesh_spec.nodes()));
-  std::vector<double> setup(static_cast<std::size_t>(mesh_spec.nodes()));
+  const auto nodes = static_cast<std::size_t>(mesh_spec.nodes());
+  std::vector<double> per_rank(nodes);
+  std::vector<double> setup(nodes);
+  std::vector<simnet::Traffic> apply_traffic(nodes);
 
-  const auto result = machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, mesh_spec.rows, mesh_spec.cols);
     const grid::LatLonGrid grid(nlon, nlat, nlev);
@@ -51,48 +53,32 @@ FilterCosts measure_filter(filter::FilterAlgorithm algorithm,
     const auto box = decomp.box(mesh.coord());
     const filter::FilterBank bank(grid,
                                   dynamics::Dynamics::filtered_variables());
+    const auto me = static_cast<std::size_t>(world.rank());
     const double s0 = world.now();
     auto filt = filter::make_filter(algorithm, mesh, decomp, bank);
-    setup[static_cast<std::size_t>(world.rank())] = world.now() - s0;
+    setup[me] = world.now() - s0;
 
     dynamics::State state(box, nlev);
     dynamics::initialize_state(state, grid, box, 1);
     grid::Array3D<double>* fields[] = {&state.u, &state.v, &state.h,
                                        &state.theta, &state.q};
-    // Reset traffic counters after setup so only apply() traffic counts.
-    // The reset must be quiescent: a barrier-sandwiched reset races against
-    // barrier stragglers (the binomial broadcast's forwarded messages and
-    // the next reduce's leaf sends land before or after the reset depending
-    // on thread timing), which made the messages column wobble by up to
-    // ~2(P-1) once the transport got fast enough to lose the race. Instead
-    // rank 0 resets while every other rank is provably blocked between its
-    // READY send and the START recv, so no message can straddle the reset:
-    // the counted traffic is exactly the P-1 START releases, the clock-
-    // realigning barrier below, apply(), and the closing barrier —
-    // deterministic under any interleaving. The barrier after the gate
-    // re-aligns all virtual clocks, and apply()'s virtual duration is
-    // invariant under a uniform shift of the synchronized start time, so
-    // the virtual s/apply column is unchanged.
-    constexpr int kReady = 3101, kStart = 3102;
-    if (world.rank() == 0) {
-      for (int r = 1; r < world.size(); ++r) (void)world.recv_value<int>(r, kReady);
-      ctx.network().reset_counters();
-      for (int r = 1; r < world.size(); ++r) world.send_value<int>(r, kStart, 1);
-    } else {
-      world.send_value<int>(0, kReady, 1);
-      (void)world.recv_value<int>(0, kStart);
-    }
+    // The barriers align the virtual clocks around apply(); the traffic
+    // columns count apply() alone, as this rank's ledger delta across it.
     world.barrier();
     const double t0 = world.now();
+    const simnet::Traffic before = ctx.traffic();
     filt->apply(fields);
+    apply_traffic[me] = ctx.traffic() - before;
     world.barrier();
-    per_rank[static_cast<std::size_t>(world.rank())] = world.now() - t0;
-  });
+    per_rank[me] = world.now() - t0;
+  }));
 
   for (double t : per_rank) costs.virtual_sec = std::max(costs.virtual_sec, t);
   for (double t : setup) costs.setup_sec = std::max(costs.setup_sec, t);
-  costs.messages = result.total_messages;
-  costs.bytes = result.total_bytes;
+  simnet::Traffic traffic;
+  for (const simnet::Traffic& t : apply_traffic) traffic += t;
+  costs.messages = traffic.messages_sent;
+  costs.bytes = traffic.bytes_sent;
   return costs;
 }
 
@@ -129,8 +115,8 @@ RingTreeSummary ring_vs_tree() {
   bench::emit_table(table);
   print_note(
       "Expected shape (Section 2): the ring needs ~(P-1) messages per node\n"
-      "per variable but ships only chunk-sized payloads; the tree halves the\n"
-      "message count but moves whole lines (larger volume).\n");
+      "per variable but ships only chunk-sized payloads; the tree sends far\n"
+      "fewer messages but moves whole lines (larger volume).\n");
   return summary;
 }
 
@@ -203,7 +189,7 @@ void implicit_vs_spectral() {
   }
   bench::emit_table(table);
   print_note(
-      "The implicit operator needs no transpose and moves ~3x fewer bytes,\n"
+      "The implicit operator needs no transpose and moves fewer bytes,\n"
       "but even with all lines batched into one distributed solve it stays\n"
       "root-serialised (the reduced interface systems are solved on one\n"
       "node) and keeps the filter's latitudinal load imbalance — the\n"
@@ -253,6 +239,7 @@ void scheme_comparison() {
         after = r.imbalance_after;
       }
     });
+    trace::record_traffic(result);
     const char* names[] = {"", "1: cyclic shuffle", "2: sorted greedy",
                            "3: pairwise x2"};
     table.add_row({names[scheme], Table::pct(before, 1), Table::pct(after, 1),

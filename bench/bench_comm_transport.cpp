@@ -341,8 +341,13 @@ PatternResult run_pattern(Iteration&& iteration, World& world, int warmup,
     storage.push_back(std::make_unique<RankContext>(r, network, profile));
     ctx.push_back(storage.back().get());
   }
+  const auto bytes_sent = [&] {
+    std::uint64_t sum = 0;
+    for (const RankContext* c : ctx) sum += c->traffic().bytes_sent;
+    return sum;
+  };
   for (int i = 0; i < warmup; ++i) iteration(ctx, world);
-  network.reset_counters();
+  const std::uint64_t warm_bytes = bytes_sent();
   double best = 0.0;
   for (int t = 0; t < trials; ++t) {
     const agcm::bench::Stopwatch sw;
@@ -352,7 +357,7 @@ PatternResult run_pattern(Iteration&& iteration, World& world, int warmup,
   }
   PatternResult out;
   out.seconds = best;
-  out.bytes = network.total_bytes();
+  out.bytes = bytes_sent() - warm_bytes;
   const double block_bytes =
       static_cast<double>(out.bytes) / static_cast<double>(trials);
   out.block_mb = block_bytes / 1.0e6;

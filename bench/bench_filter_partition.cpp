@@ -124,7 +124,7 @@ std::map<std::string, double> run_virtual_cell(
   machine.set_recv_timeout_ms(600'000);
   trace::Tracer::instance().begin_run(cols);
 
-  machine.run(cols, [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(cols, [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, 1, cols);
     const grid::LatLonGrid grid(nlon, kSweepNlat, kSweepNlev);
@@ -147,7 +147,7 @@ std::map<std::string, double> run_virtual_cell(
         world.barrier();
       }
     }
-  });
+  }));
 
   std::map<std::string, double> out;
   for (const auto& phase : trace::aggregate_phases(trace::Tracer::instance()))

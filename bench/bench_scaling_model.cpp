@@ -87,7 +87,7 @@ FilterCell run_filter_cell(int nlon, int cols,
   trace::Tracer::instance().begin_run(cols);
   trace::MetricsRegistry::instance().reset();
 
-  machine.run(cols, [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(cols, [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, 1, cols);
     const grid::LatLonGrid grid(nlon, kSweepNlat, kSweepNlev);
@@ -113,7 +113,7 @@ FilterCell run_filter_cell(int nlon, int cols,
         world.barrier();
       }
     }
-  });
+  }));
 
   FilterCell out;
   const auto phases = trace::aggregate_phases(trace::Tracer::instance());
@@ -147,7 +147,7 @@ ImbalanceResult run_imbalance_cell() {
   const int rows = 8, cols = 8;
   lb::ItemLists lists(static_cast<std::size_t>(rows * cols));
 
-  machine.run(rows * cols, [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(rows * cols, [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, rows, cols);
     const grid::LatLonGrid grid(144, 90, 9);
@@ -172,7 +172,7 @@ ImbalanceResult run_imbalance_cell() {
       const auto id = static_cast<std::uint64_t>(world.rank()) * 100000 + c;
       mine.push_back({id, costs[c] / profile.flops_per_sec});
     }
-  });
+  }));
 
   lb::PairwiseOptions options;
   options.max_iterations = 2;

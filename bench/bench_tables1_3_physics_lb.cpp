@@ -39,7 +39,7 @@ lb::ItemLists measure_physics_loads(NodeMesh mesh_spec) {
   machine.set_recv_timeout_ms(600'000);
   lb::ItemLists lists(static_cast<std::size_t>(mesh_spec.nodes()));
 
-  machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, mesh_spec.rows, mesh_spec.cols);
     const grid::LatLonGrid grid(144, 90, 9);
@@ -68,7 +68,7 @@ lb::ItemLists measure_physics_loads(NodeMesh mesh_spec) {
           static_cast<std::uint64_t>(world.rank()) * 100000 + c;
       mine.push_back({id, costs[c] / profile.flops_per_sec});
     }
-  });
+  }));
   return lists;
 }
 

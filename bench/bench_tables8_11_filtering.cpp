@@ -35,7 +35,7 @@ double measure_filter(const simnet::MachineProfile& machine_profile,
   machine.set_recv_timeout_ms(600'000);
   std::vector<double> per_rank(static_cast<std::size_t>(mesh_spec.nodes()));
 
-  machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
+  trace::record_traffic(machine.run(mesh_spec.nodes(), [&](simnet::RankContext& ctx) {
     comm::Communicator world(ctx);
     comm::Mesh2D mesh(world, mesh_spec.rows, mesh_spec.cols);
     const grid::LatLonGrid grid(144, 90, nlev);
@@ -64,7 +64,7 @@ double measure_filter(const simnet::MachineProfile& machine_profile,
     }
     per_rank[static_cast<std::size_t>(world.rank())] =
         (world.now() - t0) / timed;
-  });
+  }));
 
   double worst = 0.0;
   for (double t : per_rank) worst = std::max(worst, t);

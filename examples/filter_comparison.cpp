@@ -41,8 +41,11 @@ int main(int argc, char** argv) {
     machine.set_recv_timeout_ms(600'000);
     std::vector<double> u_global(static_cast<std::size_t>(nlon) * nlat * nlev);
     double virtual_sec = 0.0;
+    // Each rank's ledger delta across the one apply() below.
+    std::vector<simnet::Traffic> apply_traffic(
+        static_cast<std::size_t>(rows * cols));
 
-    const auto run = machine.run(rows * cols, [&](simnet::RankContext& ctx) {
+    machine.run(rows * cols, [&](simnet::RankContext& ctx) {
       comm::Communicator world(ctx);
       comm::Mesh2D mesh(world, rows, cols);
       const grid::LatLonGrid grid(nlon, nlat, nlev);
@@ -57,10 +60,11 @@ int main(int argc, char** argv) {
       grid::Array3D<double>* fields[] = {&state.u, &state.v, &state.h,
                                          &state.theta, &state.q};
       world.barrier();
-      if (world.rank() == 0) ctx.network().reset_counters();
-      world.barrier();
       const double t0 = world.now();
+      const simnet::Traffic before = ctx.traffic();
       filt->apply(fields);
+      apply_traffic[static_cast<std::size_t>(world.rank())] =
+          ctx.traffic() - before;
       world.barrier();
       if (world.rank() == 0) virtual_sec = world.now() - t0;
 
@@ -74,13 +78,15 @@ int main(int argc, char** argv) {
                 state.u(i, j, k);
     });
 
+    simnet::Traffic traffic;
+    for (const simnet::Traffic& t : apply_traffic) traffic += t;
     double diff = 0.0;
     if (reference.empty()) reference = u_global;  // first algorithm
     else diff = max_abs_diff(u_global, reference);
     table.add_row({std::string(filter::algorithm_name(algorithm)),
                    Table::num(virtual_sec * 1000.0, 2),
-                   std::to_string(run.total_messages),
-                   Table::num(static_cast<double>(run.total_bytes) / 1024.0, 0),
+                   std::to_string(traffic.messages_sent),
+                   Table::num(static_cast<double>(traffic.bytes_sent) / 1024.0, 0),
                    Table::num(diff, 12)});
   }
   print_table(table);

@@ -18,7 +18,6 @@
 
 #include "comm/packed.hpp"
 #include "simnet/machine.hpp"
-#include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
@@ -52,7 +51,6 @@ class Communicator {
   void send(int dst, int tag, std::span<const T> data) const {
     static_assert(std::is_trivially_copyable_v<T>);
     check_tag(tag);
-    record_send(data.size_bytes());
     ctx_->send_bytes(global(dst), combine_tag(tag),
                      std::as_bytes(data));
   }
@@ -68,7 +66,6 @@ class Communicator {
     static_assert(std::is_trivially_copyable_v<T>);
     check_tag(tag);
     const auto bytes = ctx_->recv_bytes(global(src), combine_tag(tag));
-    record_recv(bytes.size());
     if (bytes.size() != data.size_bytes()) {
       throw CommError("recv size mismatch: expected " +
                       std::to_string(data.size_bytes()) + " bytes, got " +
@@ -77,21 +74,6 @@ class Communicator {
     // Guard: an empty payload's data() may be null, and memcpy's pointer
     // arguments must be non-null even for size 0 (UBSan enforces this).
     if (!bytes.empty()) std::memcpy(data.data(), bytes.data(), bytes.size());
-  }
-
-  /// Receives a message of unknown length; returns the element vector.
-  template <typename T>
-  std::vector<T> recv_any_size(int src, int tag) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    check_tag(tag);
-    const auto bytes = ctx_->recv_bytes(global(src), combine_tag(tag));
-    record_recv(bytes.size());
-    if (bytes.size() % sizeof(T) != 0) {
-      throw CommError("recv_any_size: payload not a multiple of sizeof(T)");
-    }
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
   }
 
   template <typename T>
@@ -122,7 +104,6 @@ class Communicator {
   /// Moves a fully packed buffer into the network — the zero-copy send.
   void send_buffer(int dst, int tag, Buffer&& payload) const {
     check_tag(tag);
-    record_send(payload.size());
     ctx_->send_bytes(global(dst), combine_tag(tag), std::move(payload));
   }
 
@@ -134,13 +115,11 @@ class Communicator {
   /// Receives a message as the pooled payload itself — read it in place.
   Buffer recv_buffer(int src, int tag) const {
     check_tag(tag);
-    Buffer payload = ctx_->recv_bytes(global(src), combine_tag(tag));
-    record_recv(payload.size());
-    return payload;
+    return ctx_->recv_bytes(global(src), combine_tag(tag));
   }
 
   /// Receives a message of unknown length as a typed in-place view; the view
-  /// owns the pooled storage (the zero-copy replacement for recv_any_size).
+  /// owns the pooled storage.
   template <typename T>
   TypedView<T> recv_view(int src, int tag) const {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -154,7 +133,9 @@ class Communicator {
 
   // --- collectives (all collective over this communicator) ----------------
 
-  /// Binomial-tree barrier (reduce-to-root + broadcast of empty payloads).
+  /// Barrier: two binomial-tree allreduces of one double (a sum, then the
+  /// max of the clocks, which every rank then waits for). Costs 4(P-1)
+  /// messages of 8 bytes.
   void barrier() const;
 
   /// Binomial-tree broadcast of `data` from `root` to everyone.
@@ -194,23 +175,23 @@ class Communicator {
 
   /// Personalised all-to-all with per-pair counts. `send_counts[r]` elements
   /// go to rank r (taken from `send_data` in rank order); the result is the
-  /// concatenation of blocks received from ranks 0..P-1. Implemented as
-  /// P-1 rounds of pairwise exchange. Messages with zero elements are
-  /// skipped entirely (this matters: the load-balanced filter sends nothing
-  /// between most pairs).
+  /// concatenation of blocks received from ranks 0..P-1. A typed adapter
+  /// over `alltoallv_packed`: same schedule, each block copied into and out
+  /// of its wire buffer. A block whose size differs from its recv count
+  /// throws CommError.
   template <typename T>
   std::vector<T> alltoallv(std::span<const T> send_data,
                            std::span<const int> send_counts,
                            std::span<const int> recv_counts) const;
 
-  /// Zero-copy personalised all-to-all. Identical message schedule, tag and
-  /// virtual-time behaviour to `alltoallv` (self block without a message,
-  /// then P-1 pairwise rounds, zero-byte messages skipped) — but instead of
-  /// staging through contiguous send/recv vectors, `pack(dst, writer)` packs
-  /// each outgoing message straight into its pooled wire buffer and
-  /// `unpack(src, reader)` consumes each payload in place. The self block
-  /// routes a pooled buffer from pack to unpack without touching the
-  /// network, so callers handle it like any other peer.
+  /// Zero-copy personalised all-to-all: the self block without a message,
+  /// then P-1 rounds of pairwise exchange. Messages with zero bytes are
+  /// skipped entirely (this matters: the load-balanced filter sends nothing
+  /// between most pairs). `pack(dst, writer)` packs each outgoing message
+  /// straight into its pooled wire buffer and `unpack(src, reader)` consumes
+  /// each payload in place. The self block routes a pooled buffer from pack
+  /// to unpack without touching the network, so callers handle it like any
+  /// other peer.
   template <typename PackFn, typename UnpackFn>
   void alltoallv_packed(std::span<const std::size_t> send_bytes,
                         std::span<const std::size_t> recv_bytes,
@@ -219,21 +200,6 @@ class Communicator {
  private:
   Communicator(simnet::RankContext& ctx, std::vector<int> members, int rank,
                std::int64_t context_id);
-
-  /// Traffic counters into the MetricsRegistry, keyed by *machine* rank.
-  /// One relaxed atomic load when tracing is off — nothing measurable.
-  void record_send(std::size_t bytes) const {
-    if (!trace::enabled()) return;
-    auto& metrics = trace::MetricsRegistry::instance();
-    metrics.add("comm.messages_sent", ctx_->rank());
-    metrics.add("comm.bytes_sent", ctx_->rank(), static_cast<double>(bytes));
-  }
-  void record_recv(std::size_t bytes) const {
-    if (!trace::enabled()) return;
-    auto& metrics = trace::MetricsRegistry::instance();
-    metrics.add("comm.messages_recv", ctx_->rank());
-    metrics.add("comm.bytes_recv", ctx_->rank(), static_cast<double>(bytes));
-  }
 
   int global(int local_rank) const {
     if (local_rank < 0 || local_rank >= size()) {
@@ -438,47 +404,34 @@ std::vector<T> Communicator::alltoallv(std::span<const T> send_data,
                                        std::span<const int> send_counts,
                                        std::span<const int> recv_counts) const {
   static_assert(std::is_trivially_copyable_v<T>);
-  AGCM_TRACE_SPAN("comm.alltoallv", *ctx_);
-  const int p = size();
-  AGCM_ASSERT(static_cast<int>(send_counts.size()) == p);
-  AGCM_ASSERT(static_cast<int>(recv_counts.size()) == p);
-  constexpr int kTag = kMaxUserTag - 5;
-
-  std::vector<std::size_t> send_offsets(static_cast<std::size_t>(p) + 1, 0);
-  std::vector<std::size_t> recv_offsets(static_cast<std::size_t>(p) + 1, 0);
-  for (int r = 0; r < p; ++r) {
-    const auto ur = static_cast<std::size_t>(r);
-    send_offsets[ur + 1] = send_offsets[ur] + static_cast<std::size_t>(send_counts[ur]);
-    recv_offsets[ur + 1] = recv_offsets[ur] + static_cast<std::size_t>(recv_counts[ur]);
+  const auto p = static_cast<std::size_t>(size());
+  AGCM_ASSERT(send_counts.size() == p);
+  AGCM_ASSERT(recv_counts.size() == p);
+  // Element offsets of each rank's block, and its size in wire bytes.
+  std::vector<std::size_t> send_offsets(p + 1, 0), recv_offsets(p + 1, 0);
+  std::vector<std::size_t> send_bytes(p), recv_bytes(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    send_offsets[r + 1] = send_offsets[r] + static_cast<std::size_t>(send_counts[r]);
+    recv_offsets[r + 1] = recv_offsets[r] + static_cast<std::size_t>(recv_counts[r]);
+    send_bytes[r] = static_cast<std::size_t>(send_counts[r]) * sizeof(T);
+    recv_bytes[r] = static_cast<std::size_t>(recv_counts[r]) * sizeof(T);
   }
   AGCM_ASSERT(send_offsets.back() == send_data.size());
   std::vector<T> recv_data(recv_offsets.back());
-
-  // Self block: plain copy, no message.
-  {
-    const auto ur = static_cast<std::size_t>(rank_);
-    std::copy(send_data.begin() + static_cast<std::ptrdiff_t>(send_offsets[ur]),
-              send_data.begin() + static_cast<std::ptrdiff_t>(send_offsets[ur + 1]),
-              recv_data.begin() + static_cast<std::ptrdiff_t>(recv_offsets[ur]));
-  }
-  // P-1 rounds of pairwise exchange: in round s we send to (rank+s) and
-  // receive from (rank-s).
-  for (int s = 1; s < p; ++s) {
-    const int dst = (rank_ + s) % p;
-    const int src = (rank_ - s + p) % p;
-    const auto udst = static_cast<std::size_t>(dst);
-    const auto usrc = static_cast<std::size_t>(src);
-    const auto nsend = send_offsets[udst + 1] - send_offsets[udst];
-    const auto nrecv = recv_offsets[usrc + 1] - recv_offsets[usrc];
-    if (nsend > 0) {
-      send<T>(dst, kTag,
-              std::span<const T>(send_data.data() + send_offsets[udst], nsend));
-    }
-    if (nrecv > 0) {
-      recv<T>(src, kTag,
-              std::span<T>(recv_data.data() + recv_offsets[usrc], nrecv));
-    }
-  }
+  alltoallv_packed(
+      send_bytes, recv_bytes,
+      [&](int dst, PackedWriter& writer) {
+        const auto d = static_cast<std::size_t>(dst);
+        writer.write<T>(
+            send_data.subspan(send_offsets[d], send_bytes[d] / sizeof(T)));
+      },
+      [&](int src, PackedReader& reader) {
+        const auto s = static_cast<std::size_t>(src);
+        if (reader.size_bytes() != recv_bytes[s])
+          throw CommError("alltoallv: block size differs from its recv count");
+        reader.read<T>(std::span<T>(recv_data).subspan(
+            recv_offsets[s], recv_bytes[s] / sizeof(T)));
+      });
   return recv_data;
 }
 
@@ -493,7 +446,7 @@ void Communicator::alltoallv_packed(std::span<const std::size_t> send_bytes,
   constexpr int kTag = kMaxUserTag - 5;
 
   // Self block: pooled buffer handed from pack to unpack, no message and no
-  // virtual-clock activity — exactly like alltoallv's std::copy.
+  // virtual-clock activity.
   {
     const auto ur = static_cast<std::size_t>(rank_);
     AGCM_ASSERT(send_bytes[ur] == recv_bytes[ur]);

@@ -144,7 +144,7 @@ RunReport run_model(const ModelConfig& config, int steps, int warmup_steps) {
     out.max_gravity_courant = dyn.max_gravity_courant(state);
   });
 
-
+  trace::record_traffic(run_result);
   // Host-side transport diagnostics go to the registry's host gauges only:
   // the pool counts vary with host scheduling, so the report never carries
   // them.

@@ -165,18 +165,18 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
       result.held_payloads = std::move(new_payloads);
     } else {
       // I am the lighter side: receive (possibly empty) shipments.
-      const auto items = comm.recv_any_size<Item>(partner, kTagItems);
-      const auto origins = comm.recv_any_size<Origin>(partner, kTagOrigins);
-      const auto payloads = comm.recv_any_size<double>(partner, kTagPayloads);
+      const auto items = comm.recv_view<Item>(partner, kTagItems);
+      const auto origins = comm.recv_view<Origin>(partner, kTagOrigins);
+      const auto payloads = comm.recv_view<double>(partner, kTagPayloads);
       AGCM_ASSERT(items.size() == origins.size());
       AGCM_ASSERT(payloads.size() ==
                   items.size() * static_cast<std::size_t>(doubles_per_item));
-      result.held_items.insert(result.held_items.end(), items.begin(),
-                               items.end());
-      result.held_origins.insert(result.held_origins.end(), origins.begin(),
-                                 origins.end());
-      result.held_payloads.insert(result.held_payloads.end(),
-                                  payloads.begin(), payloads.end());
+      result.held_items.insert(result.held_items.end(), items.data(),
+                               items.data() + items.size());
+      result.held_origins.insert(result.held_origins.end(), origins.data(),
+                                 origins.data() + origins.size());
+      result.held_payloads.insert(result.held_payloads.end(), payloads.data(),
+                                  payloads.data() + payloads.size());
     }
     result.iterations = iter + 1;
   }

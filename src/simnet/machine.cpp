@@ -33,7 +33,8 @@ void RankContext::send_bytes(int dst, std::int64_t tag, Buffer&& payload) {
   packet.depart_time = clock_.now();
   packet.src = rank_;
   packet.tag = tag;
-  network_->count_message(packet.payload.size());
+  ++traffic_.messages_sent;
+  traffic_.bytes_sent += packet.payload.size();
   network_->mailbox(dst).push(std::move(packet));
 }
 
@@ -43,6 +44,8 @@ Buffer RankContext::recv_bytes(int src, std::int64_t tag) {
   }
   Packet packet =
       network_->mailbox(rank_).pop(src, tag, network_->recv_timeout_ms());
+  ++traffic_.messages_recv;
+  traffic_.bytes_recv += packet.payload.size();
   const double arrival =
       packet.depart_time +
       clock_.profile().transfer_time(static_cast<double>(packet.payload.size()));
@@ -120,21 +123,25 @@ RunResult Machine::run(int nranks,
   run_threads(nranks, program, contexts);
 #endif
 
-  return collect(nranks, network, contexts);
+  return collect(network, contexts);
 }
 
 RunResult Machine::collect(
-    int nranks, Network& network,
+    Network& network,
     const std::vector<std::unique_ptr<RankContext>>& contexts) {
   RunResult result;
-  result.finish_times.reserve(static_cast<std::size_t>(nranks));
-  result.breakdowns.reserve(static_cast<std::size_t>(nranks));
+  result.finish_times.reserve(contexts.size());
+  result.breakdowns.reserve(contexts.size());
+  result.traffic.reserve(contexts.size());
+  Traffic sum;
   for (const auto& ctx : contexts) {
     result.finish_times.push_back(ctx->clock().now());
     result.breakdowns.push_back(ctx->clock().breakdown());
+    result.traffic.push_back(ctx->traffic());
+    sum += ctx->traffic();
   }
-  result.total_messages = network.total_messages();
-  result.total_bytes = network.total_bytes();
+  result.total_messages = sum.messages_sent;
+  result.total_bytes = sum.bytes_sent;
   result.pool_reuses = network.pool().reuses();
   result.pool_misses = network.pool().misses();
   result.live_channels = network.live_channels();

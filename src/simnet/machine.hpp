@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -17,6 +18,34 @@
 #include "simnet/virtual_clock.hpp"
 
 namespace agcm::simnet {
+
+/// One rank's traffic ledger: the messages and payload bytes it has sent
+/// and received since launch. Only the owning rank writes it (send_bytes,
+/// recv_bytes), so it needs no atomics and no lock. The traffic of a window
+/// is the difference of two readings taken by the rank itself; nothing is
+/// ever reset.
+struct Traffic {
+  std::uint64_t messages_sent = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t messages_recv = 0;
+  std::uint64_t bytes_recv = 0;
+
+  Traffic& operator+=(const Traffic& other) {
+    messages_sent += other.messages_sent;
+    bytes_sent += other.bytes_sent;
+    messages_recv += other.messages_recv;
+    bytes_recv += other.bytes_recv;
+    return *this;
+  }
+  friend Traffic operator-(Traffic a, const Traffic& b) {
+    a.messages_sent -= b.messages_sent;
+    a.bytes_sent -= b.bytes_sent;
+    a.messages_recv -= b.messages_recv;
+    a.bytes_recv -= b.bytes_recv;
+    return a;
+  }
+  bool operator==(const Traffic&) const = default;
+};
 
 /// Everything one rank of an SPMD program can touch. Byte-level transport;
 /// the typed interface is comm::Communicator.
@@ -33,6 +62,8 @@ class RankContext {
   VirtualClock& clock() { return clock_; }
   const VirtualClock& clock() const { return clock_; }
   Network& network() { return *network_; }
+  /// This rank's ledger. Read it from the rank itself, or after the run.
+  const Traffic& traffic() const { return traffic_; }
 
   /// Borrows a payload buffer of `bytes` logical size from the network's
   /// recycling pool — the zero-copy send path packs directly into it.
@@ -59,14 +90,16 @@ class RankContext {
   int rank_;
   Network* network_;
   VirtualClock clock_;
+  Traffic traffic_;
 };
 
-/// Result of one SPMD run: per-rank virtual clocks and traffic totals.
+/// Result of one SPMD run: per-rank virtual clocks and traffic ledgers.
 struct RunResult {
   std::vector<double> finish_times;          ///< virtual now() at program end
   std::vector<TimeBreakdown> breakdowns;     ///< per-rank accounting
-  std::uint64_t total_messages = 0;
-  std::uint64_t total_bytes = 0;
+  std::vector<Traffic> traffic;              ///< per-rank ledgers at program end
+  std::uint64_t total_messages = 0;          ///< sum of traffic[r].messages_sent
+  std::uint64_t total_bytes = 0;             ///< sum of traffic[r].bytes_sent
 
   // Host-only diagnostics of the transport machinery. The pool counts
   // depend on how the host scheduled the ranks, so none of these enters a
@@ -122,7 +155,7 @@ class Machine {
   RunResult run(int nranks, const std::function<void(RankContext&)>& program);
 
  private:
-  RunResult collect(int nranks, Network& network,
+  RunResult collect(Network& network,
                     const std::vector<std::unique_ptr<RankContext>>& contexts);
   void run_threads(int nranks,
                    const std::function<void(RankContext&)>& program,

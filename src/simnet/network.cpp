@@ -216,22 +216,4 @@ std::size_t Network::live_channels() const {
   return n;
 }
 
-void Network::count_message(std::size_t bytes) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-std::uint64_t Network::total_messages() const {
-  return messages_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Network::total_bytes() const {
-  return bytes_.load(std::memory_order_relaxed);
-}
-
-void Network::reset_counters() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace agcm::simnet

@@ -174,8 +174,9 @@ class Mailbox {
   std::vector<std::atomic<Lane*>> lanes_;  ///< one per source; owned
 };
 
-/// The whole interconnect: one mailbox per rank, the shared payload buffer
-/// pool, and volume counters.
+/// The whole interconnect: one mailbox per rank and the shared payload
+/// buffer pool. It holds no traffic state: each rank counts its own
+/// messages (RankContext::traffic()).
 class Network {
  public:
   explicit Network(int nranks);
@@ -193,20 +194,12 @@ class Network {
   /// Channels created so far, summed over every mailbox (host diagnostics).
   std::size_t live_channels() const;
 
-  /// Global traffic counters (atomic, aggregated across ranks).
-  void count_message(std::size_t bytes);
-  std::uint64_t total_messages() const;
-  std::uint64_t total_bytes() const;
-  void reset_counters();
-
  private:
   int nranks_;
   BufferPool pool_;  ///< declared before mailboxes_: queued packets release
                      ///< their buffers into the pool during destruction
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   int timeout_ms_ = 60'000;
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
 };
 
 }  // namespace agcm::simnet

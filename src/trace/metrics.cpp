@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "simnet/machine.hpp"
 #include "trace/tracer.hpp"
 
 namespace agcm::trace {
@@ -146,6 +147,25 @@ JsonValue MetricsRegistry::to_json() const {
   }
   root.set("distributions", std::move(distributions));
   return root;
+}
+
+void record_traffic(const simnet::RunResult& run) {
+  if (!enabled()) return;
+  MetricsRegistry& metrics = MetricsRegistry::instance();
+  for (std::size_t r = 0; r < run.traffic.size(); ++r) {
+    const simnet::Traffic& t = run.traffic[r];
+    const int rank = static_cast<int>(r);
+    if (t.messages_sent > 0) {
+      metrics.add("comm.messages_sent", rank,
+                  static_cast<double>(t.messages_sent));
+      metrics.add("comm.bytes_sent", rank, static_cast<double>(t.bytes_sent));
+    }
+    if (t.messages_recv > 0) {
+      metrics.add("comm.messages_recv", rank,
+                  static_cast<double>(t.messages_recv));
+      metrics.add("comm.bytes_recv", rank, static_cast<double>(t.bytes_recv));
+    }
+  }
 }
 
 }  // namespace agcm::trace

@@ -3,11 +3,11 @@
 //
 // The registry complements the Tracer (trace/tracer.hpp): spans answer
 // "where did the virtual time go", counters answer "how much traffic /
-// work flowed through a subsystem" — messages and bytes per rank from
-// `comm`, migrated items from `loadbalance`, executed column flops from
-// `physics`. Counters are keyed by (metric name, rank) so cross-rank
-// merges (totals, per-rank tables, the paper's load_imbalance metric) fall
-// out of one snapshot.
+// work flowed through a subsystem" — messages and bytes per rank from the
+// run's traffic ledgers (record_traffic), migrated items from
+// `loadbalance`, executed column flops from `physics`. Counters are keyed
+// by (metric name, rank) so cross-rank merges (totals, per-rank tables,
+// the paper's load_imbalance metric) fall out of one snapshot.
 //
 // Thread model: rank threads record concurrently; every mutation takes one
 // process-wide mutex (correctness over micro-optimisation — recording is
@@ -24,6 +24,10 @@
 #include "trace/histogram.hpp"
 #include "trace/json.hpp"
 #include "util/stats.hpp"
+
+namespace agcm::simnet {
+struct RunResult;
+}
 
 namespace agcm::trace {
 
@@ -100,5 +104,11 @@ class MetricsRegistry {
   std::map<std::string, Distribution> distributions_;
   std::map<std::string, double> host_gauges_;
 };
+
+/// Adds a finished run's traffic ledgers to the per-rank counters
+/// comm.messages_sent / comm.bytes_sent (ranks that sent a message) and
+/// comm.messages_recv / comm.bytes_recv (ranks that received one). No-op
+/// while tracing is off.
+void record_traffic(const simnet::RunResult& run);
 
 }  // namespace agcm::trace

@@ -64,7 +64,7 @@ TEST(Communicator, RecvAnySize) {
       const std::vector<double> data{4.0, 5.0};
       comm.send<double>(1, 2, data);
     } else {
-      const auto data = comm.recv_any_size<double>(0, 2);
+      const auto data = comm.recv_view<double>(0, 2);
       EXPECT_EQ(data.size(), 2u);
       EXPECT_DOUBLE_EQ(data[1], 5.0);
     }
@@ -235,6 +235,28 @@ TEST_P(CollectiveSweep, BarrierAlignsVirtualClocks) {
     EXPECT_GE(ctx.clock().now(), 100.0 * p);
   });
   (void)result;
+}
+
+TEST_P(CollectiveSweep, BarrierCostsFourPMinusOneMessagesOfEightBytes) {
+  // Two allreduces of one double, each a reduce plus a broadcast of P-1
+  // messages: 4(P-1) messages and 32(P-1) bytes across all ranks.
+  const int p = GetParam();
+  auto machine = make_machine();
+  std::vector<simnet::Traffic> delta(static_cast<std::size_t>(p));
+  machine.run(p, [&](RankContext& ctx) {
+    Communicator comm(ctx);
+    comm.barrier();  // warm-up: the window below must not depend on it
+    const simnet::Traffic before = ctx.traffic();
+    comm.barrier();
+    delta[static_cast<std::size_t>(comm.rank())] = ctx.traffic() - before;
+  });
+  simnet::Traffic sum;
+  for (const simnet::Traffic& d : delta) sum += d;
+  const auto links = static_cast<std::uint64_t>(p - 1);
+  EXPECT_EQ(sum.messages_sent, 4 * links);
+  EXPECT_EQ(sum.bytes_sent, 32 * links);
+  EXPECT_EQ(sum.messages_recv, sum.messages_sent);
+  EXPECT_EQ(sum.bytes_recv, sum.bytes_sent);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveSweep,

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 
+#include "comm/communicator.hpp"
 #include "simnet/fiber.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
@@ -465,6 +467,88 @@ TEST(Machine, PingPongTransfersDataAndTime) {
   EXPECT_DOUBLE_EQ(result.breakdowns[1].wait, 7.0);
   EXPECT_EQ(result.total_messages, 1u);
   EXPECT_EQ(result.total_bytes, 2 * sizeof(double));
+}
+
+TEST(Traffic, RingLedgersCountEachMessageOnceOnEachSide) {
+  // Rank r sends two messages of r+1 doubles to its right neighbour, so it
+  // receives two messages of left+1 doubles from its left neighbour.
+  const int n = 5;
+  Machine machine(MachineProfile::ideal());
+  const auto result = machine.run(n, [](RankContext& ctx) {
+    const int right = (ctx.rank() + 1) % ctx.nranks();
+    const int left = (ctx.rank() + ctx.nranks() - 1) % ctx.nranks();
+    const std::vector<double> data(static_cast<std::size_t>(ctx.rank()) + 1,
+                                   1.0);
+    for (int round = 0; round < 2; ++round) {
+      ctx.send_bytes(right, round, as_bytes(data));
+      (void)ctx.recv_bytes(left, round);
+    }
+  });
+  ASSERT_EQ(result.traffic.size(), static_cast<std::size_t>(n));
+  Traffic sum;
+  for (int r = 0; r < n; ++r) {
+    const Traffic& t = result.traffic[static_cast<std::size_t>(r)];
+    const auto left = static_cast<std::size_t>((r + n - 1) % n);
+    EXPECT_EQ(t.messages_sent, 2u) << "rank " << r;
+    EXPECT_EQ(t.bytes_sent, 2 * (static_cast<std::size_t>(r) + 1) * 8);
+    EXPECT_EQ(t.messages_recv, 2u) << "rank " << r;
+    EXPECT_EQ(t.bytes_recv, 2 * (left + 1) * 8);
+    sum += t;
+  }
+  EXPECT_EQ(sum.messages_sent, result.total_messages);
+  EXPECT_EQ(sum.messages_recv, result.total_messages);
+  EXPECT_EQ(sum.bytes_sent, result.total_bytes);
+  EXPECT_EQ(sum.bytes_recv, result.total_bytes);
+}
+
+TEST(Traffic, WindowDeltasIndependentOfHostSchedule) {
+  // A window of collectives, opened right after rank-skewed traffic that
+  // the other ranks are still draining: each rank's ledger delta counts only
+  // its own window traffic, whatever the backend and worker count.
+  const int n = 7;
+  const auto window = [n](Machine& machine) {
+    std::vector<Traffic> delta(static_cast<std::size_t>(n));
+    machine.run(n, [&](RankContext& ctx) {
+      comm::Communicator world(ctx);
+      if (world.rank() == 0)
+        for (int r = 1; r < n; ++r) world.send_value<int>(r, 1, r);
+      else
+        (void)world.recv_value<int>(0, 1);
+      const Traffic before = ctx.traffic();
+      world.barrier();
+      (void)world.allreduce_sum(static_cast<double>(world.rank()));
+      // Ranks s and r exchange (s + r) % 3 doubles each way, so one count
+      // vector serves as both send and receive counts.
+      std::vector<int> counts(static_cast<std::size_t>(n));
+      for (int r = 0; r < n; ++r)
+        counts[static_cast<std::size_t>(r)] = (world.rank() + r) % 3;
+      std::vector<double> mine(
+          static_cast<std::size_t>(std::accumulate(counts.begin(),
+                                                   counts.end(), 0)),
+          1.0);
+      (void)world.alltoallv<double>(mine, counts, counts);
+      delta[static_cast<std::size_t>(world.rank())] = ctx.traffic() - before;
+    });
+    return delta;
+  };
+  Machine one(MachineProfile::intel_paragon());
+  one.set_backend(SimBackend::kFibers);
+  one.set_workers(1);
+  Machine four(MachineProfile::intel_paragon());
+  four.set_backend(SimBackend::kFibers);
+  four.set_workers(4);
+  Machine threads(MachineProfile::intel_paragon());
+  threads.set_backend(SimBackend::kThreads);
+  const std::vector<Traffic> reference = window(one);
+  Traffic sum;
+  for (const Traffic& t : reference) sum += t;
+  EXPECT_GT(sum.messages_sent, 0u);
+  EXPECT_EQ(sum.messages_recv, sum.messages_sent);
+  EXPECT_EQ(sum.bytes_recv, sum.bytes_sent);
+  for (int trial = 0; trial < 3; ++trial) {
+    EXPECT_EQ(window(four), reference) << "4 workers, trial " << trial;
+    EXPECT_EQ(window(threads), reference) << "threads, trial " << trial;
+  }
 }
 
 TEST(Machine, ZeroCopySendPathMatchesCopyPath) {

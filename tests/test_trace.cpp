@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "comm/communicator.hpp"
 #include "comm/mesh2d.hpp"
 #include "core/model.hpp"
 #include "filter/parallel.hpp"
@@ -620,6 +621,36 @@ TEST(Metrics, ResetBetweenPhasesIsolatesRecordings) {
   EXPECT_EQ(reg.names(), std::vector<std::string>{"phase.b"});
 }
 
+TEST(Metrics, TrafficExportWritesOnlyKeysOfRanksThatMovedMessages) {
+  TraceGuard guard(2);
+  simnet::Machine machine(simnet::MachineProfile::ideal());
+
+  // One rank: every collective is local, so the export writes no comm key.
+  record_traffic(machine.run(1, [](simnet::RankContext& ctx) {
+    comm::Communicator world(ctx);
+    world.barrier();
+    (void)world.allreduce_sum(1.0);
+  }));
+  for (const std::string& name : MetricsRegistry::instance().names())
+    EXPECT_NE(name.rfind("comm.", 0), 0u) << name;
+
+  // Two ranks, one message 0 -> 1: rank 0 gets only the sent pair, rank 1
+  // only the received pair; a second export adds to the first.
+  const auto one_way = [](simnet::RankContext& ctx) {
+    comm::Communicator world(ctx);
+    if (world.rank() == 0) world.send_value<double>(1, 7, 2.5);
+    else (void)world.recv_value<double>(0, 7);
+  };
+  record_traffic(machine.run(2, one_way));
+  record_traffic(machine.run(2, one_way));
+  using PerRank = std::vector<std::pair<int, double>>;
+  auto& reg = MetricsRegistry::instance();
+  EXPECT_EQ(reg.per_rank("comm.messages_sent"), (PerRank{{0, 2.0}}));
+  EXPECT_EQ(reg.per_rank("comm.bytes_sent"), (PerRank{{0, 16.0}}));
+  EXPECT_EQ(reg.per_rank("comm.messages_recv"), (PerRank{{1, 2.0}}));
+  EXPECT_EQ(reg.per_rank("comm.bytes_recv"), (PerRank{{1, 16.0}}));
+}
+
 TEST(Metrics, DistributionPercentilesMatchOracleAndAppearInJson) {
   TraceGuard guard(1);
   auto& reg = MetricsRegistry::instance();
@@ -761,8 +792,16 @@ TEST(TraceModel, ModelRankSpansMatchReportBreakdownsBitwise) {
   EXPECT_TRUE(has("physics.columns"));
   EXPECT_TRUE(has("physics.balance"));
   EXPECT_TRUE(has("comm.barrier"));
-  EXPECT_GT(MetricsRegistry::instance().total("comm.messages_sent"), 0.0);
-  EXPECT_GT(MetricsRegistry::instance().total("comm.bytes_sent"), 0.0);
+  // The comm counters are the run's ledgers, exported once: their totals
+  // are the report's.
+  EXPECT_EQ(MetricsRegistry::instance().total("comm.messages_sent"),
+            static_cast<double>(report.total_messages));
+  EXPECT_EQ(MetricsRegistry::instance().total("comm.bytes_sent"),
+            static_cast<double>(report.total_bytes));
+  EXPECT_EQ(MetricsRegistry::instance().total("comm.messages_recv"),
+            static_cast<double>(report.total_messages));
+  EXPECT_EQ(MetricsRegistry::instance().total("comm.bytes_recv"),
+            static_cast<double>(report.total_bytes));
   // The balancer ran and published its per-iteration imbalance gauge (the
   // tiny uniform model may legitimately move zero items).
   EXPECT_FALSE(MetricsRegistry::instance().per_rank("lb.imbalance").empty());
