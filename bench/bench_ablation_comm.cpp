@@ -10,13 +10,14 @@
 //     size ("its cost is also nearly independent of AGCM problem size").
 //  4. Scheme 1 vs Scheme 2 vs Scheme 3 load balancing: achieved imbalance
 //     vs message count and moved volume (the paper's Figures 4-6 argument).
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "comm/mesh2d.hpp"
 #include "dynamics/dynamics.hpp"
 #include "filter/variants.hpp"
-#include "loadbalance/exchange.hpp"
+#include "loadbalance/planner.hpp"
 #include "simnet/machine.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -202,7 +203,12 @@ void scheme_comparison() {
       "Ablation 4: load-balancing schemes (16 nodes, day/night-like loads)",
       {"Scheme", "imbalance before", "after", "messages", "items moved"});
   const int p = 16;
-  for (int scheme = 1; scheme <= 3; ++scheme) {
+  const std::pair<lb::Scheme, const char*> schemes[] = {
+      {lb::Scheme::kCyclic, "1: cyclic shuffle"},
+      {lb::Scheme::kSortedGreedy, "2: sorted greedy"},
+      {lb::Scheme::kPairwise, "3: pairwise x2"}};
+  for (const auto& entry : schemes) {
+    const lb::Scheme scheme = entry.first;
     simnet::Machine machine(simnet::MachineProfile::intel_paragon());
     machine.set_recv_timeout_ms(600'000);
     double before = 0.0, after = 0.0;
@@ -218,18 +224,10 @@ void scheme_comparison() {
         items[static_cast<std::size_t>(q)] = {
             static_cast<std::uint64_t>(world.rank() * 1000 + q),
             base * rng.uniform(0.8, 1.2)};
-      lb::BalanceResult r;
-      switch (scheme) {
-        case 1: r = lb::balance_cyclic(world, items, payloads, 18); break;
-        case 2:
-          r = lb::balance_sorted_greedy(world, items, payloads, 18);
-          break;
-        default: {
-          lb::PairwiseOptions options;
-          options.max_iterations = 2;
-          r = lb::balance_pairwise(world, items, payloads, 18, options);
-        }
-      }
+      lb::PairwiseOptions options;
+      options.max_iterations = 2;
+      const lb::BalanceResult r =
+          lb::balance(world, scheme, items, payloads, 18, options);
       int received = 0;
       for (const auto& origin : r.held_origins)
         if (origin.rank != world.rank()) ++received;
@@ -240,9 +238,7 @@ void scheme_comparison() {
       }
     });
     trace::record_traffic(result);
-    const char* names[] = {"", "1: cyclic shuffle", "2: sorted greedy",
-                           "3: pairwise x2"};
-    table.add_row({names[scheme], Table::pct(before, 1), Table::pct(after, 1),
+    table.add_row({entry.second, Table::pct(before, 1), Table::pct(after, 1),
                    std::to_string(result.total_messages),
                    Table::num(sum(moved), 0)});
   }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "comm/mesh2d.hpp"
-#include "loadbalance/exchange.hpp"
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"
 #include "util/stats.hpp"

@@ -17,33 +17,149 @@ constexpr int kTagItems = 410;
 constexpr int kTagOrigins = 411;
 constexpr int kTagPayloads = 412;
 
-/// Greedy heaviest-first pick of held items approximating `target` weight
-/// (same policy as the pure planner in schemes.cpp).
-std::vector<std::size_t> pick_held(const std::vector<Item>& held,
-                                   double target) {
-  std::vector<std::size_t> order(held.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return held[a].weight != held[b].weight ? held[a].weight > held[b].weight
-                                            : a < b;
-  });
-  std::vector<std::size_t> picked;
-  double shipped = 0.0;
-  for (std::size_t q : order) {
-    const double w = held[q].weight;
-    if (shipped + w <= target) {
-      picked.push_back(q);
-      shipped += w;
-    } else if (shipped + w - target < target - shipped) {
-      picked.push_back(q);
-      break;
-    }
-  }
-  return picked;
+/// This rank's own items as a held set, in original order.
+BalanceResult hold_own(int me, std::span<const Item> items,
+                       std::span<const double> payloads,
+                       int doubles_per_item) {
+  AGCM_ASSERT(payloads.size() ==
+              items.size() * static_cast<std::size_t>(doubles_per_item));
+  BalanceResult held;
+  held.held_items.assign(items.begin(), items.end());
+  held.held_payloads.assign(payloads.begin(), payloads.end());
+  for (std::size_t q = 0; q < items.size(); ++q)
+    held.held_origins.push_back({me, static_cast<int>(q)});
+  return held;
 }
 
-}  // namespace
+/// Every rank's total held load, each summed in held order: one allgatherv
+/// of one double per rank.
+std::vector<double> gather_loads(const comm::Communicator& comm,
+                                 std::span<const Item> held) {
+  double my_load = 0.0;
+  for (const Item& item : held) my_load += item.weight;
+  const std::vector<int> ones(static_cast<std::size_t>(comm.size()), 1);
+  return comm.allgatherv<double>(std::span<const double>(&my_load, 1), ones);
+}
 
+/// Splits `held` in one pass: the items at `picked` move out into the
+/// returned set in pick order; the rest stay in `held` in held order.
+BalanceResult split_held(BalanceResult& held,
+                         std::span<const std::size_t> picked,
+                         int doubles_per_item) {
+  const std::size_t n = held.held_items.size();
+  const auto dpi = static_cast<std::size_t>(doubles_per_item);
+  std::vector<std::size_t> slot(n, n);  // n: kept
+  for (std::size_t s = 0; s < picked.size(); ++s) slot[picked[s]] = s;
+  BalanceResult ship;
+  ship.held_items.resize(picked.size());
+  ship.held_origins.resize(picked.size());
+  ship.held_payloads.resize(picked.size() * dpi);
+  std::size_t kept = 0;
+  for (std::size_t q = 0; q < n; ++q) {
+    BalanceResult& to = slot[q] < n ? ship : held;
+    const std::size_t at = slot[q] < n ? slot[q] : kept++;
+    if (&to == &held && at == q) continue;
+    to.held_items[at] = held.held_items[q];
+    to.held_origins[at] = held.held_origins[q];
+    std::copy_n(held.held_payloads.data() + q * dpi, dpi,
+                to.held_payloads.data() + at * dpi);
+  }
+  held.held_items.resize(kept);
+  held.held_origins.resize(kept);
+  held.held_payloads.resize(kept * dpi);
+  return ship;
+}
+
+/// Appends received items with their origins and payloads to `held`.
+void append_held(BalanceResult& held, std::span<const Item> items,
+                 std::span<const Origin> origins,
+                 std::span<const double> payloads, int doubles_per_item) {
+  AGCM_ASSERT(items.size() == origins.size());
+  AGCM_ASSERT(payloads.size() ==
+              items.size() * static_cast<std::size_t>(doubles_per_item));
+  held.held_items.insert(held.held_items.end(), items.begin(), items.end());
+  held.held_origins.insert(held.held_origins.end(), origins.begin(),
+                           origins.end());
+  held.held_payloads.insert(held.held_payloads.end(), payloads.begin(),
+                            payloads.end());
+}
+
+/// Positions 0..n-1 grouped by `rank_of(q)`: ranks in order, positions
+/// ascending within a rank; a position whose rank is -1 is left out.
+struct RankGroups {
+  std::vector<std::size_t> order;
+  std::vector<int> counts;  ///< positions per rank
+};
+
+template <typename RankOf>
+RankGroups group_by_rank(int p, std::size_t n, RankOf rank_of) {
+  std::vector<std::vector<std::size_t>> by_rank(static_cast<std::size_t>(p));
+  for (std::size_t q = 0; q < n; ++q)
+    if (const int r = rank_of(q); r >= 0)
+      by_rank[static_cast<std::size_t>(r)].push_back(q);
+  RankGroups groups;
+  for (const auto& group : by_rank) {
+    groups.order.insert(groups.order.end(), group.begin(), group.end());
+    groups.counts.push_back(static_cast<int>(group.size()));
+  }
+  return groups;
+}
+
+std::vector<int> scaled(std::vector<int> counts, int factor) {
+  for (int& c : counts) c *= factor;
+  return counts;
+}
+
+/// Scheme 1 (Figure 4): cyclic shuffle — item q of rank r moves to rank
+/// (r + q) mod N. Needs no load information at all, but costs O(N^2)
+/// messages in aggregate.
+BalanceResult balance_cyclic(const comm::Communicator& comm,
+                             std::span<const Item> my_items,
+                             std::span<const double> my_payloads,
+                             int doubles_per_item) {
+  const int p = comm.size();
+  std::vector<int> dest(my_items.size());
+  for (std::size_t q = 0; q < my_items.size(); ++q)
+    dest[q] = static_cast<int>(
+        (static_cast<std::size_t>(comm.rank()) + q) % static_cast<std::size_t>(p));
+  return execute_migration(comm, my_items, my_payloads, doubles_per_item,
+                           dest);
+}
+
+/// Scheme 2 (Figure 5): sorted greedy surplus moves. Requires global item
+/// metadata on every rank (the allgather is the "number of global
+/// communications and a substantial amount of local bookkeeping" the paper
+/// criticises), then executes the moves with O(N) transfers.
+BalanceResult balance_sorted_greedy(const comm::Communicator& comm,
+                                    std::span<const Item> my_items,
+                                    std::span<const double> my_payloads,
+                                    int doubles_per_item) {
+  const int p = comm.size();
+  const int my_count = static_cast<int>(my_items.size());
+  const std::vector<int> ones(static_cast<std::size_t>(p), 1);
+  const std::vector<int> counts = comm.allgatherv<int>(
+      std::span<const int>(&my_count, 1), ones);
+  const std::vector<Item> all_items = comm.allgatherv<Item>(my_items, counts);
+
+  ItemLists lists(static_cast<std::size_t>(p));
+  std::size_t pos = 0;
+  for (int r = 0; r < p; ++r) {
+    const auto n = static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]);
+    lists[static_cast<std::size_t>(r)].assign(
+        all_items.begin() + static_cast<std::ptrdiff_t>(pos),
+        all_items.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    pos += n;
+  }
+  const DestLists dest = plan_sorted_greedy(lists);
+  // Bookkeeping cost: the whole plan is recomputed on every node.
+  comm.charge_flops(30.0 * static_cast<double>(all_items.size()));
+  return execute_migration(comm, my_items, my_payloads, doubles_per_item,
+                           dest[static_cast<std::size_t>(comm.rank())]);
+}
+
+/// Scheme 3 (Figure 6): iterative sorted pairwise exchange. Per iteration
+/// only the per-rank total loads travel globally; items move between
+/// sorted partners.
 BalanceResult balance_pairwise(const comm::Communicator& comm,
                                std::span<const Item> my_items,
                                std::span<const double> my_payloads,
@@ -51,28 +167,11 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
                                PairwiseOptions options) {
   const int p = comm.size();
   const int me = comm.rank();
-  AGCM_ASSERT(my_payloads.size() ==
-              my_items.size() * static_cast<std::size_t>(doubles_per_item));
-
-  BalanceResult result;
-  result.held_items.assign(my_items.begin(), my_items.end());
-  result.held_payloads.assign(my_payloads.begin(), my_payloads.end());
-  result.held_origins.resize(my_items.size());
-  for (std::size_t q = 0; q < my_items.size(); ++q)
-    result.held_origins[q] = {me, static_cast<int>(q)};
-
-  const std::vector<int> ones(static_cast<std::size_t>(p), 1);
+  BalanceResult result = hold_own(me, my_items, my_payloads, doubles_per_item);
 
   for (int iter = 0; iter <= options.max_iterations; ++iter) {
-    // Exchange only the total loads (one double per rank) — the cheap part
-    // of Scheme 3.
-    double my_load = 0.0;
-    for (const Item& item : result.held_items) my_load += item.weight;
-    const std::vector<double> loads = comm.allgatherv<double>(
-        std::span<const double>(&my_load, 1), ones);
-
+    const std::vector<double> loads = gather_loads(comm, result.held_items);
     const double imbalance = load_imbalance(loads);
-    result.imbalance_history.push_back(imbalance);
     if (iter == 0) result.imbalance_before = imbalance;
     result.imbalance_after = imbalance;
     if (trace::enabled()) {
@@ -99,87 +198,96 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
     comm.charge_flops(static_cast<double>(p) *
                       std::log2(std::max(2.0, static_cast<double>(p))));
 
-    int my_pos = -1;
-    for (int i = 0; i < p; ++i)
-      if (order[static_cast<std::size_t>(i)] == me) my_pos = i;
-    AGCM_ASSERT(my_pos >= 0);
+    const auto my_pos = static_cast<int>(
+        std::find(order.begin(), order.end(), me) - order.begin());
     const int partner_pos = p - 1 - my_pos;
-    if (partner_pos == my_pos) {
-      result.iterations = iter + 1;
-      continue;  // odd rank count: the median rank sits out
-    }
+    result.iterations = iter + 1;
+    if (partner_pos == my_pos) continue;  // odd rank count: the median sits out
     const int partner = order[static_cast<std::size_t>(partner_pos)];
-    const double gap = std::abs(loads[static_cast<std::size_t>(me)] -
-                                loads[static_cast<std::size_t>(partner)]);
-    const double heavier = std::max(loads[static_cast<std::size_t>(me)],
-                                    loads[static_cast<std::size_t>(partner)]);
-    const bool exchange_needed =
-        gap > options.tolerance * std::max(1.0e-300, heavier);
 
     if (my_pos < partner_pos) {
-      // I am the heavier side: pick and ship.
+      // I am the heavier side: pick and ship (possibly nothing).
+      const double mine = loads[static_cast<std::size_t>(me)];
+      const double gap = mine - loads[static_cast<std::size_t>(partner)];
       std::vector<std::size_t> picked;
-      if (exchange_needed)
-        picked = pick_held(result.held_items, gap / 2.0);
-      std::vector<Item> ship_items;
-      std::vector<Origin> ship_origins;
-      std::vector<double> ship_payloads;
-      std::vector<char> keep(result.held_items.size(), 1);
-      for (std::size_t q : picked) {
-        keep[q] = 0;
-        ship_items.push_back(result.held_items[q]);
-        ship_origins.push_back(result.held_origins[q]);
-        const auto off = q * static_cast<std::size_t>(doubles_per_item);
-        ship_payloads.insert(
-            ship_payloads.end(),
-            result.held_payloads.begin() + static_cast<std::ptrdiff_t>(off),
-            result.held_payloads.begin() +
-                static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                      doubles_per_item)));
+      if (gap > options.tolerance * std::max(1.0e-300, mine)) {
+        std::vector<double> weights;
+        for (const Item& item : result.held_items)
+          weights.push_back(item.weight);
+        picked = pick_heaviest(weights, gap / 2.0);
       }
       if (trace::enabled() && !picked.empty()) {
         trace::MetricsRegistry::instance().add(
             "lb.items_moved", me, static_cast<double>(picked.size()));
       }
-      comm.send<Item>(partner, kTagItems, ship_items);
-      comm.send<Origin>(partner, kTagOrigins, ship_origins);
-      comm.send<double>(partner, kTagPayloads, ship_payloads);
-      // Compact the kept items.
-      std::vector<Item> new_items;
-      std::vector<Origin> new_origins;
-      std::vector<double> new_payloads;
-      for (std::size_t q = 0; q < result.held_items.size(); ++q) {
-        if (!keep[q]) continue;
-        new_items.push_back(result.held_items[q]);
-        new_origins.push_back(result.held_origins[q]);
-        const auto off = q * static_cast<std::size_t>(doubles_per_item);
-        new_payloads.insert(
-            new_payloads.end(),
-            result.held_payloads.begin() + static_cast<std::ptrdiff_t>(off),
-            result.held_payloads.begin() +
-                static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                      doubles_per_item)));
-      }
-      result.held_items = std::move(new_items);
-      result.held_origins = std::move(new_origins);
-      result.held_payloads = std::move(new_payloads);
+      const BalanceResult ship = split_held(result, picked, doubles_per_item);
+      comm.send<Item>(partner, kTagItems, ship.held_items);
+      comm.send<Origin>(partner, kTagOrigins, ship.held_origins);
+      comm.send<double>(partner, kTagPayloads, ship.held_payloads);
     } else {
       // I am the lighter side: receive (possibly empty) shipments.
       const auto items = comm.recv_view<Item>(partner, kTagItems);
       const auto origins = comm.recv_view<Origin>(partner, kTagOrigins);
       const auto payloads = comm.recv_view<double>(partner, kTagPayloads);
-      AGCM_ASSERT(items.size() == origins.size());
-      AGCM_ASSERT(payloads.size() ==
-                  items.size() * static_cast<std::size_t>(doubles_per_item));
-      result.held_items.insert(result.held_items.end(), items.data(),
-                               items.data() + items.size());
-      result.held_origins.insert(result.held_origins.end(), origins.data(),
-                                 origins.data() + origins.size());
-      result.held_payloads.insert(result.held_payloads.end(), payloads.data(),
-                                  payloads.data() + payloads.size());
+      append_held(result, items, origins, payloads, doubles_per_item);
     }
-    result.iterations = iter + 1;
   }
+  return result;
+}
+
+}  // namespace
+
+BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
+                      std::span<const Item> my_items,
+                      std::span<const double> my_payloads,
+                      int doubles_per_item, PairwiseOptions options) {
+  switch (scheme) {
+    case Scheme::kCyclic:
+      return balance_cyclic(comm, my_items, my_payloads, doubles_per_item);
+    case Scheme::kSortedGreedy:
+      return balance_sorted_greedy(comm, my_items, my_payloads,
+                                   doubles_per_item);
+    case Scheme::kPairwise:
+      return balance_pairwise(comm, my_items, my_payloads, doubles_per_item,
+                              options);
+    case Scheme::kNone:
+      break;
+  }
+  throw ConfigError("lb::balance: scheme 'none' balances nothing");
+}
+
+BalanceResult execute_migration(const comm::Communicator& comm,
+                                std::span<const Item> my_items,
+                                std::span<const double> my_payloads,
+                                int doubles_per_item,
+                                std::span<const int> my_dest) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  AGCM_ASSERT(my_dest.size() == my_items.size());
+  BalanceResult result = hold_own(me, my_items, my_payloads, doubles_per_item);
+  result.imbalance_before =
+      load_imbalance(gather_loads(comm, result.held_items));
+
+  // Ship every item that leaves, grouped by destination; exchange the
+  // per-pair item counts, then the items, origins and payloads.
+  const RankGroups out = group_by_rank(p, my_dest.size(), [&](std::size_t q) {
+    AGCM_ASSERT(my_dest[q] >= 0 && my_dest[q] < p);
+    return my_dest[q] == me ? -1 : my_dest[q];
+  });
+  const BalanceResult ship = split_held(result, out.order, doubles_per_item);
+  const std::vector<int> ones(static_cast<std::size_t>(p), 1);
+  const std::vector<int> in = comm.alltoallv<int>(out.counts, ones, ones);
+  const auto items = comm.alltoallv<Item>(ship.held_items, out.counts, in);
+  const auto origins =
+      comm.alltoallv<Origin>(ship.held_origins, out.counts, in);
+  const auto payloads = comm.alltoallv<double>(
+      ship.held_payloads, scaled(out.counts, doubles_per_item),
+      scaled(in, doubles_per_item));
+  append_held(result, items, origins, payloads, doubles_per_item);
+
+  result.imbalance_after =
+      load_imbalance(gather_loads(comm, result.held_items));
+  result.iterations = 1;
   return result;
 }
 
@@ -189,69 +297,37 @@ std::vector<double> return_to_owners(const comm::Communicator& comm,
                                      int doubles_per_result,
                                      int my_item_count) {
   const int p = comm.size();
-  AGCM_ASSERT(held_results.size() ==
-              held.held_items.size() *
-                  static_cast<std::size_t>(doubles_per_result));
+  const auto dpr = static_cast<std::size_t>(doubles_per_result);
+  AGCM_ASSERT(held_results.size() == held.held_items.size() * dpr);
 
-  // Group held results by origin rank.
-  std::vector<std::vector<std::size_t>> by_owner(static_cast<std::size_t>(p));
-  for (std::size_t q = 0; q < held.held_origins.size(); ++q)
-    by_owner[static_cast<std::size_t>(held.held_origins[q].rank)].push_back(q);
-
-  std::vector<int> send_idx_counts(static_cast<std::size_t>(p), 0);
-  std::vector<int> send_data_counts(static_cast<std::size_t>(p), 0);
+  const RankGroups home =
+      group_by_rank(p, held.held_origins.size(), [&](std::size_t q) {
+        return held.held_origins[q].rank;
+      });
   std::vector<int> send_indices;
   std::vector<double> send_data;
-  for (int r = 0; r < p; ++r) {
-    for (std::size_t q : by_owner[static_cast<std::size_t>(r)]) {
-      send_indices.push_back(held.held_origins[q].index);
-      const auto off = q * static_cast<std::size_t>(doubles_per_result);
-      send_data.insert(
-          send_data.end(),
-          held_results.begin() + static_cast<std::ptrdiff_t>(off),
-          held_results.begin() +
-              static_cast<std::ptrdiff_t>(off + static_cast<std::size_t>(
-                                                    doubles_per_result)));
-    }
-    send_idx_counts[static_cast<std::size_t>(r)] =
-        static_cast<int>(by_owner[static_cast<std::size_t>(r)].size());
-    send_data_counts[static_cast<std::size_t>(r)] =
-        send_idx_counts[static_cast<std::size_t>(r)] * doubles_per_result;
+  for (std::size_t q : home.order) {
+    send_indices.push_back(held.held_origins[q].index);
+    send_data.insert(send_data.end(), held_results.data() + q * dpr,
+                     held_results.data() + (q + 1) * dpr);
   }
 
   // Every rank must know how many items come back from each peer: exchange
-  // the counts first (p ints), then the indices and the data.
+  // the counts first (one int per pair), then the indices and the data.
   const std::vector<int> ones(static_cast<std::size_t>(p), 1);
-  std::vector<int> flat_counts;
-  for (int r = 0; r < p; ++r)
-    flat_counts.push_back(send_idx_counts[static_cast<std::size_t>(r)]);
-  // alltoall of one int per pair:
-  std::vector<int> one_each(static_cast<std::size_t>(p), 1);
-  const std::vector<int> recv_idx_counts =
-      comm.alltoallv<int>(flat_counts, one_each, one_each);
-
-  std::vector<int> recv_data_counts(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r)
-    recv_data_counts[static_cast<std::size_t>(r)] =
-        recv_idx_counts[static_cast<std::size_t>(r)] * doubles_per_result;
-
+  const std::vector<int> in = comm.alltoallv<int>(home.counts, ones, ones);
   const std::vector<int> indices =
-      comm.alltoallv<int>(send_indices, send_idx_counts, recv_idx_counts);
+      comm.alltoallv<int>(send_indices, home.counts, in);
   const std::vector<double> data =
-      comm.alltoallv<double>(send_data, send_data_counts, recv_data_counts);
+      comm.alltoallv<double>(send_data, scaled(home.counts, doubles_per_result),
+                             scaled(in, doubles_per_result));
 
   AGCM_ASSERT(static_cast<int>(indices.size()) == my_item_count);
-  std::vector<double> out(static_cast<std::size_t>(my_item_count) *
-                          static_cast<std::size_t>(doubles_per_result));
+  std::vector<double> out(static_cast<std::size_t>(my_item_count) * dpr);
   for (std::size_t n = 0; n < indices.size(); ++n) {
     const auto idx = static_cast<std::size_t>(indices[n]);
     AGCM_ASSERT(idx < static_cast<std::size_t>(my_item_count));
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(
-                                 n * static_cast<std::size_t>(doubles_per_result)),
-              data.begin() + static_cast<std::ptrdiff_t>(
-                                 (n + 1) * static_cast<std::size_t>(doubles_per_result)),
-              out.begin() + static_cast<std::ptrdiff_t>(
-                                idx * static_cast<std::size_t>(doubles_per_result)));
+    std::copy_n(data.data() + n * dpr, dpr, out.data() + idx * dpr);
   }
   return out;
 }

@@ -1,11 +1,16 @@
-// Collective load balancing: moves real item payloads between ranks.
+// Collective load balancing: the executors that move real item payloads
+// between ranks, for all three schemes of schemes.hpp.
 //
-// balance_pairwise implements the paper's adopted Scheme 3 end-to-end, with
-// the communication structure of the original: per iteration, only the
-// per-rank *total loads* are exchanged globally (one double each); the
-// actual item movement is pairwise between sorted partners. Scheme 1 and 2
-// executors live in exchange.hpp (they need global item metadata — which is
-// exactly the bookkeeping overhead the paper criticises them for).
+// `balance` is the one entry point and the only place a scheme picks its
+// executor. Every executor works on one held set (BalanceResult's held_*
+// vectors): it gathers the per-rank loads of what it holds, picks with
+// pick_heaviest, splits what it ships from what it keeps and appends what it
+// receives. Scheme 3 (the paper's adopted one) exchanges only the per-rank
+// total loads globally (one double each) and moves items pairwise between
+// sorted partners. Schemes 1 and 2 are one personalised all-to-all
+// migration; Scheme 2 first allgathers every item's metadata, which is
+// exactly the bookkeeping overhead the paper criticises. Every message the
+// executors send is listed in docs/architecture.md.
 #pragma once
 
 #include <span>
@@ -31,17 +36,27 @@ struct BalanceResult {
   double imbalance_before = 0.0;      ///< (max-avg)/avg of estimated loads
   double imbalance_after = 0.0;
   int iterations = 0;
-  std::vector<double> imbalance_history;  ///< [0]=before, [i]=after iter i
 };
 
-/// Scheme 3 (iterative sorted pairwise exchange), collective. `my_items`
-/// carry the estimated weights; `my_payloads` holds doubles_per_item
-/// contiguous doubles per item.
-BalanceResult balance_pairwise(const comm::Communicator& comm,
-                               std::span<const Item> my_items,
-                               std::span<const double> my_payloads,
-                               int doubles_per_item,
-                               PairwiseOptions options = {});
+/// Balances `my_items` (with their estimated weights) collectively with
+/// `scheme`; `my_payloads` holds doubles_per_item contiguous doubles per
+/// item and travels with it. `options` applies to Scheme 3 only. Scheme
+/// kNone throws ConfigError: a caller that does not balance does not call
+/// this.
+BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
+                      std::span<const Item> my_items,
+                      std::span<const double> my_payloads,
+                      int doubles_per_item, PairwiseOptions options = {});
+
+/// Moves items to the destinations in `my_dest` (one destination per local
+/// item) with a single personalised all-to-all. Collective. The returned
+/// held set is ordered: kept items first (original order), then received
+/// items grouped by source rank.
+BalanceResult execute_migration(const comm::Communicator& comm,
+                                std::span<const Item> my_items,
+                                std::span<const double> my_payloads,
+                                int doubles_per_item,
+                                std::span<const int> my_dest);
 
 /// Routes per-item results back to the items' original owners. `held` and
 /// the BalanceResult must come from the same balancing call;

@@ -18,6 +18,28 @@ const char* scheme_name(Scheme scheme) {
   return "none";
 }
 
+std::vector<std::size_t> pick_heaviest(std::span<const double> weights,
+                                       double target) {
+  std::vector<std::size_t> order(weights.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return weights[a] != weights[b] ? weights[a] > weights[b] : a < b;
+  });
+  std::vector<std::size_t> picked;
+  double shipped = 0.0;
+  for (std::size_t q : order) {
+    if (shipped + weights[q] <= target) {
+      picked.push_back(q);
+      shipped += weights[q];
+    } else if (shipped + weights[q] - target < target - shipped) {
+      // Overshooting by less than the remaining gap: take it and stop.
+      picked.push_back(q);
+      break;
+    }
+  }
+  return picked;
+}
+
 namespace {
 
 /// Reference to one item inside an ItemLists structure.
@@ -26,37 +48,21 @@ struct ItemRef {
   std::size_t q;    ///< index within that rank's list
 };
 
-/// Greedy selection of items *currently assigned to* `holder` (wherever
-/// they originally lived) approximating `target` total weight. Items are
-/// considered heaviest-first; an item is taken while the shipped total
-/// stays at or below target (plus one closing item if it brings us strictly
-/// closer to the target).
+/// pick_heaviest over the items *currently assigned to* `holder` (wherever
+/// they originally lived), taken in (src, q) order.
 std::vector<ItemRef> pick_items(const ItemLists& items, const DestLists& dest,
                                 int holder, double target) {
   std::vector<ItemRef> candidates;
+  std::vector<double> weights;
   for (std::size_t r = 0; r < items.size(); ++r)
     for (std::size_t q = 0; q < items[r].size(); ++q)
-      if (dest[r][q] == holder) candidates.push_back({r, q});
-  std::sort(candidates.begin(), candidates.end(),
-            [&](const ItemRef& a, const ItemRef& b) {
-              const double wa = items[a.src][a.q].weight;
-              const double wb = items[b.src][b.q].weight;
-              if (wa != wb) return wa > wb;
-              return a.src != b.src ? a.src < b.src : a.q < b.q;
-            });
+      if (dest[r][q] == holder) {
+        candidates.push_back({r, q});
+        weights.push_back(items[r][q].weight);
+      }
   std::vector<ItemRef> picked;
-  double shipped = 0.0;
-  for (const ItemRef& ref : candidates) {
-    const double w = items[ref.src][ref.q].weight;
-    if (shipped + w <= target) {
-      picked.push_back(ref);
-      shipped += w;
-    } else if (shipped + w - target < target - shipped) {
-      // Overshooting by less than the remaining gap: take it and stop.
-      picked.push_back(ref);
-      break;
-    }
-  }
+  for (std::size_t n : pick_heaviest(weights, target))
+    picked.push_back(candidates[n]);
   return picked;
 }
 

@@ -3,9 +3,9 @@
 // All three are expressed here as *pure planners*: given every rank's work
 // items (id + estimated weight), produce each item's destination rank. The
 // planners are deterministic and run identically on every node from
-// allgathered weights (see planner.hpp for the collective wrapper), which
-// mirrors how the original schemes made global decisions from exchanged
-// load summaries.
+// allgathered weights (planner.hpp holds the collective executors that move
+// real payloads), which mirrors how the original schemes made global
+// decisions from exchanged load summaries.
 //
 //   Scheme 1 (Figure 4)  cyclic data shuffling: every processor splits its
 //       local items into N pieces and scatters them round-robin. Guarantees
@@ -52,6 +52,14 @@ using ItemLists = std::vector<std::vector<Item>>;
 
 /// Destination assignment: dest[r][q] is the new owner of items[r][q].
 using DestLists = std::vector<std::vector<int>>;
+
+/// Heaviest-first greedy pick approximating `target` total weight: the
+/// positions of `weights` in pick order, ties broken by lower position. An
+/// item is taken while the picked total stays at or below `target`, plus one
+/// closing item if it lands strictly closer to `target`. The one selection
+/// policy of Schemes 2 and 3, in the planners and in the executor.
+std::vector<std::size_t> pick_heaviest(std::span<const double> weights,
+                                       double target);
 
 /// Per-rank total loads implied by an assignment.
 std::vector<double> loads_after(const ItemLists& items, const DestLists& dest);

@@ -1,8 +1,7 @@
 #include "physics/physics.hpp"
 
-#include <cmath>
+#include <algorithm>
 
-#include "loadbalance/exchange.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
@@ -23,17 +22,30 @@ Physics::Physics(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
   payloads_.resize(ncols * 2 * static_cast<std::size_t>(grid.nlev()));
 }
 
-double Physics::run_one_column(std::uint64_t column_id, std::int64_t step,
-                               double time_sec, std::span<double> theta,
-                               std::span<double> q) const {
-  const int nlon = grid_->nlon();
-  const auto gi = static_cast<int>(column_id % static_cast<std::uint64_t>(nlon));
-  const auto gj = static_cast<int>(column_id / static_cast<std::uint64_t>(nlon));
-  const double lat = grid_->lat_center(gj);
-  const double lon = grid_->lon_center(gi);
-  const ColumnResult result = step_column(config_.column, column_id, step,
-                                          lat, lon, time_sec, theta, q);
-  return result.flops;
+void Physics::run_columns(std::span<const lb::Item> items,
+                          std::span<double> payloads, std::span<double> flops,
+                          const dynamics::State& state) {
+  auto& clock = mesh_->world().context().clock();
+  AGCM_TRACE_SPAN("physics.columns", mesh_->world().context());
+  const double t0 = clock.now();
+  const auto nlev = static_cast<std::size_t>(grid_->nlev());
+  const auto nlon = static_cast<std::uint64_t>(grid_->nlon());
+  double local_flops = 0.0;
+  for (std::size_t c = 0; c < items.size(); ++c) {
+    const std::uint64_t id = items[c].id;
+    const auto gi = static_cast<int>(id % nlon);
+    const auto gj = static_cast<int>(id / nlon);
+    double* p = payloads.data() + c * 2 * nlev;
+    flops[c] = step_column(config_.column, id, state.step,
+                           grid_->lat_center(gj), grid_->lon_center(gi),
+                           state.time_sec, std::span<double>(p, nlev),
+                           std::span<double>(p + nlev, nlev))
+                   .flops;
+    local_flops += flops[c];
+  }
+  clock.compute(local_flops);
+  timings_.local_flops = local_flops;
+  timings_.compute_sec = clock.now() - t0;
 }
 
 PhysicsStepStats Physics::step(dynamics::State& state) {
@@ -72,58 +84,33 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
                          sizeof(double));
   }
 
-  simnet::RankContext& ctx = mesh_->world().context();
-
   if (!config_.load_balance || config_.lb_scheme == lb::Scheme::kNone) {
-    // Straight local pass.
-    AGCM_TRACE_SPAN("physics.columns", ctx);
-    const double t0 = clock.now();
-    double local_flops = 0.0;
+    // Straight local pass: the measured costs are the next estimates.
+    run_columns(items, payloads, prev_cost_, state);
     std::size_t c = 0;
     for (int j = 0; j < box_.nj; ++j) {
       for (int i = 0; i < box_.ni; ++i, ++c) {
-        double* p = payloads.data() + c * static_cast<std::size_t>(per_item);
-        const double flops = run_one_column(
-            items[c].id, state.step, state.time_sec,
-            std::span<double>(p, static_cast<std::size_t>(nlev)),
-            std::span<double>(p + nlev, static_cast<std::size_t>(nlev)));
-        prev_cost_[c] = flops;
-        local_flops += flops;
+        const double* p =
+            payloads.data() + c * static_cast<std::size_t>(per_item);
         for (int k = 0; k < nlev; ++k) {
           state.theta(i, j, k) = p[k];
           state.q(i, j, k) = p[nlev + k];
         }
       }
     }
-    clock.compute(local_flops);
-    timings_.local_flops = local_flops;
-    timings_.compute_sec = clock.now() - t0;
     return stats;
   }
 
   // --- load-balanced pass (configured scheme) ----------------------------
-  // All three executors return the same BalanceResult shape, and
-  // return_to_owners below routes by held origins, so everything from the
-  // held-column compute on is scheme-agnostic.
+  // Every scheme returns the same held set, and return_to_owners routes by
+  // held origins, so everything after lb::balance is scheme-agnostic.
+  simnet::RankContext& ctx = mesh_->world().context();
   const double t_bal0 = clock.now();
   lb::BalanceResult balanced;
   {
     AGCM_TRACE_SPAN("physics.balance", ctx);
-    switch (config_.lb_scheme) {
-      case lb::Scheme::kCyclic:
-        balanced =
-            lb::balance_cyclic(mesh_->world(), items, payloads, per_item);
-        break;
-      case lb::Scheme::kSortedGreedy:
-        balanced = lb::balance_sorted_greedy(mesh_->world(), items, payloads,
-                                             per_item);
-        break;
-      case lb::Scheme::kNone:  // handled above; kept for -Wswitch
-      case lb::Scheme::kPairwise:
-        balanced = lb::balance_pairwise(mesh_->world(), items, payloads,
-                                        per_item, config_.lb_options);
-        break;
-    }
+    balanced = lb::balance(mesh_->world(), config_.lb_scheme, items, payloads,
+                           per_item, config_.lb_options);
   }
   stats.imbalance_before = balanced.imbalance_before;
   stats.imbalance_after = balanced.imbalance_after;
@@ -132,30 +119,18 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
 
   // Process the held columns; results carry the updated profiles plus the
   // measured cost (which becomes the owner's next estimate).
+  const std::size_t held = balanced.held_items.size();
+  std::vector<double> flops(held);
+  run_columns(balanced.held_items, balanced.held_payloads, flops, state);
   const int per_result = per_item + 1;
-  std::vector<double> results(balanced.held_items.size() *
-                              static_cast<std::size_t>(per_result));
-  const double t_comp0 = clock.now();
-  double local_flops = 0.0;
-  std::vector<double> held_payloads = balanced.held_payloads;
-  {
-    AGCM_TRACE_SPAN("physics.columns", ctx);
-    for (std::size_t c = 0; c < balanced.held_items.size(); ++c) {
-      double* p =
-          held_payloads.data() + c * static_cast<std::size_t>(per_item);
-      const double flops = run_one_column(
-          balanced.held_items[c].id, state.step, state.time_sec,
-          std::span<double>(p, static_cast<std::size_t>(nlev)),
-          std::span<double>(p + nlev, static_cast<std::size_t>(nlev)));
-      local_flops += flops;
-      double* r = results.data() + c * static_cast<std::size_t>(per_result);
-      for (int x = 0; x < per_item; ++x) r[x] = p[x];
-      r[per_item] = flops;
-    }
-    clock.compute(local_flops);
+  std::vector<double> results(held * static_cast<std::size_t>(per_result));
+  for (std::size_t c = 0; c < held; ++c) {
+    double* r = results.data() + c * static_cast<std::size_t>(per_result);
+    std::copy_n(balanced.held_payloads.data() +
+                    c * static_cast<std::size_t>(per_item),
+                per_item, r);
+    r[per_item] = flops[c];
   }
-  timings_.local_flops = local_flops;
-  timings_.compute_sec = clock.now() - t_comp0;
 
   // Route results home and write them back.
   const double t_ret0 = clock.now();

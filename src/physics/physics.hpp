@@ -1,5 +1,5 @@
 // AGCM/Physics driver: runs the column emulator over the local block, with
-// optional Scheme-3 load balancing of columns across all nodes.
+// optional load balancing of columns across all nodes (lb::balance).
 //
 // Load estimation follows the paper: "a timing on the previous pass of the
 // physics component was performed ... and the result was used as an
@@ -37,7 +37,6 @@ struct PhysicsStepStats {
   double imbalance_before = 0.0;  ///< estimated, from the previous pass
   double imbalance_after = 0.0;   ///< estimated, after migration
   int lb_iterations = 0;
-  double precipitation = 0.0;     ///< global total this step (collective)
 };
 
 class Physics {
@@ -58,10 +57,11 @@ class Physics {
   }
 
  private:
-  /// Runs one column in place on scratch profiles; returns measured flops.
-  double run_one_column(std::uint64_t column_id, std::int64_t step,
-                        double time_sec, std::span<double> theta,
-                        std::span<double> q) const;
+  /// Runs every column of `items` in place on its theta/q profiles in
+  /// `payloads`, stores each column's measured flops in `flops` and charges
+  /// their sum as this rank's compute. The one column loop of both paths.
+  void run_columns(std::span<const lb::Item> items, std::span<double> payloads,
+                   std::span<double> flops, const dynamics::State& state);
 
   const comm::Mesh2D* mesh_;
   const grid::Decomp2D* decomp_;

@@ -5,9 +5,9 @@
 // "where did the virtual time go", counters answer "how much traffic /
 // work flowed through a subsystem" — messages and bytes per rank from the
 // run's traffic ledgers (record_traffic), migrated items from
-// `loadbalance`, executed column flops from `physics`. Counters are keyed
-// by (metric name, rank) so cross-rank merges (totals, per-rank tables,
-// the paper's load_imbalance metric) fall out of one snapshot.
+// `loadbalance`. Counters are keyed by (metric name, rank) so cross-rank
+// merges (totals, per-rank tables, the paper's load_imbalance metric) fall
+// out of one snapshot.
 //
 // Thread model: rank threads record concurrently; every mutation takes one
 // process-wide mutex (correctness over micro-optimisation — recording is
