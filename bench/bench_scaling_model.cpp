@@ -47,7 +47,7 @@
 #include "comm/mesh2d.hpp"
 #include "dynamics/dynamics.hpp"
 #include "filter/variants.hpp"
-#include "loadbalance/schemes.hpp"
+#include "loadbalance/planner.hpp"
 #include "perfmodel/report.hpp"
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"

@@ -8,11 +8,12 @@
 // physics computing load" — and Scheme 3 (sorted pairwise exchange) is then
 // applied twice, evaluating the resulting distribution "without actually
 // moving the data arrays around".
+#include <algorithm>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "comm/mesh2d.hpp"
-#include "loadbalance/schemes.hpp"
+#include "loadbalance/planner.hpp"
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"
 #include "util/stats.hpp"
@@ -80,23 +81,16 @@ void run_table(const PaperTable& spec) {
   options.tolerance = 0.02;
   const lb::PairwiseResult result = lb::plan_pairwise(items, options);
 
-  // Reconstruct per-stage distributions to report max/min like the paper.
-  // Stage 0 = original; stages 1..2 come from replaying the planner with
-  // fewer iterations.
+  // Stage 0 = original loads; stages 1..2 are the loads after each round
+  // (a run that stops early repeats its last loads).
   Table table(spec.title,
               {"Code status", "Max load s (paper/meas)",
                "Min load s (paper/meas)", "% imbalance (paper/meas)"});
   const char* labels[3] = {"Before load-balancing", "After first iteration",
                            "After second iteration"};
-  for (int stage = 0; stage < 3; ++stage) {
-    std::vector<double> loads;
-    if (stage == 0) {
-      loads = lb::loads_of(items);
-    } else {
-      lb::PairwiseOptions staged = options;
-      staged.max_iterations = stage;
-      loads = lb::loads_after(items, lb::plan_pairwise(items, staged).dest);
-    }
+  for (std::size_t stage = 0; stage < 3; ++stage) {
+    const std::vector<double>& loads =
+        result.loads[std::min(stage, result.loads.size() - 1)];
     table.add_row(
         {labels[stage],
          Table::paper_vs(spec.rows[stage][0], max_value(loads), 2),
@@ -105,7 +99,6 @@ void run_table(const PaperTable& spec) {
              Table::pct(load_imbalance(loads), 1)});
   }
   bench::emit_table(table);
-  (void)result;
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "trace/metrics.hpp"
 #include "trace/tracer.hpp"
@@ -31,12 +30,17 @@ BalanceResult hold_own(int me, std::span<const Item> items,
   return held;
 }
 
-/// Every rank's total held load, each summed in held order: one allgatherv
-/// of one double per rank.
+/// The total weight of `held`, summed in held order.
+double held_load(std::span<const Item> held) {
+  double load = 0.0;
+  for (const Item& item : held) load += item.weight;
+  return load;
+}
+
+/// Every rank's total held load: one allgatherv of one double per rank.
 std::vector<double> gather_loads(const comm::Communicator& comm,
                                  std::span<const Item> held) {
-  double my_load = 0.0;
-  for (const Item& item : held) my_load += item.weight;
+  const double my_load = held_load(held);
   const std::vector<int> ones(static_cast<std::size_t>(comm.size()), 1);
   return comm.allgatherv<double>(std::span<const double>(&my_load, 1), ones);
 }
@@ -183,53 +187,35 @@ BalanceResult balance_pairwise(const comm::Communicator& comm,
                                                    imbalance);
       trace::MetricsRegistry::instance().observe("lb.imbalance", imbalance);
     }
-    if (iter == options.max_iterations) break;
-    if (imbalance <= options.tolerance) break;
+    if (options.stops(iter, imbalance)) break;
 
-    // Sort ranks by load (descending); pair position i with position
-    // p-1-i. Deterministic, computed identically everywhere.
-    std::vector<int> order(static_cast<std::size_t>(p));
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double la = loads[static_cast<std::size_t>(a)];
-      const double lb = loads[static_cast<std::size_t>(b)];
-      return la != lb ? la > lb : a < b;
-    });
+    // Every rank derives the same pairs from the gathered loads and acts on
+    // the one it is in; the median of an odd rank count is in none.
     comm.charge_flops(static_cast<double>(p) *
                       std::log2(std::max(2.0, static_cast<double>(p))));
-
-    const auto my_pos = static_cast<int>(
-        std::find(order.begin(), order.end(), me) - order.begin());
-    const int partner_pos = p - 1 - my_pos;
     result.iterations = iter + 1;
-    if (partner_pos == my_pos) continue;  // odd rank count: the median sits out
-    const int partner = order[static_cast<std::size_t>(partner_pos)];
-
-    if (my_pos < partner_pos) {
-      // I am the heavier side: pick and ship (possibly nothing).
-      const double mine = loads[static_cast<std::size_t>(me)];
-      const double gap = mine - loads[static_cast<std::size_t>(partner)];
-      std::vector<std::size_t> picked;
-      if (gap > options.tolerance * std::max(1.0e-300, mine)) {
-        std::vector<double> weights;
-        for (const Item& item : result.held_items)
-          weights.push_back(item.weight);
-        picked = pick_heaviest(weights, gap / 2.0);
+    for (const RankPair& pair : sorted_pairs(loads)) {
+      if (pair.heavy == me) {
+        // The heavier side: pick and ship (possibly nothing).
+        const BalanceResult ship = split_held(
+            result,
+            pick_pair_share(result.held_items, loads, pair, options.tolerance),
+            doubles_per_item);
+        if (trace::enabled() && !ship.held_items.empty()) {
+          trace::MetricsRegistry::instance().add(
+              "lb.items_moved", me,
+              static_cast<double>(ship.held_items.size()));
+        }
+        comm.send<Item>(pair.light, kTagItems, ship.held_items);
+        comm.send<Origin>(pair.light, kTagOrigins, ship.held_origins);
+        comm.send<double>(pair.light, kTagPayloads, ship.held_payloads);
+      } else if (pair.light == me) {
+        // The lighter side: receive (possibly empty) shipments.
+        const auto items = comm.recv_view<Item>(pair.heavy, kTagItems);
+        const auto origins = comm.recv_view<Origin>(pair.heavy, kTagOrigins);
+        const auto payloads = comm.recv_view<double>(pair.heavy, kTagPayloads);
+        append_held(result, items, origins, payloads, doubles_per_item);
       }
-      if (trace::enabled() && !picked.empty()) {
-        trace::MetricsRegistry::instance().add(
-            "lb.items_moved", me, static_cast<double>(picked.size()));
-      }
-      const BalanceResult ship = split_held(result, picked, doubles_per_item);
-      comm.send<Item>(partner, kTagItems, ship.held_items);
-      comm.send<Origin>(partner, kTagOrigins, ship.held_origins);
-      comm.send<double>(partner, kTagPayloads, ship.held_payloads);
-    } else {
-      // I am the lighter side: receive (possibly empty) shipments.
-      const auto items = comm.recv_view<Item>(partner, kTagItems);
-      const auto origins = comm.recv_view<Origin>(partner, kTagOrigins);
-      const auto payloads = comm.recv_view<double>(partner, kTagPayloads);
-      append_held(result, items, origins, payloads, doubles_per_item);
     }
   }
   return result;
@@ -254,6 +240,35 @@ BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
       break;
   }
   throw ConfigError("lb::balance: scheme 'none' balances nothing");
+}
+
+PairwiseResult plan_pairwise(const ItemLists& items,
+                             PairwiseOptions options) {
+  PairwiseResult result;
+  std::vector<BalanceResult> held;
+  for (std::size_t r = 0; r < items.size(); ++r) {
+    held.push_back(hold_own(static_cast<int>(r), items[r], {}, 0));
+    result.dest.emplace_back(items[r].size());
+  }
+  for (int iter = 0;; ++iter) {
+    std::vector<double>& loads = result.loads.emplace_back();
+    for (const auto& h : held) loads.push_back(held_load(h.held_items));
+    if (options.stops(iter, load_imbalance(loads))) break;
+    result.iterations = iter + 1;
+    for (const RankPair& pair : sorted_pairs(loads)) {
+      BalanceResult& from = held[static_cast<std::size_t>(pair.heavy)];
+      const BalanceResult ship = split_held(
+          from,
+          pick_pair_share(from.held_items, loads, pair, options.tolerance), 0);
+      append_held(held[static_cast<std::size_t>(pair.light)], ship.held_items,
+                  ship.held_origins, {}, 0);
+    }
+  }
+  for (std::size_t r = 0; r < held.size(); ++r)
+    for (const Origin& o : held[r].held_origins)
+      result.dest[static_cast<std::size_t>(o.rank)]
+                 [static_cast<std::size_t>(o.index)] = static_cast<int>(r);
+  return result;
 }
 
 BalanceResult execute_migration(const comm::Communicator& comm,

@@ -1,16 +1,15 @@
 // Collective load balancing: the executors that move real item payloads
-// between ranks, for all three schemes of schemes.hpp.
+// between ranks for the three schemes of schemes.hpp, and plan_pairwise,
+// Scheme 3's executor run as a dry run for all ranks in one process.
 //
 // `balance` is the one entry point and the only place a scheme picks its
 // executor. Every executor works on one held set (BalanceResult's held_*
 // vectors): it gathers the per-rank loads of what it holds, picks with
-// pick_heaviest, splits what it ships from what it keeps and appends what it
-// receives. Scheme 3 (the paper's adopted one) exchanges only the per-rank
-// total loads globally (one double each) and moves items pairwise between
-// sorted partners. Schemes 1 and 2 are one personalised all-to-all
-// migration; Scheme 2 first allgathers every item's metadata, which is
-// exactly the bookkeeping overhead the paper criticises. Every message the
-// executors send is listed in docs/architecture.md.
+// pick_heaviest, splits what it ships from what it keeps and appends what
+// it receives. Scheme 3 gathers one double per rank a round and moves items
+// between sorted partners. Schemes 1 and 2 are one personalised all-to-all
+// migration; Scheme 2 first allgathers every item's metadata, the
+// bookkeeping the paper criticises. docs/architecture.md lists every message.
 #pragma once
 
 #include <span>
@@ -47,6 +46,18 @@ BalanceResult balance(const comm::Communicator& comm, Scheme scheme,
                       std::span<const Item> my_items,
                       std::span<const double> my_payloads,
                       int doubles_per_item, PairwiseOptions options = {});
+
+/// Scheme 3's dry run: the executor's rounds for all ranks in one process,
+/// without payloads or messages. dest[r][q] is the final owner of
+/// items[r][q]; loads[i] is every rank's load (summed in held order) after
+/// i rounds, so loads.size() == iterations + 1.
+struct PairwiseResult {
+  DestLists dest;
+  int iterations = 0;  ///< rounds performed
+  std::vector<std::vector<double>> loads;
+};
+PairwiseResult plan_pairwise(const ItemLists& items,
+                             PairwiseOptions options = {});
 
 /// Moves items to the destinations in `my_dest` (one destination per local
 /// item) with a single personalised all-to-all. Collective. The returned

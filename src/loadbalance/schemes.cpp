@@ -40,34 +40,6 @@ std::vector<std::size_t> pick_heaviest(std::span<const double> weights,
   return picked;
 }
 
-namespace {
-
-/// Reference to one item inside an ItemLists structure.
-struct ItemRef {
-  std::size_t src;  ///< original owner rank
-  std::size_t q;    ///< index within that rank's list
-};
-
-/// pick_heaviest over the items *currently assigned to* `holder` (wherever
-/// they originally lived), taken in (src, q) order.
-std::vector<ItemRef> pick_items(const ItemLists& items, const DestLists& dest,
-                                int holder, double target) {
-  std::vector<ItemRef> candidates;
-  std::vector<double> weights;
-  for (std::size_t r = 0; r < items.size(); ++r)
-    for (std::size_t q = 0; q < items[r].size(); ++q)
-      if (dest[r][q] == holder) {
-        candidates.push_back({r, q});
-        weights.push_back(items[r][q].weight);
-      }
-  std::vector<ItemRef> picked;
-  for (std::size_t n : pick_heaviest(weights, target))
-    picked.push_back(candidates[n]);
-  return picked;
-}
-
-}  // namespace
-
 std::vector<double> loads_of(const ItemLists& items) {
   std::vector<double> loads(items.size(), 0.0);
   for (std::size_t r = 0; r < items.size(); ++r)
@@ -90,6 +62,34 @@ std::vector<double> loads_after(const ItemLists& items,
   return loads;
 }
 
+std::vector<int> ranks_by_load(std::span<const double> loads) {
+  std::vector<int> order(loads.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return loads[a] != loads[b] ? loads[a] > loads[b] : a < b;
+  });
+  return order;
+}
+
+std::vector<RankPair> sorted_pairs(std::span<const double> loads) {
+  const std::vector<int> order = ranks_by_load(loads);
+  std::vector<RankPair> pairs;
+  for (std::size_t i = 0; i < order.size() / 2; ++i)
+    pairs.push_back({order[i], order[order.size() - 1 - i]});
+  return pairs;
+}
+
+std::vector<std::size_t> pick_pair_share(std::span<const Item> held,
+                                         std::span<const double> loads,
+                                         RankPair pair, double tolerance) {
+  const double mine = loads[static_cast<std::size_t>(pair.heavy)];
+  const double gap = mine - loads[static_cast<std::size_t>(pair.light)];
+  if (gap <= tolerance * std::max(1.0e-300, mine)) return {};
+  std::vector<double> weights;
+  for (const Item& item : held) weights.push_back(item.weight);
+  return pick_heaviest(weights, gap / 2.0);
+}
+
 DestLists plan_cyclic(const ItemLists& items) {
   const int p = static_cast<int>(items.size());
   DestLists dest(items.size());
@@ -105,29 +105,21 @@ DestLists plan_cyclic(const ItemLists& items) {
 }
 
 DestLists plan_sorted_greedy(const ItemLists& items) {
-  const int p = static_cast<int>(items.size());
   DestLists dest(items.size());
   for (std::size_t r = 0; r < items.size(); ++r)
     dest[r].assign(items[r].size(), static_cast<int>(r));
 
-  std::vector<double> loads = loads_of(items);
-  const double avg = mean(loads);
+  std::vector<double> current = loads_of(items);
+  const double avg = mean(current);
 
   // "All the nodes are then assigned a new node id through a sorting of all
   // local loads" (Figure 5B). Surpluses flow from the most overloaded rank
   // to the most underloaded ones, each transfer sized to fill the
   // receiver's deficit (or exhaust the sender's surplus).
-  std::vector<int> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return loads[static_cast<std::size_t>(a)] != loads[static_cast<std::size_t>(b)]
-               ? loads[static_cast<std::size_t>(a)] > loads[static_cast<std::size_t>(b)]
-               : a < b;
-  });
+  const std::vector<int> order = ranks_by_load(current);
 
   int hi = 0;
-  int lo = p - 1;
-  std::vector<double> current = loads;
+  int lo = static_cast<int>(items.size()) - 1;
   const double eps = 1.0e-12 * std::max(1.0, avg);
   while (hi < lo) {
     const auto heavy = static_cast<std::size_t>(order[static_cast<std::size_t>(hi)]);
@@ -143,12 +135,20 @@ DestLists plan_sorted_greedy(const ItemLists& items) {
       continue;
     }
     const double amount = std::min(surplus, deficit);
-    const auto picked =
-        pick_items(items, dest, static_cast<int>(heavy), amount);
+    // pick_heaviest over what `heavy` now holds, in (src, q) order.
+    std::vector<std::pair<std::size_t, std::size_t>> held;
+    std::vector<double> weights;
+    for (std::size_t r = 0; r < items.size(); ++r)
+      for (std::size_t q = 0; q < items[r].size(); ++q)
+        if (dest[r][q] == static_cast<int>(heavy)) {
+          held.emplace_back(r, q);
+          weights.push_back(items[r][q].weight);
+        }
     double moved = 0.0;
-    for (const auto& ref : picked) {
-      dest[ref.src][ref.q] = static_cast<int>(light);
-      moved += items[ref.src][ref.q].weight;
+    for (std::size_t n : pick_heaviest(weights, amount)) {
+      const auto [r, q] = held[n];
+      dest[r][q] = static_cast<int>(light);
+      moved += items[r][q].weight;
     }
     current[heavy] -= moved;
     current[light] += moved;
@@ -164,57 +164,6 @@ DestLists plan_sorted_greedy(const ItemLists& items) {
     if (current[light] >= avg - eps) --lo;
   }
   return dest;
-}
-
-PairwiseResult plan_pairwise(const ItemLists& items,
-                             PairwiseOptions options) {
-  const int p = static_cast<int>(items.size());
-  PairwiseResult result;
-  result.dest.resize(items.size());
-  for (std::size_t r = 0; r < items.size(); ++r)
-    result.dest[r].assign(items[r].size(), static_cast<int>(r));
-
-  std::vector<double> current = loads_of(items);
-  result.imbalance_history.push_back(load_imbalance(current));
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // "The data load is sorted and a rank is assigned to each processor...
-    // a pairwise data exchange between processors with rank i and rank
-    // N - i + 1 is initiated" (Figure 6).
-    std::vector<int> order(items.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return current[static_cast<std::size_t>(a)] != current[static_cast<std::size_t>(b)]
-                 ? current[static_cast<std::size_t>(a)] > current[static_cast<std::size_t>(b)]
-                 : a < b;
-    });
-
-    bool any_move = false;
-    for (int i = 0; i < p / 2; ++i) {
-      const auto heavy = static_cast<std::size_t>(order[static_cast<std::size_t>(i)]);
-      const auto light =
-          static_cast<std::size_t>(order[static_cast<std::size_t>(p - 1 - i)]);
-      const double gap = current[heavy] - current[light];
-      // "A pairwise data exchange is only needed when the load difference
-      // in the pair of nodes exceeds some tolerance."
-      if (gap <= options.tolerance * std::max(1.0e-300, current[heavy]))
-        continue;
-      const auto picked =
-          pick_items(items, result.dest, static_cast<int>(heavy), gap / 2.0);
-      double moved = 0.0;
-      for (const auto& ref : picked) {
-        result.dest[ref.src][ref.q] = static_cast<int>(light);
-        moved += items[ref.src][ref.q].weight;
-      }
-      current[heavy] -= moved;
-      current[light] += moved;
-      if (moved > 0.0) any_move = true;
-    }
-    result.iterations = iter + 1;
-    result.imbalance_history.push_back(load_imbalance(current));
-    if (!any_move) break;
-  }
-  return result;
 }
 
 }  // namespace agcm::lb

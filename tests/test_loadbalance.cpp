@@ -1,7 +1,7 @@
-// Tests for the load-balancing library: the three pure planners (invariant
-// properties swept over random load distributions) and the collective
-// executors, including the result-return round trip, each scheme's message
-// schedule and the executor's agreement with the Scheme-3 planner.
+// Tests for the load-balancing library: the planners (invariant properties
+// swept over random load distributions) and the collective executors,
+// including the result-return round trip, each scheme's message schedule
+// and the Scheme-3 executor's agreement with its dry run, plan_pairwise.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,13 +82,18 @@ TEST_P(PlannerSweep, PairwiseImbalanceNonIncreasingPerIteration) {
   PairwiseOptions options;
   options.max_iterations = 4;
   const auto result = plan_pairwise(items, options);
-  for (std::size_t i = 1; i < result.imbalance_history.size(); ++i)
-    EXPECT_LE(result.imbalance_history[i],
-              result.imbalance_history[i - 1] + 0.02);
+  ASSERT_EQ(result.loads.size(),
+            static_cast<std::size_t>(result.iterations) + 1);
+  const auto after = loads_after(items, result.dest);
+  for (std::size_t r = 0; r < after.size(); ++r)
+    EXPECT_NEAR(result.loads.back()[r], after[r], 1e-9 * after[r]);
+  for (std::size_t i = 1; i < result.loads.size(); ++i)
+    EXPECT_LE(load_imbalance(result.loads[i]),
+              load_imbalance(result.loads[i - 1]) + 0.02);
   // With fine-grained items, two iterations should reach the low teens at
   // worst — the paper's Tables 1-3 land at 5-12.5% on real loads.
-  if (result.imbalance_history.size() >= 3) {
-    EXPECT_LT(result.imbalance_history[2], 0.16);
+  if (result.loads.size() >= 3) {
+    EXPECT_LT(load_imbalance(result.loads[2]), 0.16);
   }
 }
 
@@ -107,30 +112,33 @@ TEST_P(PlannerSweep, CyclicBalancesUniformItems) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, PlannerSweep,
                          ::testing::Values(1, 2, 3, 4, 8, 13, 16, 32, 64));
 
-TEST(Planners, PaperFigure5Example) {
-  // Loads 65, 24, 38, 15 (Figure 5A). Build one coarse item per unit.
+/// Figure 5/6's loads 65, 24, 38, 15 as one unit-weight item per unit, so
+/// every pick is among tied weights.
+ItemLists figure5_items() {
   ItemLists items(4);
-  const double loads[] = {65, 24, 38, 15};
+  const int loads[] = {65, 24, 38, 15};
   std::uint64_t id = 0;
-  for (int r = 0; r < 4; ++r)
-    for (int u = 0; u < static_cast<int>(loads[r]); ++u)
-      items[static_cast<std::size_t>(r)].push_back({id++, 1.0});
+  for (std::size_t r = 0; r < 4; ++r)
+    for (int u = 0; u < loads[r]; ++u) items[r].push_back({id++, 1.0});
+  return items;
+}
+
+TEST(Planners, PaperFigure5Example) {
   // avg = 35.5; greedy should land everyone within one unit of it.
+  const ItemLists items = figure5_items();
   const auto after = loads_after(items, plan_sorted_greedy(items));
   for (double l : after) EXPECT_NEAR(l, 35.5, 1.0);
 }
 
 TEST(Planners, PaperFigure6PairwiseTwoRounds) {
-  // Same initial distribution; scheme 3 with 2 iterations should reach a
-  // small imbalance, like Figure 6D (36, 35, 35, 36).
-  ItemLists items(4);
-  const double loads[] = {65, 24, 38, 15};
-  std::uint64_t id = 0;
-  for (int r = 0; r < 4; ++r)
-    for (int u = 0; u < static_cast<int>(loads[r]); ++u)
-      items[static_cast<std::size_t>(r)].push_back({id++, 1.0});
-  const auto result = plan_pairwise(items);
-  EXPECT_LE(result.imbalance_history.back(), 0.05);
+  // Same initial distribution; two rounds of scheme 3 reach Figure 6D's
+  // (36, 35, 35, 36), within the 2% tolerance, so a third never starts.
+  const auto result = plan_pairwise(figure5_items());
+  EXPECT_EQ(result.iterations, 2);
+  EXPECT_EQ(result.loads.back(), (std::vector<double>{36, 35, 35, 36}));
+  PairwiseOptions options;
+  options.max_iterations = 3;
+  EXPECT_EQ(plan_pairwise(figure5_items(), options).iterations, 2);
 }
 
 TEST(Planners, EmptyRanksAreHandled) {
@@ -398,71 +406,97 @@ std::vector<Item> distinct_items(int p, int r) {
   return items;
 }
 
-/// The ids some rank holds after balance(kPairwise) with `rounds`
-/// iterations although plan_pairwise puts them on another rank, sorted;
-/// `iterations` receives the executor's iteration count.
-std::vector<std::uint64_t> held_elsewhere(int p, int rounds, int& iterations) {
-  ItemLists lists;
-  for (int r = 0; r < p; ++r) lists.push_back(distinct_items(p, r));
+/// plan_pairwise and balance(kPairwise) run on the same items.
+struct Agreement {
+  /// Ids some rank holds after the executor although the planner puts them
+  /// on another rank, sorted.
+  std::vector<std::uint64_t> held_elsewhere;
+  int planner_iterations = 0;
+  int executor_iterations = 0;
+  std::vector<double> planner_loads;   ///< the planner's final loads
+  std::vector<double> executor_loads;  ///< each rank's held load
+};
+
+Agreement run_both(const ItemLists& lists, int rounds) {
+  const int p = static_cast<int>(lists.size());
   PairwiseOptions options;
   options.max_iterations = rounds;
-  const DestLists dest = plan_pairwise(lists, options).dest;
+  const PairwiseResult plan = plan_pairwise(lists, options);
   std::map<std::uint64_t, int> planned;
+  double items = 0.0;
   for (std::size_t r = 0; r < lists.size(); ++r)
-    for (std::size_t q = 0; q < lists[r].size(); ++q)
-      planned[lists[r][q].id] = dest[r][q];
-  std::vector<std::vector<std::uint64_t>> elsewhere(
-      static_cast<std::size_t>(p));
+    for (std::size_t q = 0; q < lists[r].size(); ++q) {
+      planned[lists[r][q].id] = plan.dest[r][q];
+      items += 1.0;
+    }
+  Agreement both;
+  both.planner_iterations = plan.iterations;
+  both.planner_loads = plan.loads.back();
+  both.executor_loads.assign(lists.size(), 0.0);
+  std::vector<std::vector<std::uint64_t>> elsewhere(lists.size());
   Machine machine(MachineProfile::intel_paragon());
   machine.set_recv_timeout_ms(60'000);
   machine.run(p, [&](RankContext& ctx) {
     Communicator comm(ctx);
-    const auto& mine = lists[static_cast<std::size_t>(comm.rank())];
-    const std::vector<double> payloads(mine.size());
+    const auto me = static_cast<std::size_t>(comm.rank());
+    const std::vector<double> payloads(lists[me].size());
     const BalanceResult held =
-        balance(comm, Scheme::kPairwise, mine, payloads, 1, options);
-    for (const Item& item : held.held_items)
+        balance(comm, Scheme::kPairwise, lists[me], payloads, 1, options);
+    for (const Item& item : held.held_items) {
       if (planned.at(item.id) != comm.rank())
-        elsewhere[static_cast<std::size_t>(comm.rank())].push_back(item.id);
+        elsewhere[me].push_back(item.id);
+      both.executor_loads[me] += item.weight;
+    }
     EXPECT_EQ(comm.allreduce_sum(static_cast<double>(held.held_items.size())),
-              40.0 * p);
-    if (comm.rank() == 0) iterations = held.iterations;
+              items);
+    if (me == 0) both.executor_iterations = held.iterations;
   });
-  std::vector<std::uint64_t> ids;
   for (const auto& list : elsewhere)
-    ids.insert(ids.end(), list.begin(), list.end());
-  std::sort(ids.begin(), ids.end());
-  return ids;
+    both.held_elsewhere.insert(both.held_elsewhere.end(), list.begin(),
+                               list.end());
+  std::sort(both.held_elsewhere.begin(), both.held_elsewhere.end());
+  return both;
 }
 
-class PlannerAgreement : public ::testing::TestWithParam<int> {};
+class PlannerAgreement
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(PlannerAgreement, OneRoundHoldsExactlyThePlannedItems) {
+TEST_P(PlannerAgreement, ExecutorHoldsThePlannedItems) {
   // Every item is held once, so no id held elsewhere means every rank
-  // holds exactly the ids plan_pairwise assigns to it.
-  int iterations = 0;
-  EXPECT_EQ(held_elsewhere(GetParam(), 1, iterations),
-            std::vector<std::uint64_t>{});
-  EXPECT_EQ(iterations, 1);
+  // holds exactly the ids plan_pairwise assigns to it. Both stop on the
+  // same rule: at P=6 the 1.7% left after round 1 is within tolerance.
+  const auto [p, rounds] = GetParam();
+  ItemLists lists;
+  for (int r = 0; r < p; ++r) lists.push_back(distinct_items(p, r));
+  const Agreement both = run_both(lists, rounds);
+  EXPECT_EQ(both.held_elsewhere, std::vector<std::uint64_t>{});
+  EXPECT_EQ(both.executor_iterations, both.planner_iterations);
+  EXPECT_EQ(both.executor_loads, both.planner_loads);
 }
 
-TEST(PlannerAgreement, PlannerAndExecutorPartFromRoundTwo) {
-  // Their stopping rules differ: the executor stops once the global
-  // (max-avg)/avg is within tolerance; the planner keeps pairing and skips
-  // only pairs whose gap is within tolerance of the heavier load. At P=6
-  // the executor stops at 1.7% after one round while the planner's second
-  // round still moves items 3003 and 4004 (EXPERIMENTS.md).
-  int iterations = 0;
-  EXPECT_EQ(held_elsewhere(6, 2, iterations),
-            (std::vector<std::uint64_t>{3003, 4004}));
-  EXPECT_EQ(iterations, 1);
-  EXPECT_EQ(held_elsewhere(16, 3, iterations),
-            std::vector<std::uint64_t>{15037});
-  EXPECT_EQ(iterations, 2);
-}
+INSTANTIATE_TEST_SUITE_P(
+    RankCountsAndRounds, PlannerAgreement,
+    ::testing::Combine(::testing::Values(2, 6, 8, 16),
+                       ::testing::Values(1, 2, 3)),
+    [](const auto& info) {
+      return "P" + std::to_string(std::get<0>(info.param)) + "_r" +
+             std::to_string(std::get<1>(info.param));
+    });
 
-INSTANTIATE_TEST_SUITE_P(RankCounts, PlannerAgreement,
-                         ::testing::Values(2, 6, 8, 16));
+TEST(PlannerAgreement, TiedWeightsPickTheSameItems) {
+  // Figure 5/6's unit items: every pick is among equal weights, so the two
+  // hold the same ids only if they pick in the same (held) order.
+  for (int rounds : {1, 2, 3}) {
+    const Agreement both = run_both(figure5_items(), rounds);
+    EXPECT_EQ(both.held_elsewhere, std::vector<std::uint64_t>{})
+        << rounds << " rounds";
+    EXPECT_EQ(both.executor_iterations, both.planner_iterations);
+    EXPECT_EQ(both.executor_loads, both.planner_loads);
+    if (rounds >= 2) {
+      EXPECT_EQ(both.executor_loads, (std::vector<double>{36, 35, 35, 36}));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace agcm::lb
