@@ -84,8 +84,12 @@ RunSpec run_spec_from(const io::Config& config) {
   model.physics_load_balance = model.lb_scheme != lb::Scheme::kNone;
   model.lb_options.max_iterations =
       config.get_int("lb_max_iterations", model.lb_options.max_iterations);
+  check_config(model.lb_options.max_iterations >= 0,
+               "lb_max_iterations must be >= 0");
   model.lb_options.tolerance =
       config.get_double("lb_tolerance", model.lb_options.tolerance);
+  check_config(model.lb_options.tolerance >= 0.0,
+               "lb_tolerance must be >= 0");
   model.physics_regime = parse_physics_regime(
       config.get_string("physics_regime", "equinox"));
   model.optimized_advection = config.get_bool("optimized_advection", false);
@@ -94,6 +98,7 @@ RunSpec run_spec_from(const io::Config& config) {
     model.simnet_backend =
         parse_sim_backend(config.require_string("simnet_backend"));
   model.simnet_workers = config.get_int("simnet_workers", 0);
+  check_config(model.simnet_workers >= 0, "simnet_workers must be >= 0");
   spec.steps = config.get_int("steps", 4);
   spec.warmup_steps = config.get_int("warmup_steps", 1);
 

@@ -39,7 +39,9 @@ simnet::SimBackend parse_sim_backend(const std::string& name);
 
 /// Builds a RunSpec from a parsed config. Does not check unused_keys():
 /// callers reject typos themselves (io::Config::reject_unused_keys) after
-/// reading any extra keys of their own.
+/// reading any extra keys of their own. Throws ConfigError, naming the key,
+/// when lb_max_iterations, lb_tolerance or simnet_workers is negative (0 is
+/// valid for each).
 RunSpec run_spec_from(const io::Config& config);
 
 /// Convenience: from_file + run_spec_from.

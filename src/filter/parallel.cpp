@@ -44,14 +44,6 @@ void PolarFilter::apply(std::span<grid::Array3D<double>* const> fields) {
   apply_impl(fields);
 }
 
-std::vector<int> PolarFilter::local_rows(int v) const {
-  std::vector<int> out;
-  for (int j : bank_->rows(v)) {
-    if (j >= box_.j0 && j < box_.j0 + box_.nj) out.push_back(j);
-  }
-  return out;
-}
-
 std::vector<LineKey> PolarFilter::local_lines() const {
   // Same (var, j, k) output order as scanning bank_->lines(), but via the
   // precomputed per-variable slices: each slice is (j, k)-sorted, so the
@@ -126,9 +118,9 @@ std::unique_ptr<PolarFilter> make_filter(FilterAlgorithm algorithm,
                                          const FilterBank& bank) {
   switch (algorithm) {
     case FilterAlgorithm::kConvolutionRing:
-      return std::make_unique<ConvolutionRingFilter>(mesh, decomp, bank);
     case FilterAlgorithm::kConvolutionTree:
-      return std::make_unique<ConvolutionTreeFilter>(mesh, decomp, bank);
+      return std::make_unique<ConvolutionFilter>(mesh, decomp, bank,
+                                                 algorithm);
     case FilterAlgorithm::kFftTranspose:
     case FilterAlgorithm::kFftBalanced:
     case FilterAlgorithm::kConvolutionPartitioned:

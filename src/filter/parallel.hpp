@@ -18,9 +18,12 @@
 //                     within rows (Figure 3), FFT locally, and undo both
 //                     movements. Setup bookkeeping is done once.
 //
-// kFftTranspose, kFftBalanced and kConvolutionPartitioned are one class,
-// TransposeFilter (variants.hpp): the same transpose pipeline with an
-// optional Figure-2 stage and one of two line engines.
+// kConvolutionRing and kConvolutionTree are one class, ConvolutionFilter
+// (variants.hpp): the same per-variable convolution with one of two
+// communication patterns. kFftTranspose, kFftBalanced and
+// kConvolutionPartitioned are one class, TransposeFilter (variants.hpp): the
+// same transpose pipeline with an optional Figure-2 stage and one of two
+// line engines.
 //
 // All variants filter exactly the same set of lines with mathematically
 // equivalent operators, so their outputs agree to rounding — the
@@ -85,9 +88,6 @@ class PolarFilter {
  protected:
   /// The variant's filtering algorithm (called by the traced apply()).
   virtual void apply_impl(std::span<grid::Array3D<double>* const> fields) = 0;
-
-  /// Global rows of variable v inside my latitude band.
-  std::vector<int> local_rows(int v) const;
 
   /// All lines (var, j, k) whose latitude row falls in my band, in the
   /// bank's canonical order.

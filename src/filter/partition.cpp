@@ -263,18 +263,21 @@ void filter_line_pair_partition(const PartitionedKernel& kernel,
 
 void convolve_circular_direct(std::span<const double> kernel,
                               std::span<double> line) {
-  const int n = static_cast<int>(line.size());
-  const int taps = static_cast<int>(kernel.size());
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
+  // out[i] = sum_s kernel[s] * line[(i - s) mod n], s ascending. The line
+  // index walks down from i and wraps to n - 1 at every period, so the sum
+  // is one chained ddot_strided call (line stride -1) per unwrapped run.
+  const std::size_t n = line.size();
+  const std::size_t taps = kernel.size();
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0;
-    for (int s = 0; s < taps; ++s) {
-      int j = (i - s) % n;
-      if (j < 0) j += n;
-      sum += kernel[static_cast<std::size_t>(s)] *
-             line[static_cast<std::size_t>(j)];
+    for (std::size_t s = 0, j = i; s < taps; j = n - 1) {
+      const std::size_t run = std::min(taps - s, j + 1);
+      sum = singlenode::ddot_strided(run, kernel.data() + s, 1,
+                                     line.data() + j, -1, sum);
+      s += run;
     }
-    out[static_cast<std::size_t>(i)] = sum;
+    out[i] = sum;
   }
   std::copy(out.begin(), out.end(), line.begin());
 }

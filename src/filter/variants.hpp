@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "fft/fft.hpp"
 #include "filter/parallel.hpp"
@@ -10,32 +11,33 @@
 
 namespace agcm::filter {
 
-/// The original AGCM algorithm: physical-space convolution with the chunk
-/// data rotated around the processor ring in the longitudinal direction.
-/// Variables are filtered one at a time (as in the original code — the
-/// paper's new module removed this serialisation).
-class ConvolutionRingFilter final : public PolarFilter {
+/// The original AGCM algorithm: physical-space convolution, one variable at
+/// a time (the paper's new module removed this serialisation), under one of
+/// two communication patterns (the paper's Section 2 tradeoff):
+///
+///   convolution-ring  chunks rotate ncols-1 hops westward around the
+///                     processor ring; each node adds every visiting
+///                     chunk's partial sums into its output chunk.
+///   convolution-tree  whole lines are allgathered within the processor row
+///                     (binomial gather + broadcast), then every node
+///                     convolves its own output chunk: fewer messages,
+///                     larger volume.
+class ConvolutionFilter final : public PolarFilter {
  public:
-  using PolarFilter::PolarFilter;
+  ConvolutionFilter(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
+                    const FilterBank& bank, FilterAlgorithm algorithm);
   void apply_impl(std::span<grid::Array3D<double>* const> fields) override;
-  std::string_view name() const override { return "convolution-ring"; }
+  std::string_view name() const override { return algorithm_name(algorithm_); }
 
  private:
-  void filter_variable(grid::Array3D<double>& field, int v);
-};
+  /// The middle steps: fill `out` (my zeroed output chunks) from my chunks.
+  void ring(std::span<const LineKey> lines, std::vector<double> held,
+            std::span<double> out) const;
+  void tree(std::span<const LineKey> lines, std::span<const double> mine,
+            std::span<double> out) const;
 
-/// Convolution with tree-based line gathering: whole lines are allgathered
-/// within the processor row (binomial gather + broadcast), then every node
-/// convolves only its own output chunk. Fewer messages than the ring,
-/// larger transferred volume (the paper's Section 2 tradeoff).
-class ConvolutionTreeFilter final : public PolarFilter {
- public:
-  using PolarFilter::PolarFilter;
-  void apply_impl(std::span<grid::Array3D<double>* const> fields) override;
-  std::string_view name() const override { return "convolution-tree"; }
-
- private:
-  void filter_variable(grid::Array3D<double>& field, int v);
+  FilterAlgorithm algorithm_;
+  std::vector<LineKey> lines_;  ///< local filtered lines, canonical order
 };
 
 /// The transpose-filter pipeline behind three algorithms: whole lines are

@@ -122,6 +122,33 @@ TEST(CampaignMatrix, RejectsMalformedAxes) {
                ConfigError);
 }
 
+// A negative iteration cap would run no balance round and report a 0%
+// imbalance; a negative tolerance or worker count has no meaning.
+TEST(RunSpecFrom, RejectsNegativeLbAndWorkerSettings) {
+  const std::string base = "nlon = 48\nnlat = 30\nmesh_rows = 1\nmesh_cols = 1\n";
+  for (const std::string key :
+       {"lb_max_iterations", "lb_tolerance", "simnet_workers"}) {
+    const std::string negative = key == "lb_tolerance" ? "-0.5" : "-4";
+    try {
+      (void)core::run_spec_from(
+          io::Config::from_string(base + key + " = " + negative + "\n"));
+      ADD_FAILURE() << key << " = " << negative << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+    // Zero stays valid for each.
+    EXPECT_NO_THROW((void)core::run_spec_from(
+        io::Config::from_string(base + key + " = 0\n")))
+        << key;
+  }
+  const core::RunSpec zero = core::run_spec_from(io::Config::from_string(
+      base + "lb_max_iterations = 0\nlb_tolerance = 0\nsimnet_workers = 0\n"));
+  EXPECT_EQ(zero.model.lb_options.max_iterations, 0);
+  EXPECT_EQ(zero.model.lb_options.tolerance, 0.0);
+  EXPECT_EQ(zero.model.simnet_workers, 0);
+}
+
 TEST(CampaignMatrix, HashIgnoresHostExecutionKnobs) {
   core::RunSpec spec =
       core::run_spec_from(io::Config::from_string(

@@ -309,6 +309,124 @@ std::vector<VariantCase> variant_cases() {
 INSTANTIATE_TEST_SUITE_P(AllVariantsAllMeshes, VariantSweep,
                          ::testing::ValuesIn(variant_cases()));
 
+// --- convolution patterns: summation order pinned bit for bit --------------
+
+/// The ring's summation order written out as an independent oracle: output
+/// i (owned by column `own`) is the sum over the ring's hops of each
+/// visiting chunk's partial sum, starting from the owner's chunk, with one
+/// `mod nlon` per multiply-add.
+double ring_reference(std::span<const double> line,
+                      std::span<const double> kernel,
+                      const grid::Partition1D& lon, int own, int i) {
+  const int nlon = static_cast<int>(line.size());
+  const int ncols = lon.blocks();
+  double out = 0.0;
+  for (int r = 0; r < ncols; ++r) {
+    const int src_col = (own + r) % ncols;
+    const int src_i0 = lon.start(src_col);
+    double acc = 0.0;
+    for (int g = 0; g < lon.size(src_col); ++g) {
+      int lag = i - (src_i0 + g);
+      lag %= nlon;
+      if (lag < 0) lag += nlon;
+      acc += kernel[static_cast<std::size_t>(lag)] *
+             line[static_cast<std::size_t>(src_i0 + g)];
+    }
+    out += acc;
+  }
+  return out;
+}
+
+class ConvolutionBitExact : public ::testing::TestWithParam<VariantCase> {};
+
+/// Uneven column widths (nlon 50 on 3 or 7 columns) put the ring's wrap at
+/// different offsets inside a chunk; 1 column has no hop at all. Several
+/// variables with different row sets check that each variable's lines are
+/// convolved with its own kernels, and that bands with no lines for a
+/// variable stay out of that variable's exchange.
+TEST_P(ConvolutionBitExact, MatchesTheSerialOrder) {
+  const auto param = GetParam();
+  const int nlon = 50, nlat = 24, nlev = 2;
+  const LatLonGrid grid(nlon, nlat, nlev);
+  const std::vector<FilteredVariable> vars = {{"s1", FilterKind::kStrong},
+                                              {"w1", FilterKind::kWeak},
+                                              {"s2", FilterKind::kStrong}};
+  const FilterBank bank(grid, vars);
+  const Decomp2D global(nlon, nlat, param.rows, param.cols);
+  const auto at = [&](int v, int gi, int gj, int k) {
+    return static_cast<std::size_t>(gi) +
+           static_cast<std::size_t>(nlon) *
+               (static_cast<std::size_t>(gj) +
+                static_cast<std::size_t>(nlat) *
+                    (static_cast<std::size_t>(k) +
+                     static_cast<std::size_t>(nlev) * v));
+  };
+  std::vector<double> input(vars.size() * static_cast<std::size_t>(nlon) *
+                            nlat * nlev);
+  Rng rng(2024);
+  for (double& x : input) x = rng.uniform(-1.0, 1.0);
+
+  std::vector<double> filtered(input.size());
+  Machine machine(MachineProfile::intel_paragon());
+  machine.set_recv_timeout_ms(20'000);
+  machine.run(param.rows * param.cols, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    Mesh2D mesh(world, param.rows, param.cols);
+    const Decomp2D decomp(nlon, nlat, param.rows, param.cols);
+    const auto box = decomp.box(mesh.coord());
+    std::vector<Array3D<double>> fields;
+    std::vector<Array3D<double>*> ptrs;
+    fields.reserve(vars.size());
+    for (std::size_t v = 0; v < vars.size(); ++v) {
+      fields.emplace_back(box.ni, box.nj, nlev, 1);
+      for (int k = 0; k < nlev; ++k)
+        for (int j = 0; j < box.nj; ++j)
+          for (int i = 0; i < box.ni; ++i)
+            fields.back()(i, j, k) = input[at(static_cast<int>(v), box.i0 + i,
+                                              box.j0 + j, k)];
+    }
+    for (auto& f : fields) ptrs.push_back(&f);
+    make_filter(param.algorithm, mesh, decomp, bank)->apply(ptrs);
+    for (std::size_t v = 0; v < vars.size(); ++v)
+      for (int k = 0; k < nlev; ++k)
+        for (int j = 0; j < box.nj; ++j)
+          for (int i = 0; i < box.ni; ++i)
+            filtered[at(static_cast<int>(v), box.i0 + i, box.j0 + j, k)] =
+                fields[v](i, j, k);
+  });
+
+  const auto& lon = global.lon_partition();
+  std::size_t checked = 0;
+  for (const LineKey& key : bank.lines()) {
+    const std::span<const double> line(&input[at(key.var, 0, key.j, key.k)],
+                                       static_cast<std::size_t>(nlon));
+    const auto kernel = bank.kernel(key.var, key.j);
+    std::vector<double> serial(line.begin(), line.end());
+    filter_line_convolution(serial, kernel);
+    for (int col = 0; col < param.cols; ++col)
+      for (int i = lon.start(col); i < lon.end(col); ++i, ++checked) {
+        const double expected =
+            param.algorithm == FilterAlgorithm::kConvolutionRing
+                ? ring_reference(line, kernel, lon, col, i)
+                : serial[static_cast<std::size_t>(i)];
+        ASSERT_EQ(filtered[at(key.var, i, key.j, key.k)], expected)
+            << algorithm_name(param.algorithm) << " mesh " << param.rows
+            << "x" << param.cols << " v=" << key.var << " j=" << key.j
+            << " k=" << key.k << " i=" << i;
+      }
+  }
+  EXPECT_EQ(checked, bank.lines().size() * static_cast<std::size_t>(nlon));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RingAndTree, ConvolutionBitExact,
+    ::testing::Values(VariantCase{FilterAlgorithm::kConvolutionRing, 1, 1},
+                      VariantCase{FilterAlgorithm::kConvolutionRing, 2, 3},
+                      VariantCase{FilterAlgorithm::kConvolutionRing, 3, 7},
+                      VariantCase{FilterAlgorithm::kConvolutionTree, 1, 1},
+                      VariantCase{FilterAlgorithm::kConvolutionTree, 2, 3},
+                      VariantCase{FilterAlgorithm::kConvolutionTree, 3, 7}));
+
 TEST(BalancedPlan, EveryRowHoldsNearIdealShare) {
   // Figure 2's guarantee — equation (3): after redistribution each
   // processor row holds ~ sum(R_j)/M lines.
