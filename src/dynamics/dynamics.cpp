@@ -40,12 +40,14 @@ Dynamics::Dynamics(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
       box_(decomp.box(mesh.coord())),
       metrics_(Metrics::build(grid, box_)),
       bank_(filter::shared_bank(grid, filtered_variables())),
+      points_(static_cast<double>(box_.ni) * box_.nj * grid.nlev()),
+      // Inner loops run over the local zonal extent; narrow blocks pay the
+      // machine's pipeline-startup penalty.
+      loop_eff_(mesh.world().context().clock().profile().loop_efficiency(
+          box_.ni)),
       h_new_(box_.ni, box_.nj, grid.nlev(), 1),
       u_new_(box_.ni, box_.nj, grid.nlev(), 1),
-      v_new_(box_.ni, box_.nj, grid.nlev(), 1),
-      h_prev_(box_.ni, box_.nj, grid.nlev(), 1),
-      u_prev_(box_.ni, box_.nj, grid.nlev(), 1),
-      v_prev_(box_.ni, box_.nj, grid.nlev(), 1) {
+      v_new_(box_.ni, box_.nj, grid.nlev(), 1) {
   check_config(config.dt_sec > 0.0, "dt must be positive");
   check_config(config.robert_asselin >= 0.0 && config.robert_asselin < 0.5,
                "Robert-Asselin coefficient must be in [0, 0.5)");
@@ -97,10 +99,18 @@ void Dynamics::step(State& state) {
   t0 = clock.now();
   {
     AGCM_TRACE_SPAN("dynamics.fd", ctx);
-    if (config_.time_scheme == TimeScheme::kLeapfrog) {
-      finite_differences_leapfrog(state);
+    if (config_.time_scheme != TimeScheme::kLeapfrog) {
+      forward_backward(state);
+    } else if (have_prev_) {
+      leapfrog(state);
     } else {
-      finite_differences(state);
+      // The standard leapfrog start: allocate and prime the lagged level
+      // with the pre-step state, then advance one forward-backward step.
+      h_prev_ = state.h;
+      u_prev_ = state.u;
+      v_prev_ = state.v;
+      forward_backward(state);
+      have_prev_ = true;
     }
   }
   timings_.fd_sec = clock.now() - t0;
@@ -109,18 +119,10 @@ void Dynamics::step(State& state) {
   ++state.step;
 }
 
-void Dynamics::finite_differences(State& state) {
-  auto& clock = mesh_->world().context().clock();
-  const int nk = grid_->nlev();
-  const double dt = config_.dt_sec;
-  const double g = grid_->planet().gravity;
-  const double omega = grid_->planet().omega;
-  const double dy = grid_->dy_m();
-  const double kappa = config_.kappa_smooth;
-  const int global_nlat = grid_->nlat();
-
-  // --- continuity: h_new = h - dt/area * div(mass flux), flux form -------
-  for (int k = 0; k < nk; ++k) {
+void Dynamics::continuity(const State& state,
+                          const grid::Array3D<double>& h_base, double step) {
+  // h_new = h_base - step/area * div(mass flux), flux form, fluxes at n.
+  for (int k = 0; k < grid_->nlev(); ++k) {
     for (int j = 0; j < box_.nj; ++j) {
       const double inv_area = metrics_.inv_area[static_cast<std::size_t>(j)];
       const double dxn = metrics_.dx_vface[static_cast<std::size_t>(j) + 1];
@@ -136,25 +138,27 @@ void Dynamics::finite_differences(State& state) {
         const double fs = state.v(i, j - 1, k) * 0.5 *
                           (state.h(i, j - 1, k) + state.h(i, j, k)) * dxs;
         h_new_(i, j, k) =
-            state.h(i, j, k) - dt * inv_area * (fe - fw + fn - fs);
+            h_base(i, j, k) - step * inv_area * (fe - fw + fn - fs);
       }
     }
   }
-  const double points = static_cast<double>(box_.ni) * box_.nj * nk;
-  // Inner loops run over the local zonal extent; narrow blocks pay the
-  // machine's pipeline-startup penalty.
-  const double loop_eff = clock.profile().loop_efficiency(box_.ni);
-  clock.compute(kFullDycoreFactor * 16.0 * points, loop_eff);
+  charge_fd(16.0);
+}
 
-  // The momentum PGF needs h_new ghosts.
-  grid::exchange_halo(*mesh_, h_new_);
-
-  // --- momentum (backward step: uses h_new for the pressure gradient) ----
-  for (int k = 0; k < nk; ++k) {
+void Dynamics::momentum(const State& state,
+                        const grid::Array3D<double>& u_base,
+                        const grid::Array3D<double>& v_base,
+                        const grid::Array3D<double>& h_pgf, double step,
+                        double smooth_scale) {
+  const double g = grid_->planet().gravity;
+  const double omega = grid_->planet().omega;
+  const double dy = grid_->dy_m();
+  const double kappa = config_.kappa_smooth;
+  const int global_nlat = grid_->nlat();
+  for (int k = 0; k < grid_->nlev(); ++k) {
     for (int j = 0; j < box_.nj; ++j) {
       const int gj = box_.j0 + j;
-      const double lat_u = grid_->lat_center(gj);
-      const double f_u = 2.0 * omega * std::sin(lat_u);
+      const double f_u = 2.0 * omega * std::sin(grid_->lat_center(gj));
       const double dx_u = grid_->dx_m(gj);
       const bool south_edge = (gj == 0);
       const bool north_edge = (gj == global_nlat - 1);
@@ -164,148 +168,18 @@ void Dynamics::finite_differences(State& state) {
                                     state.v(i, j - 1, k) +
                                     state.v(i + 1, j - 1, k));
         const double pgf_x =
-            -g * (h_new_(i + 1, j, k) - h_new_(i, j, k)) / dx_u;
-        const double u_n =
-            north_edge ? state.u(i, j, k) : state.u(i, j + 1, k);
-        const double u_s =
-            south_edge ? state.u(i, j, k) : state.u(i, j - 1, k);
+            -g * (h_pgf(i + 1, j, k) - h_pgf(i, j, k)) / dx_u;
+        const double u_n = north_edge ? u_base(i, j, k) : u_base(i, j + 1, k);
+        const double u_s = south_edge ? u_base(i, j, k) : u_base(i, j - 1, k);
         // Grid-space del-2 smoothing (see DynamicsConfig::kappa_smooth).
         const double smooth_u =
-            kappa * (state.u(i + 1, j, k) + state.u(i - 1, j, k) -
-                     2.0 * state.u(i, j, k)) +
-            kappa * (u_n + u_s - 2.0 * state.u(i, j, k));
-        u_new_(i, j, k) =
-            state.u(i, j, k) + dt * (f_u * vbar + pgf_x) + smooth_u;
+            kappa * (u_base(i + 1, j, k) + u_base(i - 1, j, k) -
+                     2.0 * u_base(i, j, k)) +
+            kappa * (u_n + u_s - 2.0 * u_base(i, j, k));
+        u_new_(i, j, k) = u_base(i, j, k) + step * (f_u * vbar + pgf_x) +
+                          smooth_scale * smooth_u;
 
         // v on the north face of (i, j); the polar faces stay at rest.
-        if (gj + 1 >= global_nlat) {
-          v_new_(i, j, k) = 0.0;
-          continue;
-        }
-        const double lat_v = grid_->lat_vface(gj + 1);
-        const double f_v = 2.0 * omega * std::sin(lat_v);
-        const double ubar = 0.25 * (state.u(i, j, k) + state.u(i - 1, j, k) +
-                                    state.u(i, j + 1, k) +
-                                    state.u(i - 1, j + 1, k));
-        const double pgf_y =
-            -g * (h_new_(i, j + 1, k) - h_new_(i, j, k)) / dy;
-        const double v_n =
-            north_edge ? state.v(i, j, k) : state.v(i, j + 1, k);
-        const double v_s = state.v(i, j - 1, k);
-        const double smooth_v =
-            kappa * (state.v(i + 1, j, k) + state.v(i - 1, j, k) -
-                     2.0 * state.v(i, j, k)) +
-            kappa * (v_n + v_s - 2.0 * state.v(i, j, k));
-        v_new_(i, j, k) =
-            state.v(i, j, k) + dt * (-f_v * ubar + pgf_y) + smooth_v;
-      }
-    }
-  }
-  clock.compute(kFullDycoreFactor * 44.0 * points, loop_eff);
-
-  // --- tracer transport (the paper's "advection routine") ----------------
-  grid::Array3D<double>* tracers[] = {&state.theta, &state.q};
-  const KernelCost advection_cost =
-      config_.optimized_advection
-          ? advect_tracers_optimized(*grid_, box_, metrics_, state.h, h_new_,
-                                     state.u, state.v, tracers, dt)
-          : advect_tracers_baseline(*grid_, box_, metrics_, state.h, h_new_,
-                                    state.u, state.v, tracers, dt);
-  clock.compute(kFullDycoreFactor * advection_cost.flops,
-                advection_cost.cache_efficiency * loop_eff);
-
-  // --- commit -------------------------------------------------------------
-  for (int k = 0; k < nk; ++k) {
-    for (int j = 0; j < box_.nj; ++j) {
-      for (int i = 0; i < box_.ni; ++i) {
-        state.h(i, j, k) = h_new_(i, j, k);
-        state.u(i, j, k) = u_new_(i, j, k);
-        state.v(i, j, k) = v_new_(i, j, k);
-      }
-    }
-  }
-  clock.memory_traffic(6.0 * points * sizeof(double));
-}
-
-void Dynamics::finite_differences_leapfrog(State& state) {
-  if (!have_prev_) {
-    // Prime the lagged level with the pre-step state, then advance the
-    // first step forward-backward (the standard leapfrog start).
-    h_prev_ = state.h;
-    u_prev_ = state.u;
-    v_prev_ = state.v;
-    finite_differences(state);
-    have_prev_ = true;
-    return;
-  }
-
-  auto& clock = mesh_->world().context().clock();
-  const int nk = grid_->nlev();
-  const double dt = config_.dt_sec;
-  const double dt2 = 2.0 * dt;
-  const double g = grid_->planet().gravity;
-  const double omega = grid_->planet().omega;
-  const double dy = grid_->dy_m();
-  const double kappa = config_.kappa_smooth;
-  const double alpha = config_.robert_asselin;
-  const int global_nlat = grid_->nlat();
-
-  // The smoothing terms are evaluated on the lagged level (explicit
-  // diffusion at level n is unstable under leapfrog), so the lagged fields
-  // need current ghosts.
-  grid::Array3D<double>* lagged[] = {&h_prev_, &u_prev_, &v_prev_};
-  grid::exchange_halos(*mesh_, lagged);
-
-  // --- continuity: h^{n+1} = h^{n-1} - 2 dt div(F^n) ----------------------
-  for (int k = 0; k < nk; ++k) {
-    for (int j = 0; j < box_.nj; ++j) {
-      const double inv_area = metrics_.inv_area[static_cast<std::size_t>(j)];
-      const double dxn = metrics_.dx_vface[static_cast<std::size_t>(j) + 1];
-      const double dxs = metrics_.dx_vface[static_cast<std::size_t>(j)];
-      const double dyf = metrics_.dy_face[static_cast<std::size_t>(j)];
-      for (int i = 0; i < box_.ni; ++i) {
-        const double fe = state.u(i, j, k) * 0.5 *
-                          (state.h(i, j, k) + state.h(i + 1, j, k)) * dyf;
-        const double fw = state.u(i - 1, j, k) * 0.5 *
-                          (state.h(i - 1, j, k) + state.h(i, j, k)) * dyf;
-        const double fn = state.v(i, j, k) * 0.5 *
-                          (state.h(i, j, k) + state.h(i, j + 1, k)) * dxn;
-        const double fs = state.v(i, j - 1, k) * 0.5 *
-                          (state.h(i, j - 1, k) + state.h(i, j, k)) * dxs;
-        h_new_(i, j, k) =
-            h_prev_(i, j, k) - dt2 * inv_area * (fe - fw + fn - fs);
-      }
-    }
-  }
-  const double points = static_cast<double>(box_.ni) * box_.nj * nk;
-  const double loop_eff = clock.profile().loop_efficiency(box_.ni);
-  clock.compute(kFullDycoreFactor * 16.0 * points, loop_eff);
-
-  // --- momentum: x^{n+1} = x^{n-1} + 2 dt T(x^n) + smoothing(x^{n-1}) ----
-  for (int k = 0; k < nk; ++k) {
-    for (int j = 0; j < box_.nj; ++j) {
-      const int gj = box_.j0 + j;
-      const double f_u = 2.0 * omega * std::sin(grid_->lat_center(gj));
-      const double dx_u = grid_->dx_m(gj);
-      const bool south_edge = (gj == 0);
-      const bool north_edge = (gj == global_nlat - 1);
-      for (int i = 0; i < box_.ni; ++i) {
-        const double vbar = 0.25 * (state.v(i, j, k) + state.v(i + 1, j, k) +
-                                    state.v(i, j - 1, k) +
-                                    state.v(i + 1, j - 1, k));
-        const double pgf_x =
-            -g * (state.h(i + 1, j, k) - state.h(i, j, k)) / dx_u;
-        const double up_n =
-            north_edge ? u_prev_(i, j, k) : u_prev_(i, j + 1, k);
-        const double up_s =
-            south_edge ? u_prev_(i, j, k) : u_prev_(i, j - 1, k);
-        const double smooth_u =
-            kappa * (u_prev_(i + 1, j, k) + u_prev_(i - 1, j, k) -
-                     2.0 * u_prev_(i, j, k)) +
-            kappa * (up_n + up_s - 2.0 * u_prev_(i, j, k));
-        u_new_(i, j, k) =
-            u_prev_(i, j, k) + dt2 * (f_u * vbar + pgf_x) + 2.0 * smooth_u;
-
         if (gj + 1 >= global_nlat) {
           v_new_(i, j, k) = 0.0;
           continue;
@@ -315,33 +189,77 @@ void Dynamics::finite_differences_leapfrog(State& state) {
                                     state.u(i, j + 1, k) +
                                     state.u(i - 1, j + 1, k));
         const double pgf_y =
-            -g * (state.h(i, j + 1, k) - state.h(i, j, k)) / dy;
-        const double vp_n =
-            north_edge ? v_prev_(i, j, k) : v_prev_(i, j + 1, k);
-        const double vp_s = v_prev_(i, j - 1, k);
+            -g * (h_pgf(i, j + 1, k) - h_pgf(i, j, k)) / dy;
+        const double v_n = north_edge ? v_base(i, j, k) : v_base(i, j + 1, k);
+        const double v_s = v_base(i, j - 1, k);
         const double smooth_v =
-            kappa * (v_prev_(i + 1, j, k) + v_prev_(i - 1, j, k) -
-                     2.0 * v_prev_(i, j, k)) +
-            kappa * (vp_n + vp_s - 2.0 * v_prev_(i, j, k));
-        v_new_(i, j, k) =
-            v_prev_(i, j, k) + dt2 * (-f_v * ubar + pgf_y) + 2.0 * smooth_v;
+            kappa * (v_base(i + 1, j, k) + v_base(i - 1, j, k) -
+                     2.0 * v_base(i, j, k)) +
+            kappa * (v_n + v_s - 2.0 * v_base(i, j, k));
+        v_new_(i, j, k) = v_base(i, j, k) + step * (-f_v * ubar + pgf_y) +
+                          smooth_scale * smooth_v;
       }
     }
   }
-  clock.compute(kFullDycoreFactor * 48.0 * points, loop_eff);
+}
 
-  // --- tracers: forward upwind step n -> n+1 with level-n fluxes ----------
+void Dynamics::advect(State& state) {
+  // The paper's "advection routine": a forward upwind step n -> n+1 with
+  // level-n fluxes, whichever scheme integrates the gravity waves.
   grid::Array3D<double>* tracers[] = {&state.theta, &state.q};
-  const KernelCost advection_cost =
+  const KernelCost cost =
       config_.optimized_advection
           ? advect_tracers_optimized(*grid_, box_, metrics_, state.h, h_new_,
-                                     state.u, state.v, tracers, dt)
+                                     state.u, state.v, tracers, config_.dt_sec)
           : advect_tracers_baseline(*grid_, box_, metrics_, state.h, h_new_,
-                                    state.u, state.v, tracers, dt);
-  clock.compute(kFullDycoreFactor * advection_cost.flops,
-                advection_cost.cache_efficiency * loop_eff);
+                                    state.u, state.v, tracers, config_.dt_sec);
+  mesh_->world().context().clock().compute(
+      kFullDycoreFactor * cost.flops, cost.cache_efficiency * loop_eff_);
+}
 
-  // --- Robert-Asselin filter + rotate levels ------------------------------
+void Dynamics::charge_fd(double flops_per_point) {
+  mesh_->world().context().clock().compute(
+      kFullDycoreFactor * flops_per_point * points_, loop_eff_);
+}
+
+void Dynamics::forward_backward(State& state) {
+  const double dt = config_.dt_sec;
+  continuity(state, state.h, dt);
+  // Backward step: the momentum PGF uses h_new, so it needs h_new ghosts.
+  grid::exchange_halo(*mesh_, h_new_);
+  momentum(state, state.u, state.v, h_new_, dt, 1.0);
+  charge_fd(44.0);
+  advect(state);
+
+  const int nk = grid_->nlev();
+  for (int k = 0; k < nk; ++k) {
+    for (int j = 0; j < box_.nj; ++j) {
+      for (int i = 0; i < box_.ni; ++i) {
+        state.h(i, j, k) = h_new_(i, j, k);
+        state.u(i, j, k) = u_new_(i, j, k);
+        state.v(i, j, k) = v_new_(i, j, k);
+      }
+    }
+  }
+  mesh_->world().context().clock().memory_traffic(6.0 * points_ *
+                                                  sizeof(double));
+}
+
+void Dynamics::leapfrog(State& state) {
+  // x^{n+1} = x^{n-1} + 2 dt T(x^n) + 2 smoothing(x^{n-1}). The smoothing
+  // is evaluated on the lagged level (explicit diffusion at level n is
+  // unstable under leapfrog), so the lagged fields need current ghosts.
+  grid::Array3D<double>* lagged[] = {&h_prev_, &u_prev_, &v_prev_};
+  grid::exchange_halos(*mesh_, lagged);
+  const double dt2 = 2.0 * config_.dt_sec;
+  continuity(state, h_prev_, dt2);
+  momentum(state, u_prev_, v_prev_, state.h, dt2, 2.0);
+  charge_fd(48.0);
+  advect(state);
+
+  // Robert-Asselin filter + rotate levels.
+  const int nk = grid_->nlev();
+  const double alpha = config_.robert_asselin;
   for (int k = 0; k < nk; ++k) {
     for (int j = 0; j < box_.nj; ++j) {
       for (int i = 0; i < box_.ni; ++i) {
@@ -363,8 +281,9 @@ void Dynamics::finite_differences_leapfrog(State& state) {
       }
     }
   }
-  clock.compute(15.0 * points, loop_eff);
-  clock.memory_traffic(6.0 * points * sizeof(double));
+  auto& clock = mesh_->world().context().clock();
+  clock.compute(15.0 * points_, loop_eff_);
+  clock.memory_traffic(6.0 * points_ * sizeof(double));
 }
 
 double Dynamics::total_mass(const State& state) const {

@@ -4,11 +4,16 @@
 // The computational skeleton matches the paper's description of the UCLA
 // AGCM Dynamics component:
 //   * explicit finite differences on a 2-D decomposed lat-lon grid
-//     (forward-backward gravity-wave integration, upwind tracer transport),
+//     (gravity-wave integration, upwind tracer transport),
 //   * nearest-neighbour ghost-point exchanges before the FD sweeps,
 //   * spectral filtering "at each time step before the finite-difference
 //     procedures are called" poleward of the cutoff latitudes, which is
 //     what allows a uniform timestep sized by the mid-latitude CFL limit.
+//
+// One C-grid spatial operator (continuity, momentum, tracer advection)
+// serves both time integrators, forward-backward and leapfrog; each
+// integrator only chooses which time level every term reads, and keeps its
+// own halo exchanges, flop charges and commit.
 #pragma once
 
 #include <memory>
@@ -59,7 +64,8 @@ class Dynamics {
   Dynamics(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
            const grid::LatLonGrid& grid, const DynamicsConfig& config);
 
-  /// One forward-backward timestep (filter -> halos -> FD). Collective.
+  /// One timestep of the configured scheme (filter -> halos -> FD).
+  /// Collective.
   void step(State& state);
 
   const DynamicsTimings& last_timings() const { return timings_; }
@@ -88,11 +94,28 @@ class Dynamics {
  private:
   void exchange_all_halos(State& state);
   void apply_filter(State& state);
-  /// The FD sweeps (forward-backward path).
-  void finite_differences(State& state);
-  /// The FD sweeps (leapfrog path; falls back to forward-backward on the
-  /// first step to prime the lagged level).
-  void finite_differences_leapfrog(State& state);
+  // The spatial operator. Every flux, Coriolis average and tracer flux
+  // reads level n (`state`); the arguments pick the other levels.
+  /// h_new_ = h_base - step * inv_area * (fe - fw + fn - fs). Charges the
+  /// clock.
+  void continuity(const State& state, const grid::Array3D<double>& h_base,
+                  double step);
+  /// x_new_ = x_base + step * (Coriolis + PGF(h_pgf))
+  ///          + smooth_scale * del2(x_base), for x = u, v. The integrator
+  ///          charges its flops.
+  void momentum(const State& state, const grid::Array3D<double>& u_base,
+                const grid::Array3D<double>& v_base,
+                const grid::Array3D<double>& h_pgf, double step,
+                double smooth_scale);
+  /// Upwind tracers n -> n+1 against h_new_. Charges the clock.
+  void advect(State& state);
+  /// Charges `flops_per_point` of full-dycore arithmetic over my block.
+  void charge_fd(double flops_per_point);
+
+  // The integrators: operator calls, halo exchanges and the commit.
+  void forward_backward(State& state);
+  /// Needs the lagged level; step() primes it on the first step.
+  void leapfrog(State& state);
 
   const comm::Mesh2D* mesh_;
   const grid::Decomp2D* decomp_;
@@ -107,9 +130,12 @@ class Dynamics {
   std::shared_ptr<const filter::FilterBank> bank_;
   std::unique_ptr<filter::PolarFilter> filter_;
   DynamicsTimings timings_;
+  double points_;    ///< interior cells of my block
+  double loop_eff_;  ///< the FD sweeps' loop efficiency at my zonal extent
   // Scratch fields reused across steps.
   grid::Array3D<double> h_new_, u_new_, v_new_;
-  // Lagged (n-1) level for the leapfrog scheme; primed on the first step.
+  // Lagged (n-1) level, leapfrog only: allocated and primed on its first
+  // step, empty under forward-backward.
   grid::Array3D<double> h_prev_, u_prev_, v_prev_;
   bool have_prev_ = false;
 };

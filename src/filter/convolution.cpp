@@ -70,20 +70,19 @@ void ConvolutionFilter::apply_impl(
   for (std::size_t first = 0, last = 0; first < all.size(); first = last) {
     while (last < all.size() && all[last].var == all[first].var) ++last;
     const auto lines = all.subspan(first, last - first);
-    std::vector<double> mine(lines.size() * ni);
-    extract_chunks_into(fields, box(), lines, mine);
-    std::vector<double> out(lines.size() * ni, 0.0);
+    mine_.resize(lines.size() * ni);
+    extract_chunks_into(fields, box(), lines, mine_);
+    out_.assign(lines.size() * ni, 0.0);
     if (algorithm_ == FilterAlgorithm::kConvolutionRing)
-      ring(lines, std::move(mine), out);
+      ring(lines, out_);
     else
-      tree(lines, mine, out);
-    write_chunks(fields, box(), lines, out);
+      tree(lines, out_);
+    write_chunks(fields, box(), lines, out_);
   }
 }
 
 void ConvolutionFilter::ring(std::span<const LineKey> lines,
-                             std::vector<double> held,
-                             std::span<double> out) const {
+                             std::span<double> out) {
   const auto& row_comm = mesh().row_comm();
   auto& clock = row_comm.context().clock();
   const auto& lon = decomp().lon_partition();
@@ -93,6 +92,7 @@ void ConvolutionFilter::ring(std::span<const LineKey> lines,
 
   // `held` starts as my own chunks; after r hops westward it holds the
   // chunks originally owned by column (mycol + r) mod ncols.
+  std::vector<double>& held = mine_;
   for (int r = 0; r < ncols; ++r) {
     const int src_col = (mesh().coord().col + r) % ncols;
     const int src_i0 = lon.start(src_col);
@@ -129,8 +129,7 @@ void ConvolutionFilter::ring(std::span<const LineKey> lines,
 }
 
 void ConvolutionFilter::tree(std::span<const LineKey> lines,
-                             std::span<const double> mine,
-                             std::span<double> out) const {
+                             std::span<double> out) {
   const auto& row_comm = mesh().row_comm();
   auto& clock = row_comm.context().clock();
   const auto& lon = decomp().lon_partition();
@@ -144,26 +143,27 @@ void ConvolutionFilter::tree(std::span<const LineKey> lines,
   // tree, then broadcast the assembled buffer back down — "communications
   // in binary trees" (Section 2). Every node ends up with the whole lines
   // and convolves only its own output chunk.
-  std::vector<int> counts(static_cast<std::size_t>(ncols));
+  counts_.resize(static_cast<std::size_t>(ncols));
   for (int c = 0; c < ncols; ++c)
-    counts[static_cast<std::size_t>(c)] =
+    counts_[static_cast<std::size_t>(c)] =
         static_cast<int>(nlines) * lon.size(c);
-  const std::vector<double> gathered = row_comm.allgatherv<double>(mine, counts);
+  const std::vector<double> gathered =
+      row_comm.allgatherv<double>(mine_, counts_);
 
   // Assemble whole lines from the per-column blocks.
-  std::vector<double> full(nlines * len);
+  full_.resize(nlines * len);
   const double* block = gathered.data();
   for (int c = 0; c < ncols; ++c) {
     const auto w = static_cast<std::size_t>(lon.size(c));
     const auto start = static_cast<std::size_t>(lon.start(c));
     for (std::size_t q = 0; q < nlines; ++q, block += w)
-      std::copy(block, block + w, full.data() + q * len + start);
+      std::copy(block, block + w, full_.data() + q * len + start);
   }
-  clock.memory_traffic(static_cast<double>(full.size()) * sizeof(double));
+  clock.memory_traffic(static_cast<double>(full_.size()) * sizeof(double));
 
   for (std::size_t q = 0; q < nlines; ++q) {
     filter_chunk_convolution(
-        std::span<const double>(full).subspan(q * len, len),
+        std::span<const double>(full_).subspan(q * len, len),
         bank().kernel(lines[q].var, lines[q].j), box().i0,
         static_cast<int>(ni), out.subspan(q * ni, ni));
   }

@@ -30,14 +30,21 @@ class ConvolutionFilter final : public PolarFilter {
   std::string_view name() const override { return algorithm_name(algorithm_); }
 
  private:
-  /// The middle steps: fill `out` (my zeroed output chunks) from my chunks.
-  void ring(std::span<const LineKey> lines, std::vector<double> held,
-            std::span<double> out) const;
-  void tree(std::span<const LineKey> lines, std::span<const double> mine,
-            std::span<double> out) const;
+  /// The middle steps: fill `out` (my zeroed output chunks) from my
+  /// chunks in mine_ (the ring rotates them through mine_ in place).
+  void ring(std::span<const LineKey> lines, std::span<double> out);
+  void tree(std::span<const LineKey> lines, std::span<double> out);
 
   FilterAlgorithm algorithm_;
   std::vector<LineKey> lines_;  ///< local filtered lines, canonical order
+  // Growth-only scratch reused across apply() calls, one variable at a
+  // time. The ring's steady state is allocation-free
+  // (tests/test_comm_alloc.cpp); the tree still receives its gathered
+  // lines in a vector Communicator::allgatherv returns.
+  std::vector<double> mine_;  ///< my chunks (ring: the circulating chunks)
+  std::vector<double> out_;   ///< my output chunks
+  std::vector<int> counts_;   ///< tree: per-column allgatherv counts
+  std::vector<double> full_;  ///< tree: whole lines
 };
 
 /// The transpose-filter pipeline behind three algorithms: whole lines are

@@ -198,7 +198,10 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
     for (const filter::FilterAlgorithm algorithm :
          {filter::FilterAlgorithm::kFftTranspose,
           filter::FilterAlgorithm::kFftBalanced,
-          filter::FilterAlgorithm::kConvolutionPartitioned}) {
+          filter::FilterAlgorithm::kConvolutionPartitioned,
+          // The ring only: the tree receives its gathered lines in the
+          // vector Communicator::allgatherv returns, one per apply.
+          filter::FilterAlgorithm::kConvolutionRing}) {
       filters.push_back(filter::make_filter(algorithm, mesh, decomp, bank));
     }
 
@@ -212,7 +215,7 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
     gated(world, sweep, [](std::size_t before, std::size_t after) {
       EXPECT_EQ(after - before, 0u)
           << (after - before)
-          << " heap allocations in the steady-state filter transpose";
+          << " heap allocations in the steady-state filters";
     });
   });
 }

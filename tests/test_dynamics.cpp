@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "comm/mesh2d.hpp"
@@ -35,9 +37,10 @@ constexpr std::uint64_t kSeed = 777;
 /// Runs `steps` of the model on a given mesh and returns the *global* h and
 /// theta fields (assembled in (i,j,k) order) plus diagnostics.
 struct GlobalRun {
-  std::vector<double> h, u, theta, q;
+  std::vector<double> h, u, v, theta, q;
   double mass0 = 0.0, mass1 = 0.0;
   double tracer0 = 0.0, tracer1 = 0.0;
+  std::vector<simnet::TimeBreakdown> breakdowns;  ///< per rank
 };
 
 GlobalRun run_on_mesh(int rows, int cols, int steps, DynamicsConfig cfg,
@@ -47,12 +50,13 @@ GlobalRun run_on_mesh(int rows, int cols, int steps, DynamicsConfig cfg,
       static_cast<std::size_t>(kLon) * static_cast<std::size_t>(nlat) * kLev;
   out.h.resize(total);
   out.u.resize(total);
+  out.v.resize(total);
   out.theta.resize(total);
   out.q.resize(total);
 
   Machine machine(MachineProfile::intel_paragon());
   machine.set_recv_timeout_ms(60'000);
-  machine.run(rows * cols, [&](RankContext& ctx) {
+  const auto result = machine.run(rows * cols, [&](RankContext& ctx) {
     Communicator world(ctx);
     Mesh2D mesh(world, rows, cols);
     const LatLonGrid grid(kLon, nlat, kLev);
@@ -81,6 +85,7 @@ GlobalRun run_on_mesh(int rows, int cols, int steps, DynamicsConfig cfg,
     };
     put(out.h, state.h);
     put(out.u, state.u);
+    put(out.v, state.v);
     put(out.theta, state.theta);
     put(out.q, state.q);
     if (world.rank() == 0) {
@@ -90,6 +95,7 @@ GlobalRun run_on_mesh(int rows, int cols, int steps, DynamicsConfig cfg,
       out.tracer1 = tracer1;
     }
   });
+  out.breakdowns = result.breakdowns;
   return out;
 }
 
@@ -510,6 +516,63 @@ TEST(Dynamics, EnergyIsDecompositionInvariant) {
   }
   EXPECT_NEAR(e_serial, e_parallel, 1e-9 * e_serial);
 }
+
+/// FNV-1a 64 over the raw bytes of `n` objects at `data`.
+template <typename T>
+void fnv1a(std::uint64_t& digest, const T* data, std::size_t n) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+  for (std::size_t b = 0; b < n * sizeof(T); ++b) {
+    digest ^= bytes[b];
+    digest *= 0x100000001b3ULL;
+  }
+}
+
+struct GoldenCase {
+  const char* name;
+  TimeScheme scheme;
+  bool optimized_advection;
+  std::uint64_t fields;  ///< digest of the interior h, u, v, theta, q bits
+  std::uint64_t times;   ///< digest of every rank's TimeBreakdown
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class IntegratorGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(IntegratorGolden, FieldsAndVirtualTimesArePinned) {
+  // Bit-level pin of both time integrators on the shared C-grid operator:
+  // any change to which level a term reads, to the order of a sum, to a
+  // flop charge or to a halo exchange moves one of the two digests.
+  const GoldenCase& c = GetParam();
+  DynamicsConfig cfg = base_config();  // fft-load-balanced filter
+  cfg.time_scheme = c.scheme;
+  cfg.optimized_advection = c.optimized_advection;
+  const auto run = run_on_mesh(2, 2, 6, cfg);
+
+  std::uint64_t fields = 0xcbf29ce484222325ULL;
+  for (const auto* f : {&run.h, &run.u, &run.v, &run.theta, &run.q})
+    fnv1a(fields, f->data(), f->size());
+  std::uint64_t times = 0xcbf29ce484222325ULL;
+  for (const auto& b : run.breakdowns) {
+    const double parts[] = {b.compute, b.overhead, b.wait};
+    fnv1a(times, parts, 3);
+  }
+  EXPECT_EQ(fields, c.fields) << std::hex << "fields digest 0x" << fields;
+  EXPECT_EQ(times, c.times) << std::hex << "times digest 0x" << times;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, IntegratorGolden,
+    ::testing::Values(
+        GoldenCase{"ForwardBackwardBaseline", TimeScheme::kForwardBackward,
+                   false, 0x7362636ea17a9edeULL, 0xdbde76c0d20767c0ULL},
+        GoldenCase{"ForwardBackwardOptimized", TimeScheme::kForwardBackward,
+                   true, 0x7362636ea17a9edeULL, 0xcaa41b8e4eb2fd93ULL},
+        GoldenCase{"LeapfrogBaseline", TimeScheme::kLeapfrog, false,
+                   0x9344ddacde8af60bULL, 0x188446d3a48e9ba9ULL},
+        GoldenCase{"LeapfrogOptimized", TimeScheme::kLeapfrog, true,
+                   0x9344ddacde8af60bULL, 0x3b90ce9f4a8c31beULL}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(Leapfrog, ConservesMassExactly) {
   DynamicsConfig cfg = base_config();

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -158,7 +159,10 @@ TEST(KernelAllocFree, ColumnPhysicsAfterWarmup) {
       << "warm column physics touched the heap";
 }
 
-TEST(KernelAllocFree, WarmDynamicsPlusPhysicsStep) {
+class KernelAllocFreeScheme
+    : public ::testing::TestWithParam<dynamics::TimeScheme> {};
+
+TEST_P(KernelAllocFreeScheme, WarmDynamicsPlusPhysicsStep) {
   const int nlon = 24, nlat = 16, nlev = 3;
   Machine machine(MachineProfile::ideal());
   machine.set_recv_timeout_ms(20'000);
@@ -171,6 +175,7 @@ TEST(KernelAllocFree, WarmDynamicsPlusPhysicsStep) {
 
     dynamics::DynamicsConfig dcfg;
     dcfg.optimized_advection = true;  // the engine path
+    dcfg.time_scheme = GetParam();
     dynamics::Dynamics dyn(mesh, decomp, g, dcfg);
 
     physics::PhysicsConfig pcfg;
@@ -181,7 +186,8 @@ TEST(KernelAllocFree, WarmDynamicsPlusPhysicsStep) {
     dynamics::State state(decomp.box(mesh.coord()), nlev);
     dynamics::initialize_state(state, g, decomp.box(mesh.coord()), 1996);
 
-    // Warm-up: workspace growth, FFT plans, transport pool, channels.
+    // Warm-up: workspace growth, FFT plans, transport pool, channels, and
+    // leapfrog's lagged level (allocated on its first step).
     for (int it = 0; it < 3; ++it) {
       dyn.step(state);
       (void)phys.step(state);
@@ -196,6 +202,16 @@ TEST(KernelAllocFree, WarmDynamicsPlusPhysicsStep) {
         << "warm dynamics+physics step touched the heap";
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TimeSchemes, KernelAllocFreeScheme,
+    ::testing::Values(dynamics::TimeScheme::kForwardBackward,
+                      dynamics::TimeScheme::kLeapfrog),
+    [](const auto& info) {
+      return info.param == dynamics::TimeScheme::kLeapfrog
+                 ? std::string("Leapfrog")
+                 : std::string("ForwardBackward");
+    });
 
 }  // namespace
 }  // namespace agcm
