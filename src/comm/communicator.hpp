@@ -3,9 +3,12 @@
 // The interface mirrors the MPI subset the original parallel AGCM used
 // (point-to-point, broadcast/reduce trees, gather/scatter, alltoallv) so the
 // algorithms in filter/ and loadbalance/ read like their MPI originals.
-// Collectives are implemented *on top of* point-to-point with the classic
-// algorithms (binomial trees, pairwise exchange), so their virtual cost is
-// the genuine message cost of the era, not a magic constant.
+// Collectives cost the classic algorithms' genuine messages (binomial
+// trees, pairwise exchange), not a magic constant. Barrier, reductions,
+// broadcast and gathers are implemented on top of point-to-point; alltoallv
+// is a rendezvous (simnet::Rendezvous) that charges every rank exactly what
+// the pairwise exchange's P-1 rounds of messages would, with one host
+// synchronisation instead of the messages.
 #pragma once
 
 #include <cstdint>
@@ -173,25 +176,41 @@ class Communicator {
   std::vector<T> allgatherv(std::span<const T> mine,
                             std::span<const int> counts) const;
 
+  /// allgatherv into a caller's buffer of the sum of `counts` elements:
+  /// the same messages, with no allocation.
+  template <typename T>
+  void allgatherv_into(std::span<const T> mine, std::span<const int> counts,
+                       std::span<T> all) const;
+
   /// Personalised all-to-all with per-pair counts. `send_counts[r]` elements
   /// go to rank r (taken from `send_data` in rank order); the result is the
   /// concatenation of blocks received from ranks 0..P-1. A typed adapter
-  /// over `alltoallv_packed`: same schedule, each block copied into and out
-  /// of its wire buffer. A block whose size differs from its recv count
-  /// throws CommError.
+  /// over `alltoallv_packed`: the same schedule, each block copied into and
+  /// out of its staged bytes.
   template <typename T>
   std::vector<T> alltoallv(std::span<const T> send_data,
                            std::span<const int> send_counts,
                            std::span<const int> recv_counts) const;
 
-  /// Zero-copy personalised all-to-all: the self block without a message,
-  /// then P-1 rounds of pairwise exchange. Messages with zero bytes are
-  /// skipped entirely (this matters: the load-balanced filter sends nothing
-  /// between most pairs). `pack(dst, writer)` packs each outgoing message
-  /// straight into its pooled wire buffer and `unpack(src, reader)` consumes
-  /// each payload in place. The self block routes a pooled buffer from pack
-  /// to unpack without touching the network, so callers handle it like any
-  /// other peer.
+  /// Zero-copy personalised all-to-all, priced as the self block without a
+  /// message plus P-1 rounds of pairwise exchange: in round s this rank
+  /// sends to rank+s and receives from rank-s, and blocks of zero bytes are
+  /// no message at all (this matters: the load-balanced filter sends
+  /// nothing between most pairs). Every rank's clock, breakdown and traffic
+  /// ledger come out exactly as if those messages had been sent.
+  ///
+  /// The exchange itself is one rendezvous (simnet::Rendezvous). This rank
+  /// packs and unpacks its self block, then `pack(dst, writer)` fills each
+  /// outgoing block in place in its staging area, in round order; it
+  /// arrives and parks once, the last rank to arrive replays the schedule's
+  /// charges for everyone, and `unpack(src, reader)` then reads each
+  /// incoming block in round order, in place, out of the sender's staging
+  /// area. Staging areas are double-buffered by the parity of the call, so
+  /// a fast rank's next call never overwrites blocks a slow rank is still
+  /// reading. Contract: `pack` and `unpack` must not touch the virtual
+  /// clock, and `unpack` must not write what `pack` reads. `send_bytes[r]`
+  /// must equal rank r's `recv_bytes[rank()]` for every pair; a mismatch
+  /// throws CommError on every rank.
   template <typename PackFn, typename UnpackFn>
   void alltoallv_packed(std::span<const std::size_t> send_bytes,
                         std::span<const std::size_t> recv_bytes,
@@ -200,6 +219,12 @@ class Communicator {
  private:
   Communicator(simnet::RankContext& ctx, std::vector<int> members, int rank,
                std::int64_t context_id);
+
+  /// gatherv into a caller's buffer: on root, `all` (the sum of `counts`
+  /// elements) receives the blocks; elsewhere it is not touched.
+  template <typename T>
+  void gatherv_into(int root, std::span<const T> mine,
+                    std::span<const int> counts, std::span<T> all) const;
 
   int global(int local_rank) const {
     if (local_rank < 0 || local_rank >= size()) {
@@ -220,6 +245,13 @@ class Communicator {
     return static_cast<std::int64_t>(context_id_) * kMaxUserTag + tag;
   }
 
+  /// This communicator's all-to-all slot, looked up once.
+  simnet::Rendezvous& rendezvous() const {
+    if (rendezvous_ == nullptr)
+      rendezvous_ = &ctx_->network().rendezvous(context_id_, size());
+    return *rendezvous_;
+  }
+
   static constexpr int kMaxUserTag = 1 << 12;
 
   simnet::RankContext* ctx_;
@@ -227,6 +259,7 @@ class Communicator {
   int rank_;                  ///< my local rank
   std::int64_t context_id_;   ///< isolates traffic between communicators
   mutable int next_context_ = 1;  ///< allocator for child context ids
+  mutable simnet::Rendezvous* rendezvous_ = nullptr;
 };
 
 // --- template implementations ----------------------------------------------
@@ -237,6 +270,13 @@ namespace detail {
 inline int tree_parent(int rel) {
   // Clear the lowest set bit.
   return rel & (rel - 1);
+}
+
+/// Elements in a gather of per-rank `counts`.
+inline std::size_t total_count(std::span<const int> counts) {
+  std::size_t total = 0;
+  for (int c : counts) total += static_cast<std::size_t>(c);
+  return total;
 }
 }  // namespace detail
 
@@ -326,6 +366,15 @@ void Communicator::allreduce(std::span<const T> in, std::span<T> out,
 template <typename T>
 std::vector<T> Communicator::gatherv(int root, std::span<const T> mine,
                                      std::span<const int> counts) const {
+  std::vector<T> all(rank_ == root ? detail::total_count(counts) : 0);
+  gatherv_into<T>(root, mine, counts, all);
+  return all;
+}
+
+template <typename T>
+void Communicator::gatherv_into(int root, std::span<const T> mine,
+                                std::span<const int> counts,
+                                std::span<T> all) const {
   static_assert(std::is_trivially_copyable_v<T>);
   AGCM_TRACE_SPAN("comm.gatherv", *ctx_);
   const int p = size();
@@ -336,11 +385,8 @@ std::vector<T> Communicator::gatherv(int root, std::span<const T> mine,
   // Binomial gather: each round, ranks holding contiguous segments merge.
   // For simplicity and identical message counts to MPI_Gatherv's flat
   // implementation of the era, use direct sends to root.
-  std::vector<T> all;
   if (rank_ == root) {
-    std::size_t total = 0;
-    for (int c : counts) total += static_cast<std::size_t>(c);
-    all.resize(total);
+    AGCM_ASSERT(all.size() == detail::total_count(counts));
     std::size_t offset = 0;
     for (int r = 0; r < p; ++r) {
       const auto n = static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]);
@@ -354,7 +400,6 @@ std::vector<T> Communicator::gatherv(int root, std::span<const T> mine,
   } else if (!mine.empty()) {
     send<T>(root, kTag, mine);
   }
-  return all;
 }
 
 template <typename T>
@@ -390,13 +435,19 @@ std::vector<T> Communicator::scatterv(int root, std::span<const T> all,
 template <typename T>
 std::vector<T> Communicator::allgatherv(std::span<const T> mine,
                                         std::span<const int> counts) const {
-  AGCM_TRACE_SPAN("comm.allgatherv", *ctx_);
-  std::vector<T> all = gatherv<T>(0, mine, counts);
-  std::size_t total = 0;
-  for (int c : counts) total += static_cast<std::size_t>(c);
-  all.resize(total);
-  broadcast<T>(0, std::span<T>(all.data(), all.size()));
+  std::vector<T> all(detail::total_count(counts));
+  allgatherv_into<T>(mine, counts, all);
   return all;
+}
+
+template <typename T>
+void Communicator::allgatherv_into(std::span<const T> mine,
+                                   std::span<const int> counts,
+                                   std::span<T> all) const {
+  AGCM_TRACE_SPAN("comm.allgatherv", *ctx_);
+  AGCM_ASSERT(all.size() == detail::total_count(counts));
+  gatherv_into<T>(0, mine, counts, all);
+  broadcast<T>(0, all);
 }
 
 template <typename T>
@@ -427,8 +478,6 @@ std::vector<T> Communicator::alltoallv(std::span<const T> send_data,
       },
       [&](int src, PackedReader& reader) {
         const auto s = static_cast<std::size_t>(src);
-        if (reader.size_bytes() != recv_bytes[s])
-          throw CommError("alltoallv: block size differs from its recv count");
         reader.read<T>(std::span<T>(recv_data).subspan(
             recv_offsets[s], recv_bytes[s] / sizeof(T)));
       });
@@ -443,7 +492,8 @@ void Communicator::alltoallv_packed(std::span<const std::size_t> send_bytes,
   const int p = size();
   AGCM_ASSERT(static_cast<int>(send_bytes.size()) == p);
   AGCM_ASSERT(static_cast<int>(recv_bytes.size()) == p);
-  constexpr int kTag = kMaxUserTag - 5;
+  simnet::Rendezvous& slot = rendezvous();
+  slot.stage(rank_, send_bytes);
 
   // Self block: pooled buffer handed from pack to unpack, no message and no
   // virtual-clock activity.
@@ -457,20 +507,21 @@ void Communicator::alltoallv_packed(std::span<const std::size_t> send_bytes,
       unpack(rank_, reader);
     }
   }
-  // P-1 rounds of pairwise exchange: in round s we send to (rank+s) and
-  // receive from (rank-s).
+  // Round s sends to (rank+s) and receives from (rank-s): pack in that
+  // order, meet every rank once, then unpack in that order.
   for (int s = 1; s < p; ++s) {
     const int dst = (rank_ + s) % p;
-    const int src = (rank_ - s + p) % p;
-    const auto nsend = send_bytes[static_cast<std::size_t>(dst)];
-    const auto nrecv = recv_bytes[static_cast<std::size_t>(src)];
-    if (nsend > 0) {
-      PackedWriter writer(acquire(nsend));
+    if (send_bytes[static_cast<std::size_t>(dst)] > 0) {
+      PackedWriter writer(slot.outgoing(rank_, dst));
       pack(dst, writer);
-      send_buffer(dst, kTag, writer.take());
+      writer.finish();
     }
-    if (nrecv > 0) {
-      PackedReader reader(recv_buffer(src, kTag));
+  }
+  slot.exchange(*ctx_, rank_, recv_bytes, ctx_->network().recv_timeout_ms());
+  for (int s = 1; s < p; ++s) {
+    const int src = (rank_ - s + p) % p;
+    if (recv_bytes[static_cast<std::size_t>(src)] > 0) {
+      PackedReader reader(slot.incoming(rank_, src));
       unpack(src, reader);
     }
   }

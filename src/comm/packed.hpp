@@ -1,14 +1,16 @@
-// Typed in-place pack/unpack over pooled transport buffers.
+// Typed in-place pack/unpack over transport bytes.
 //
-// PackedWriter fills a pool-acquired Buffer front to back with trivially
-// copyable elements; the finished buffer is *moved* into the network
-// (Communicator::send_buffer), so a message is packed exactly once, in its
-// final wire location. PackedReader walks a received payload in place —
-// unpacking reads straight out of the pooled storage, no copy-out vector.
+// PackedWriter fills a byte area front to back with trivially copyable
+// elements. Over a pool-acquired Buffer, the finished buffer is *moved*
+// into the network (Communicator::send_buffer), so a message is packed
+// exactly once, in its final wire location. Over a span it fills a block
+// of an all-to-all's staging area in place (Communicator::alltoallv_packed).
+// PackedReader walks a received payload, or a sender's staged block, in
+// place: unpacking reads straight out of the storage, no copy-out vector.
 //
 // Both sides are cursor-checked: a writer must be filled exactly to its
-// declared size before take(), and a reader throws if a read runs past the
-// payload — the typed equivalent of the old recv-size-mismatch check.
+// declared size (finish(), take()), and a reader throws if a read runs past
+// the payload — the typed equivalent of the old recv-size-mismatch check.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "simnet/buffer_pool.hpp"
 #include "util/error.hpp"
@@ -24,15 +27,19 @@ namespace agcm::comm {
 
 using Buffer = simnet::Buffer;
 
-/// Packs typed elements into a fixed-size pooled buffer.
+/// Packs typed elements into a fixed-size pooled buffer or byte span.
 class PackedWriter {
  public:
   /// Wraps storage whose logical size is the exact wire size of the message.
-  explicit PackedWriter(Buffer buffer) : buffer_(std::move(buffer)) {}
+  explicit PackedWriter(Buffer buffer)
+      : buffer_(std::move(buffer)), bytes_(buffer_.span()) {}
 
-  std::size_t size_bytes() const { return buffer_.size(); }
+  /// Fills `bytes` in place; the caller owns the storage (no take()).
+  explicit PackedWriter(std::span<std::byte> bytes) : bytes_(bytes) {}
+
+  std::size_t size_bytes() const { return bytes_.size(); }
   std::size_t cursor_bytes() const { return cursor_; }
-  std::size_t remaining_bytes() const { return buffer_.size() - cursor_; }
+  std::size_t remaining_bytes() const { return bytes_.size() - cursor_; }
 
   /// Reserves the next `count` elements and returns them for in-place
   /// filling (the zero-copy pack path: memcpy rows straight into the wire
@@ -46,7 +53,7 @@ class PackedWriter {
                       std::to_string(bytes) + " bytes with " +
                       std::to_string(remaining_bytes()) + " remaining");
     }
-    T* base = reinterpret_cast<T*>(buffer_.data() + cursor_);
+    T* base = reinterpret_cast<T*>(bytes_.data() + cursor_);
     cursor_ += bytes;
     return {base, count};
   }
@@ -60,29 +67,40 @@ class PackedWriter {
     }
   }
 
+  /// Throws unless the writer has been filled exactly to its size.
+  void finish() const {
+    if (cursor_ != bytes_.size()) {
+      throw CommError("PackedWriter finished before it was filled (" +
+                      std::to_string(cursor_) + " of " +
+                      std::to_string(bytes_.size()) + " bytes)");
+    }
+  }
+
   /// Releases the filled buffer for sending; the writer must be full.
   Buffer take() {
-    if (cursor_ != buffer_.size()) {
-      throw CommError("PackedWriter::take before the buffer was filled (" +
-                      std::to_string(cursor_) + " of " +
-                      std::to_string(buffer_.size()) + " bytes)");
-    }
+    finish();
     cursor_ = 0;
+    bytes_ = {};
     return std::move(buffer_);
   }
 
  private:
-  Buffer buffer_;
+  Buffer buffer_;  ///< owned storage; empty for a span-backed writer
+  std::span<std::byte> bytes_;
   std::size_t cursor_ = 0;
 };
 
-/// Reads typed elements out of a received payload, in place.
+/// Reads typed elements out of a received payload or a byte span, in place.
 class PackedReader {
  public:
-  explicit PackedReader(Buffer buffer) : buffer_(std::move(buffer)) {}
+  explicit PackedReader(Buffer buffer)
+      : buffer_(std::move(buffer)), bytes_(std::as_const(buffer_).span()) {}
 
-  std::size_t size_bytes() const { return buffer_.size(); }
-  std::size_t remaining_bytes() const { return buffer_.size() - cursor_; }
+  /// Reads `bytes` in place; the caller keeps the storage alive.
+  explicit PackedReader(std::span<const std::byte> bytes) : bytes_(bytes) {}
+
+  std::size_t size_bytes() const { return bytes_.size(); }
+  std::size_t remaining_bytes() const { return bytes_.size() - cursor_; }
 
   /// Views the next `count` elements without copying. The payload start is
   /// allocator-aligned and messages are packed homogeneously, so the
@@ -96,7 +114,7 @@ class PackedReader {
                       std::to_string(bytes) + " bytes with " +
                       std::to_string(remaining_bytes()) + " remaining");
     }
-    const T* base = reinterpret_cast<const T*>(buffer_.data() + cursor_);
+    const T* base = reinterpret_cast<const T*>(bytes_.data() + cursor_);
     AGCM_DBG_ASSERT(reinterpret_cast<std::uintptr_t>(base) % alignof(T) == 0);
     cursor_ += bytes;
     return {base, count};
@@ -112,7 +130,8 @@ class PackedReader {
   }
 
  private:
-  Buffer buffer_;
+  Buffer buffer_;  ///< owned payload; empty for a span-backed reader
+  std::span<const std::byte> bytes_;
   std::size_t cursor_ = 0;
 };
 

@@ -147,12 +147,12 @@ void ConvolutionFilter::tree(std::span<const LineKey> lines,
   for (int c = 0; c < ncols; ++c)
     counts_[static_cast<std::size_t>(c)] =
         static_cast<int>(nlines) * lon.size(c);
-  const std::vector<double> gathered =
-      row_comm.allgatherv<double>(mine_, counts_);
+  gathered_.resize(nlines * len);
+  row_comm.allgatherv_into<double>(mine_, counts_, gathered_);
 
   // Assemble whole lines from the per-column blocks.
   full_.resize(nlines * len);
-  const double* block = gathered.data();
+  const double* block = gathered_.data();
   for (int c = 0; c < ncols; ++c) {
     const auto w = static_cast<std::size_t>(lon.size(c));
     const auto start = static_cast<std::size_t>(lon.start(c));

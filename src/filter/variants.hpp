@@ -38,13 +38,13 @@ class ConvolutionFilter final : public PolarFilter {
   FilterAlgorithm algorithm_;
   std::vector<LineKey> lines_;  ///< local filtered lines, canonical order
   // Growth-only scratch reused across apply() calls, one variable at a
-  // time. The ring's steady state is allocation-free
-  // (tests/test_comm_alloc.cpp); the tree still receives its gathered
-  // lines in a vector Communicator::allgatherv returns.
-  std::vector<double> mine_;  ///< my chunks (ring: the circulating chunks)
-  std::vector<double> out_;   ///< my output chunks
-  std::vector<int> counts_;   ///< tree: per-column allgatherv counts
-  std::vector<double> full_;  ///< tree: whole lines
+  // time, so both algorithms' steady state is allocation-free
+  // (tests/test_comm_alloc.cpp).
+  std::vector<double> mine_;      ///< my chunks (ring: the circulating chunks)
+  std::vector<double> out_;       ///< my output chunks
+  std::vector<int> counts_;       ///< tree: per-column allgatherv counts
+  std::vector<double> gathered_;  ///< tree: the allgathered column blocks
+  std::vector<double> full_;      ///< tree: whole lines
 };
 
 /// The transpose-filter pipeline behind three algorithms: whole lines are

@@ -10,7 +10,8 @@
 // fixed pool of W worker threads (W ~ hardware concurrency). A fiber
 // yields only at virtual-time events that cannot proceed (today: a
 // blocking recv on an empty channel — barriers and clock waits are built
-// on recv); everything else runs straight through. Parking and waking a
+// on recv — and an all-to-all rendezvous still waiting for a member);
+// everything else runs straight through. Parking and waking a
 // fiber is a user-space context switch, so thousands of ranks sweep at
 // full host speed (bench/bench_simnet_sched.cpp gates the speedup,
 // docs/simnet.md has the design).

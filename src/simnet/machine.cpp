@@ -27,14 +27,11 @@ void RankContext::send_bytes(int dst, std::int64_t tag, Buffer&& payload) {
   if (dst < 0 || dst >= nranks()) {
     throw CommError("send to invalid rank " + std::to_string(dst));
   }
-  clock_.charge_send_overhead();
   Packet packet;
+  packet.depart_time = charge_send(payload.size());
   packet.payload = std::move(payload);
-  packet.depart_time = clock_.now();
   packet.src = rank_;
   packet.tag = tag;
-  ++traffic_.messages_sent;
-  traffic_.bytes_sent += packet.payload.size();
   network_->mailbox(dst).push(std::move(packet));
 }
 
@@ -44,12 +41,7 @@ Buffer RankContext::recv_bytes(int src, std::int64_t tag) {
   }
   Packet packet =
       network_->mailbox(rank_).pop(src, tag, network_->recv_timeout_ms());
-  ++traffic_.messages_recv;
-  traffic_.bytes_recv += packet.payload.size();
-  const double arrival =
-      packet.depart_time +
-      clock_.profile().transfer_time(static_cast<double>(packet.payload.size()));
-  clock_.apply_arrival(arrival);
+  charge_recv(packet.depart_time, packet.payload.size());
   return std::move(packet.payload);
 }
 

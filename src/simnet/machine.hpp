@@ -20,10 +20,11 @@
 namespace agcm::simnet {
 
 /// One rank's traffic ledger: the messages and payload bytes it has sent
-/// and received since launch. Only the owning rank writes it (send_bytes,
-/// recv_bytes), so it needs no atomics and no lock. The traffic of a window
-/// is the difference of two readings taken by the rank itself; nothing is
-/// ever reset.
+/// and received since launch. It is written by the owning rank (send_bytes,
+/// recv_bytes), or by an all-to-all's replay while the rank is parked in
+/// that rendezvous (see Rendezvous), so it needs no atomics and no lock.
+/// The traffic of a window is the difference of two readings taken by the
+/// rank itself; nothing is ever reset.
 struct Traffic {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
@@ -85,6 +86,24 @@ class RankContext {
   /// and returns the pooled payload directly — no copy-out; the storage
   /// recycles into the pool when the returned Buffer dies.
   Buffer recv_bytes(int src, std::int64_t tag);
+
+  /// The virtual cost of one message, without the message: send_bytes and
+  /// recv_bytes charge through these, and an all-to-all's rendezvous
+  /// replays its schedule with them. charge_send charges the sender
+  /// overhead, counts the message and returns its departure time;
+  /// charge_recv counts it and applies its arrival.
+  double charge_send(std::size_t bytes) {
+    clock_.charge_send_overhead();
+    ++traffic_.messages_sent;
+    traffic_.bytes_sent += bytes;
+    return clock_.now();
+  }
+  void charge_recv(double depart_time, std::size_t bytes) {
+    ++traffic_.messages_recv;
+    traffic_.bytes_recv += bytes;
+    clock_.apply_arrival(depart_time + clock_.profile().transfer_time(
+                                           static_cast<double>(bytes)));
+  }
 
  private:
   int rank_;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <utility>
 
 #include "simnet/fiber.hpp"
+#include "simnet/machine.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 
@@ -198,6 +201,158 @@ std::size_t Mailbox::live_channels() const {
   return n;
 }
 
+Rendezvous::Rendezvous(int members)
+    : members_(static_cast<std::size_t>(members)),
+      sent_{std::vector<std::size_t>(members_.size() * members_.size()),
+            std::vector<std::size_t>(members_.size() * members_.size())},
+      offset_{std::vector<std::size_t>(members_.size() * members_.size()),
+              std::vector<std::size_t>(members_.size() * members_.size())},
+      expected_(members_.size() * members_.size()),
+      ctx_(members_.size()),
+      depart_(members_.size()),
+      wake_(members_.size()) {
+  AGCM_ASSERT(members > 0);
+}
+
+void Rendezvous::stage(int m, std::span<const std::size_t> send_bytes) {
+  Member& me = members_[static_cast<std::size_t>(m)];
+  const int p = members();
+  AGCM_ASSERT(static_cast<int>(send_bytes.size()) == p);
+  me.half = me.calls++ & 1;
+  std::size_t* sent = &sent_[me.half][at(m, 0)];
+  std::size_t* offset = &offset_[me.half][at(m, 0)];
+  // Every block starts allocator-aligned, so readers may view it in place.
+  // The self block never leaves the rank, so it takes no room here.
+  constexpr std::size_t kAlign = alignof(std::max_align_t);
+  std::size_t total = 0;
+  for (int peer = 0; peer < p; ++peer) {
+    const std::size_t bytes =
+        peer == m ? 0 : send_bytes[static_cast<std::size_t>(peer)];
+    offset[peer] = total;
+    sent[peer] = bytes;
+    total += (bytes + kAlign - 1) & ~(kAlign - 1);
+  }
+  if (me.area[me.half].size() < total) me.area[me.half].resize(total);
+}
+
+std::span<std::byte> Rendezvous::outgoing(int m, int peer) {
+  Member& me = members_[static_cast<std::size_t>(m)];
+  return std::span<std::byte>(me.area[me.half])
+      .subspan(offset_[me.half][at(m, peer)], sent_[me.half][at(m, peer)]);
+}
+
+std::span<const std::byte> Rendezvous::incoming(int m, int src) const {
+  const std::size_t half = members_[static_cast<std::size_t>(m)].half;
+  return std::span<const std::byte>(
+             members_[static_cast<std::size_t>(src)].area[half])
+      .subspan(offset_[half][at(src, m)], sent_[half][at(src, m)]);
+}
+
+void Rendezvous::exchange(RankContext& ctx, int m,
+                          std::span<const std::size_t> recv_bytes,
+                          int timeout_ms) {
+  Member& me = members_[static_cast<std::size_t>(m)];
+  AGCM_ASSERT(static_cast<int>(recv_bytes.size()) == members());
+  std::copy(recv_bytes.begin(), recv_bytes.end(),
+            expected_.begin() + static_cast<std::ptrdiff_t>(at(m, 0)));
+  std::unique_lock lock(mutex_);
+  ctx_[static_cast<std::size_t>(m)] = &ctx;
+  const std::uint64_t call = completed_;
+
+  if (++arrived_ < members()) {
+    // Wait for the last arrival's replay, parking like a blocked recv.
+#if AGCM_SIMNET_HAS_FIBERS
+    if (Fiber* self = current_fiber()) {
+      while (completed_ == call) {
+        if (self->run_deadlocked()) {
+          me.waiter = nullptr;
+          --arrived_;
+          throw CommError(strformat(
+              "alltoallv deadlock: every live rank is blocked while {} of "
+              "{} members wait in the rendezvous (a member never arrived)",
+              arrived_ + 1, members()));
+        }
+        self->prepare_park();
+        me.waiter = self;
+        lock.unlock();
+        self->park();
+        lock.lock();
+      }
+      if (!failure_.empty()) throw CommError(failure_);
+      return;
+    }
+#endif
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(timeout_ms);
+    if (!cv_.wait_until(lock, deadline, [&] { return completed_ != call; })) {
+      --arrived_;
+      throw CommError(strformat(
+          "alltoallv timeout after {} ms: {} of {} members arrived at the "
+          "rendezvous (likely deadlock: a member never arrived)",
+          timeout_ms, arrived_ + 1, members()));
+    }
+    if (!failure_.empty()) throw CommError(failure_);
+    return;
+  }
+
+  arrived_ = 0;
+  replay();
+  ++completed_;
+  const std::string failure = failure_;
+  std::size_t nwake = 0;
+  for (Member& other : members_)
+    if (other.waiter != nullptr)
+      wake_[nwake++] = std::exchange(other.waiter, nullptr);
+  lock.unlock();
+  // Wake outside the slot lock: the scheduler takes its own lock and must
+  // never nest inside this one. The next replay cannot touch wake_ before
+  // this member arrives again.
+#if AGCM_SIMNET_HAS_FIBERS
+  for (std::size_t i = 0; i < nwake; ++i) wake_[i]->unpark();
+#endif
+  cv_.notify_all();
+  if (!failure.empty()) throw CommError(failure);
+}
+
+void Rendezvous::replay() {
+  const int p = members();
+  const std::size_t half = members_.front().half;
+  const std::vector<std::size_t>& sent = sent_[half];
+  failure_.clear();
+  // Every sent block needs a receiver expecting exactly its size, and every
+  // expected block a sender: check all pairs before charging anything.
+  for (int d = 0; d < p; ++d) {
+    for (int r = 0; r < p; ++r) {
+      if (r != d && sent[at(r, d)] != expected_[at(d, r)]) {
+        failure_ = strformat(
+            "alltoallv: member {} sends {} bytes to member {}, which "
+            "expects {} bytes from it",
+            r, sent[at(r, d)], d, expected_[at(d, r)]);
+        return;
+      }
+    }
+  }
+  // The pairwise schedule's charges, in its order: in round s each rank
+  // sends to r+s and then receives from r-s. A rank's round-s send depends
+  // only on its state after round s-1, so charging every round-s send
+  // before any round-s receive gives each clock the same operations, in
+  // the same order, as the message-based exchange.
+  for (int s = 1; s < p; ++s) {
+    for (int r = 0; r < p; ++r) {
+      const int dst = r + s < p ? r + s : r + s - p;
+      if (const std::size_t bytes = sent[at(r, dst)])
+        depart_[static_cast<std::size_t>(r)] =
+            ctx_[static_cast<std::size_t>(r)]->charge_send(bytes);
+    }
+    for (int r = 0; r < p; ++r) {
+      const int src = r - s >= 0 ? r - s : r - s + p;
+      if (const std::size_t bytes = sent[at(src, r)])
+        ctx_[static_cast<std::size_t>(r)]->charge_recv(
+            depart_[static_cast<std::size_t>(src)], bytes);
+    }
+  }
+}
+
 Network::Network(int nranks) : nranks_(nranks) {
   AGCM_ASSERT(nranks > 0);
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
@@ -214,6 +369,17 @@ std::size_t Network::live_channels() const {
   std::size_t n = 0;
   for (const auto& mailbox : mailboxes_) n += mailbox->live_channels();
   return n;
+}
+
+Rendezvous& Network::rendezvous(std::int64_t context, int members) {
+  std::lock_guard lock(rendezvous_mutex_);
+  std::unique_ptr<Rendezvous>& slot = rendezvous_[context];
+  if (!slot) slot = std::make_unique<Rendezvous>(members);
+  if (slot->members() != members)
+    throw CommError(strformat(
+        "communicator context {} has {} members here but {} elsewhere",
+        context, members, slot->members()));
+  return *slot;
 }
 
 }  // namespace agcm::simnet

@@ -26,6 +26,9 @@
 // under the thread backend the same slot role is played by the channel's
 // condition variable (notify_one). At most one receiver ever waits on a
 // (src, tag) channel — the destination rank — so both wakeups are exact.
+//
+// All-to-alls bypass the mailbox: each communicator's Rendezvous slot
+// charges their messages' virtual cost without sending them (below).
 #pragma once
 
 #include <atomic>
@@ -36,6 +39,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "simnet/buffer_pool.hpp"
@@ -174,9 +178,98 @@ class Mailbox {
   std::vector<std::atomic<Lane*>> lanes_;  ///< one per source; owned
 };
 
-/// The whole interconnect: one mailbox per rank and the shared payload
-/// buffer pool. It holds no traffic state: each rank counts its own
-/// messages (RankContext::traffic()).
+class RankContext;
+
+/// The rendezvous slot behind one communicator's all-to-alls. An
+/// all-to-all's virtual cost needs no messages: a receive's charge is pure
+/// LogP, apply_arrival(depart + transfer_time(bytes)), so every charge is
+/// a fixed function of the members' entry clocks and block sizes. Each
+/// member stages its outgoing blocks here and arrives once; the last to
+/// arrive replays the pairwise schedule's charges for everyone, and each
+/// member then reads its incoming blocks straight out of the senders'
+/// staging areas.
+///
+/// One call on member m: stage(m, send) lays out m's blocks; the caller
+/// fills outgoing(m, peer); exchange(...) arrives, parks, and returns once
+/// the replay is done (or throws the replay's CommError, on every member);
+/// then incoming(m, src) holds src's block for m until m's next stage().
+///
+/// Staging areas, block offsets and block sizes are double-buffered by the
+/// parity of the call: a member rewrites its parity-g half only when it
+/// stages call g+2, which it cannot reach before every member has arrived
+/// at g+1 — and a member arrives at g+1 only after it has finished reading
+/// call g. Each member writes only its own staging area and its own rows of
+/// the slot's matrices; the replay reads them, and charges every member's
+/// RankContext, while all members are parked.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int members);
+  Rendezvous(const Rendezvous&) = delete;
+  Rendezvous& operator=(const Rendezvous&) = delete;
+
+  int members() const { return static_cast<int>(members_.size()); }
+
+  /// Starts member `m`'s next call: lays out one block of send_bytes[peer]
+  /// bytes per other peer in its staging half (growth-only storage). The
+  /// self block is the caller's business and gets no room.
+  void stage(int m, std::span<const std::size_t> send_bytes);
+
+  /// Member `m`'s staged block for `peer` != m, to be packed before
+  /// exchange().
+  std::span<std::byte> outgoing(int m, int peer);
+
+  /// Arrives with `ctx` (member `m`'s rank) and waits until every member
+  /// has arrived; the last to arrive replays the charges of the P-1-round
+  /// pairwise exchange (round s: rank r sends to r+s, receives from r-s;
+  /// empty blocks are no message) onto every member's clock and traffic
+  /// ledger. Throws CommError on every member if some pair's sent and
+  /// expected sizes differ, and on a waiter when the run deadlocks (fibers)
+  /// or after `timeout_ms` real milliseconds (threads).
+  void exchange(RankContext& ctx, int m,
+                std::span<const std::size_t> recv_bytes, int timeout_ms);
+
+  /// The block `src` sent to member `m` in m's last exchange().
+  std::span<const std::byte> incoming(int m, int src) const;
+
+ private:
+  struct alignas(64) Member {
+    Fiber* waiter = nullptr;         ///< parked fiber; guarded by mutex_
+    std::uint64_t calls = 0;         ///< stage() calls so far
+    std::size_t half = 0;            ///< parity of the current call
+    std::vector<std::byte> area[2];  ///< staged blocks, back to back
+  };
+
+  /// Pre: mutex_ held, every member arrived. Charges the whole schedule,
+  /// or sets failure_ and charges nothing.
+  void replay();
+
+  std::size_t at(int row, int col) const {
+    return static_cast<std::size_t>(row) * members_.size() +
+           static_cast<std::size_t>(col);
+  }
+
+  std::vector<Member> members_;
+  // P x P matrices, row m written by member m: the bytes it sends each peer
+  // and where they sit in its staging area (double-buffered), and the bytes
+  // it expects from each peer (read by the replay only).
+  std::vector<std::size_t> sent_[2];
+  std::vector<std::size_t> offset_[2];
+  std::vector<std::size_t> expected_;
+  std::vector<RankContext*> ctx_;  ///< each member's rank, set on arrival
+  std::vector<double> depart_;     ///< replay scratch: a round's departures
+  std::vector<Fiber*> wake_;       ///< the replaying member's unpark list
+
+  std::mutex mutex_;
+  std::condition_variable cv_;  ///< thread-backend waiters
+  int arrived_ = 0;
+  std::uint64_t completed_ = 0;  ///< exchanges finished
+  std::string failure_;          ///< the last replay's error, if any
+};
+
+/// The whole interconnect: one mailbox per rank, one all-to-all rendezvous
+/// slot per communicator, and the shared payload buffer pool. It holds no
+/// traffic state: each rank counts its own messages
+/// (RankContext::traffic()).
 class Network {
  public:
   explicit Network(int nranks);
@@ -194,11 +287,18 @@ class Network {
   /// Channels created so far, summed over every mailbox (host diagnostics).
   std::size_t live_channels() const;
 
+  /// The all-to-all slot of communicator context `context` with `members`
+  /// ranks, created on first use. The reference stays valid for the
+  /// network's lifetime; a communicator looks it up once and caches it.
+  Rendezvous& rendezvous(std::int64_t context, int members);
+
  private:
   int nranks_;
   BufferPool pool_;  ///< declared before mailboxes_: queued packets release
                      ///< their buffers into the pool during destruction
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::mutex rendezvous_mutex_;
+  std::unordered_map<std::int64_t, std::unique_ptr<Rendezvous>> rendezvous_;
   int timeout_ms_ = 60'000;
 };
 

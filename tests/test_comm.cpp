@@ -4,7 +4,10 @@
 // non-powers of two, which exercise the binomial-tree edge cases).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include "comm/communicator.hpp"
 #include "comm/mesh2d.hpp"
@@ -18,6 +21,7 @@ namespace {
 using simnet::Machine;
 using simnet::MachineProfile;
 using simnet::RankContext;
+using simnet::SimBackend;
 
 Machine make_machine() {
   Machine machine(MachineProfile::ideal());
@@ -524,6 +528,242 @@ TEST_P(CollectiveSweep, AlltoallvPackedSkipsZeroBlocks) {
       EXPECT_EQ(unpack_calls, 0);
     }
   });
+}
+
+// --- the all-to-all rendezvous ---------------------------------------------
+
+/// The message-based pairwise exchange that alltoallv_packed replays, as
+/// real messages on its own tag: the self block without a message, then
+/// P-1 rounds that send to rank+s and receive from rank-s, empty blocks
+/// skipped. The rendezvous must charge exactly what this loop charges.
+template <typename PackFn, typename UnpackFn>
+void pairwise_reference(const Communicator& comm,
+                        std::span<const std::size_t> send_bytes,
+                        std::span<const std::size_t> recv_bytes, PackFn&& pack,
+                        UnpackFn&& unpack) {
+  constexpr int kTag = 77;
+  const int p = comm.size();
+  const int me = comm.rank();
+  if (send_bytes[static_cast<std::size_t>(me)] > 0) {
+    PackedWriter writer(comm.acquire(send_bytes[static_cast<std::size_t>(me)]));
+    pack(me, writer);
+    PackedReader reader(writer.take());
+    unpack(me, reader);
+  }
+  for (int s = 1; s < p; ++s) {
+    const int dst = (me + s) % p;
+    const int src = (me - s + p) % p;
+    if (const std::size_t n = send_bytes[static_cast<std::size_t>(dst)]) {
+      PackedWriter writer(comm.acquire(n));
+      pack(dst, writer);
+      comm.send_buffer(dst, kTag, writer.take());
+    }
+    if (recv_bytes[static_cast<std::size_t>(src)] > 0) {
+      PackedReader reader(comm.recv_buffer(src, kTag));
+      unpack(src, reader);
+    }
+  }
+}
+
+/// Bytes `src` sends `dst` in call `call`: pseudo-random, a third of them
+/// zero, so both ends agree without communicating.
+std::size_t block_bytes(int src, int dst, int call) {
+  std::uint64_t h = static_cast<std::uint64_t>(src) * 0x9E3779B97F4A7C15ull ^
+                    static_cast<std::uint64_t>(dst) * 0xC2B2AE3D27D4EB4Full ^
+                    static_cast<std::uint64_t>(call) * 0x165667B19E3779F9ull;
+  h ^= h >> 29;
+  h *= 0xBF58476D1CE4E5B9ull;
+  h ^= h >> 32;
+  return h % 3 == 0 ? 0 : static_cast<std::size_t>(h % 97) * 8 + 1;
+}
+
+struct ExchangeRun {
+  simnet::RunResult result;
+  std::vector<std::vector<std::byte>> received;  ///< per rank, unpack order
+};
+
+/// Three all-to-alls of pseudo-random block sizes on P ranks whose entry
+/// clocks are skewed by rank-dependent compute, through `reference` or
+/// through Communicator::alltoallv_packed.
+ExchangeRun run_exchanges(Machine& machine, int p, bool reference) {
+  ExchangeRun run;
+  run.received.resize(static_cast<std::size_t>(p));
+  run.result = machine.run(p, [&](RankContext& ctx) {
+    Communicator comm(ctx);
+    const int me = comm.rank();
+    std::vector<std::byte>& got = run.received[static_cast<std::size_t>(me)];
+    for (int call = 0; call < 3; ++call) {
+      ctx.clock().compute(1.0e4 * ((me * 7 + call * 3) % 11 + 1));
+      std::vector<std::size_t> send(static_cast<std::size_t>(p));
+      std::vector<std::size_t> recv(static_cast<std::size_t>(p));
+      for (int r = 0; r < p; ++r) {
+        send[static_cast<std::size_t>(r)] = block_bytes(me, r, call);
+        recv[static_cast<std::size_t>(r)] = block_bytes(r, me, call);
+      }
+      recv[static_cast<std::size_t>(me)] = send[static_cast<std::size_t>(me)];
+      const auto pack = [&](int dst, PackedWriter& w) {
+        const auto block = w.append<std::byte>(w.size_bytes());
+        for (std::size_t k = 0; k < block.size(); ++k)
+          block[k] = static_cast<std::byte>(me * 31 + dst * 7 + call + k);
+      };
+      const auto unpack = [&](int, PackedReader& r) {
+        const auto block = r.view<std::byte>(r.size_bytes());
+        got.insert(got.end(), block.begin(), block.end());
+      };
+      if (reference)
+        pairwise_reference(comm, send, recv, pack, unpack);
+      else
+        comm.alltoallv_packed(send, recv, pack, unpack);
+    }
+  });
+  return run;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(AlltoallvRendezvous, ReplaysThePairwiseScheduleBitForBit) {
+  struct Host {
+    const char* name;
+    SimBackend backend;
+    int workers;
+  };
+  for (const Host host : {Host{"1 fiber worker", SimBackend::kFibers, 1},
+                          Host{"4 fiber workers", SimBackend::kFibers, 4},
+                          Host{"threads", SimBackend::kThreads, 0}}) {
+    for (const int p : {2, 3, 5, 8, 16}) {
+      SCOPED_TRACE(std::string(host.name) + ", P=" + std::to_string(p));
+      Machine machine(MachineProfile::intel_paragon());
+      machine.set_backend(host.backend);
+      machine.set_workers(host.workers);
+      machine.set_recv_timeout_ms(10'000);
+      const ExchangeRun want = run_exchanges(machine, p, /*reference=*/true);
+      const ExchangeRun got = run_exchanges(machine, p, /*reference=*/false);
+      EXPECT_GT(want.result.total_messages, 0u);
+      for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
+        EXPECT_TRUE(same_bits(got.result.finish_times[r],
+                              want.result.finish_times[r]))
+            << "rank " << r;
+        const auto& g = got.result.breakdowns[r];
+        const auto& w = want.result.breakdowns[r];
+        EXPECT_TRUE(same_bits(g.compute, w.compute)) << "rank " << r;
+        EXPECT_TRUE(same_bits(g.overhead, w.overhead)) << "rank " << r;
+        EXPECT_TRUE(same_bits(g.wait, w.wait)) << "rank " << r;
+        EXPECT_EQ(got.result.traffic[r], want.result.traffic[r]) << "rank " << r;
+        EXPECT_EQ(got.received[r], want.received[r]) << "rank " << r;
+      }
+    }
+  }
+}
+
+/// Every host backend the error-path tests run on.
+std::vector<Machine> every_backend() {
+  std::vector<Machine> machines;
+  for (const int workers : {1, 4}) {
+    machines.emplace_back(MachineProfile::ideal());
+    machines.back().set_backend(SimBackend::kFibers);
+    machines.back().set_workers(workers);
+  }
+  machines.emplace_back(MachineProfile::ideal());
+  machines.back().set_backend(SimBackend::kThreads);
+  for (Machine& machine : machines) machine.set_recv_timeout_ms(10'000);
+  return machines;
+}
+
+/// Runs one all-to-all on 4 ranks in which rank 0 sends rank 1
+/// `sent` bytes while rank 1 expects `expected`; every other pair is a
+/// matching 8-byte block. Returns the ranks that caught a CommError, after
+/// checking that a correct all-to-all on the same communicator still works.
+std::vector<int> mismatched_exchange(Machine& machine, std::size_t sent,
+                                     std::size_t expected) {
+  constexpr int kRanks = 4;
+  std::vector<int> threw(kRanks, 0);
+  machine.run(kRanks, [&](RankContext& ctx) {
+    Communicator comm(ctx);
+    const int me = comm.rank();
+    std::vector<std::size_t> send(kRanks, 8), recv(kRanks, 8);
+    if (me == 0) send[1] = sent;
+    if (me == 1) recv[0] = expected;
+    const auto pack = [](int, PackedWriter& w) {
+      (void)w.append<std::byte>(w.size_bytes());
+    };
+    const auto unpack = [](int, PackedReader& r) {
+      (void)r.view<std::byte>(r.size_bytes());
+    };
+    try {
+      comm.alltoallv_packed(send, recv, pack, unpack);
+    } catch (const CommError&) {
+      threw[static_cast<std::size_t>(me)] = 1;
+    }
+    const std::vector<std::size_t> eights(kRanks, 8);
+    comm.alltoallv_packed(eights, eights, pack, unpack);
+  });
+  return threw;
+}
+
+TEST(AlltoallvRendezvous, ReceiveCountWithoutSendThrowsOnEveryRank) {
+  for (Machine& machine : every_backend())
+    EXPECT_EQ(mismatched_exchange(machine, 0, 8), std::vector<int>(4, 1));
+}
+
+TEST(AlltoallvRendezvous, SendWithoutReceiveCountThrowsOnEveryRank) {
+  for (Machine& machine : every_backend())
+    EXPECT_EQ(mismatched_exchange(machine, 8, 0), std::vector<int>(4, 1));
+}
+
+TEST(AlltoallvRendezvous, BlockSizeMismatchThrowsOnEveryRank) {
+  for (Machine& machine : every_backend())
+    EXPECT_EQ(mismatched_exchange(machine, 16, 8), std::vector<int>(4, 1));
+}
+
+TEST(AlltoallvRendezvous, RankThatThrowsBeforeArrivingFailsTheRunPromptly) {
+  // The other ranks wait in the rendezvous for a rank that never comes:
+  // the fiber scheduler's deadlock sweep wakes them at once, the thread
+  // backend after its receive timeout, and the run rethrows the first error.
+  const auto run = [](Machine& machine) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      machine.run(4, [](RankContext& ctx) {
+        Communicator comm(ctx);
+        if (comm.rank() == 2) throw std::runtime_error("rank 2 failed");
+        const std::vector<int> ones(4, 1), mine(4, comm.rank());
+        (void)comm.alltoallv<int>(mine, ones, ones);
+      });
+      ADD_FAILURE() << "the run did not fail";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "rank 2 failed");
+    }
+    return std::chrono::steady_clock::now() - start;
+  };
+  for (Machine& machine : every_backend()) {
+    if (machine.backend() == SimBackend::kThreads)
+      machine.set_recv_timeout_ms(200);
+    EXPECT_LT(run(machine), std::chrono::seconds(5));
+  }
+}
+
+TEST(AlltoallvRendezvous, SendsNoHostMessages) {
+  // The virtual messages are all in the ledgers, but none of them touches
+  // a mailbox: no channel is ever created.
+  constexpr int kRanks = 6;
+  Machine machine(MachineProfile::intel_paragon());
+  const auto result = machine.run(kRanks, [](RankContext& ctx) {
+    Communicator comm(ctx);
+    const std::vector<int> ones(kRanks, 1), mine(kRanks, comm.rank());
+    for (int call = 0; call < 3; ++call) {
+      const std::vector<int> got = comm.alltoallv<int>(mine, ones, ones);
+      for (int r = 0; r < kRanks; ++r)
+        EXPECT_EQ(got[static_cast<std::size_t>(r)], r);
+    }
+    const std::vector<std::size_t> bytes(kRanks, 16);
+    comm.alltoallv_packed(
+        bytes, bytes,
+        [](int, PackedWriter& w) { (void)w.append<double>(2); },
+        [](int, PackedReader& r) { (void)r.view<double>(2); });
+  });
+  EXPECT_EQ(result.total_messages, 4u * kRanks * (kRanks - 1));
+  EXPECT_EQ(result.live_channels, 0u);
 }
 
 TEST(Comm, MessageCostFlowsThroughCollectives) {

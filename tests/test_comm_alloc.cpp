@@ -1,7 +1,8 @@
 // Allocation-freedom test for the zero-copy pooled transport: after a
 // warm-up sweep, the steady-state communication hot paths — multi-field
-// halo exchange and the filter row-transpose — must not touch the heap
-// (docs/transport.md, "allocation-free steady state").
+// halo exchange, every parallel filter and the rendezvous all-to-all —
+// must not touch the heap (docs/transport.md, "allocation-free steady
+// state").
 //
 // The check hooks the global operator new/delete with a counting wrapper,
 // like tests/test_fft_alloc.cpp; it lives in its own binary so the hooks
@@ -21,6 +22,7 @@
 //   rank 0:     recv DONEs,  sample `after`, assert, send EXITs
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -199,9 +201,8 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
          {filter::FilterAlgorithm::kFftTranspose,
           filter::FilterAlgorithm::kFftBalanced,
           filter::FilterAlgorithm::kConvolutionPartitioned,
-          // The ring only: the tree receives its gathered lines in the
-          // vector Communicator::allgatherv returns, one per apply.
-          filter::FilterAlgorithm::kConvolutionRing}) {
+          filter::FilterAlgorithm::kConvolutionRing,
+          filter::FilterAlgorithm::kConvolutionTree}) {
       filters.push_back(filter::make_filter(algorithm, mesh, decomp, bank));
     }
 
@@ -217,6 +218,49 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
           << (after - before)
           << " heap allocations in the steady-state filters";
     });
+  });
+}
+
+TEST(CommAllocFree, WorldAlltoallvAfterWarmup) {
+  // The rendezvous all-to-all: staging areas grow on the first calls of
+  // each parity, then every call packs, replays and unpacks in place.
+  constexpr int kRanks = 6;
+  Machine machine(MachineProfile::intel_paragon());
+  machine.set_recv_timeout_ms(20'000);
+  machine.run(kRanks, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    if (world.rank() == 0) ctx.network().pool().prewarm(128, 1 << 16);
+    const auto me = static_cast<std::size_t>(world.rank());
+    std::array<std::size_t, kRanks> send_bytes{}, recv_bytes{};
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      send_bytes[r] = ((me + r) % 3) * 40 * sizeof(double);
+      recv_bytes[r] = send_bytes[r];
+    }
+    std::array<double, 3 * 40> staged{};
+    double checksum = 0.0;
+    auto sweep = [&] {
+      for (int call = 0; call < 4; ++call) {
+        world.alltoallv_packed(
+            send_bytes, recv_bytes,
+            [&](int, comm::PackedWriter& w) {
+              w.write<double>(std::span<const double>(staged).first(
+                  w.size_bytes() / sizeof(double)));
+            },
+            [&](int, comm::PackedReader& r) {
+              checksum += r.view<double>(r.size_bytes() / sizeof(double))[0];
+            });
+      }
+    };
+
+    for (int it = 0; it < 3; ++it) sweep();
+    gated(world, [] {}, [](std::size_t, std::size_t) {});
+
+    gated(world, sweep, [](std::size_t before, std::size_t after) {
+      EXPECT_EQ(after - before, 0u)
+          << (after - before)
+          << " heap allocations in the steady-state world alltoallv";
+    });
+    EXPECT_EQ(checksum, 0.0);
   });
 }
 
