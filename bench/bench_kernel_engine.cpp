@@ -6,7 +6,7 @@
 //  * advection — dynamics::advect_tracers_optimized_seed_ref (per-element
 //    Array3D accesses, per-call scratch allocation) vs the production path,
 //    which now routes through kernels::advect_tracers_engine (FieldView
-//    raw-pointer rows, k-over-j tiles, 4-wide unrolling, KernelWorkspace
+//    raw-pointer rows, row streaming, 4-wide unrolling, KernelWorkspace
 //    scratch). Full paper grid, 144x90x9, two tracers.
 //  * physics   — physics::step_column_seed_ref (per-pair emissivity
 //    recomputation, per-call band vectors and Thomas copies) vs the

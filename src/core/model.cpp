@@ -156,6 +156,10 @@ RunReport run_model(const ModelConfig& config, int steps, int warmup_steps) {
                             static_cast<double>(run_result.pool_misses));
     registry.set_host_gauge("simnet.mailbox.live_channels",
                             static_cast<double>(run_result.live_channels));
+    registry.set_host_gauge("simnet.mailbox.deliveries",
+                            static_cast<double>(run_result.mailbox_deliveries));
+    registry.set_host_gauge("simnet.rendezvous.blocks",
+                            static_cast<double>(run_result.rendezvous_blocks));
   }
 
   RunReport report;

@@ -1,23 +1,35 @@
 #include "dynamics/advection.hpp"
 
-#include <algorithm>
+#include <cmath>
 
 #include "kernels/advection_kernels.hpp"
 #include "kernels/workspace.hpp"
-#include "util/error.hpp"
 
 namespace agcm::dynamics {
 
 Metrics Metrics::build(const grid::LatLonGrid& grid,
                        const grid::LocalBox& box) {
+  const auto nj = static_cast<std::size_t>(box.nj);
+  const double omega = grid.planet().omega;
   Metrics m;
-  m.inv_area.resize(static_cast<std::size_t>(box.nj));
-  m.dy_face.resize(static_cast<std::size_t>(box.nj));
-  m.dx_vface.resize(static_cast<std::size_t>(box.nj) + 1);
+  m.inv_area.resize(nj);
+  m.dy_face.resize(nj);
+  m.dx_vface.resize(nj + 1);
+  m.dx_u.resize(nj);
+  m.coriolis_u.resize(nj);
+  m.coriolis_v.resize(nj);
   for (int j = 0; j < box.nj; ++j) {
     const int gj = box.j0 + j;
-    m.inv_area[static_cast<std::size_t>(j)] = 1.0 / grid.cell_area_m2(gj);
-    m.dy_face[static_cast<std::size_t>(j)] = grid.dy_m();
+    const auto r = static_cast<std::size_t>(j);
+    m.inv_area[r] = 1.0 / grid.cell_area_m2(gj);
+    m.dy_face[r] = grid.dy_m();
+    m.dx_u[r] = grid.dx_m(gj);
+    // The expressions Dynamics::momentum used to evaluate at every point,
+    // evaluated once per row: the same operations, so the same bits.
+    m.coriolis_u[r] = 2.0 * omega * std::sin(grid.lat_center(gj));
+    m.coriolis_v[r] = gj + 1 < grid.nlat()
+                          ? 2.0 * omega * std::sin(grid.lat_vface(gj + 1))
+                          : 0.0;
   }
   for (int j = 0; j <= box.nj; ++j) {
     const int gj = box.j0 + j;
@@ -29,69 +41,30 @@ Metrics Metrics::build(const grid::LatLonGrid& grid,
   return m;
 }
 
-namespace {
-
-/// Upwind tracer value on a face given the mass flux through it.
-inline double upwind(double mass_flux, double c_minus, double c_plus) {
-  return mass_flux >= 0.0 ? c_minus : c_plus;
-}
-
-}  // namespace
-
-KernelCost advect_tracers_baseline(
-    const grid::LatLonGrid& grid, const grid::LocalBox& box,
-    const Metrics& metrics, const grid::Array3D<double>& h_old,
-    const grid::Array3D<double>& h_new, const grid::Array3D<double>& u,
-    const grid::Array3D<double>& v,
-    std::span<grid::Array3D<double>* const> tracers, double dt) {
-  const int nk = grid.nlev();
-  // Original-Fortran structure: one full pass per tracer; the mass fluxes
-  // and face thicknesses are recomputed inside every pass (the redundant
-  // work the paper's optimization removes).
-  for (auto* tracer_ptr : tracers) {
-    grid::Array3D<double>& c = *tracer_ptr;
-    grid::Array3D<double> updated(box.ni, box.nj, nk, /*ghost=*/0);
-    for (int k = 0; k < nk; ++k) {
-      for (int j = 0; j < box.nj; ++j) {
-        const double inv_area = metrics.inv_area[static_cast<std::size_t>(j)];
-        for (int i = 0; i < box.ni; ++i) {
-          // Mass fluxes through all four faces, recomputed per tracer.
-          const double dy = metrics.dy_face[static_cast<std::size_t>(j)];
-          const double fe =
-              u(i, j, k) * 0.5 * (h_old(i, j, k) + h_old(i + 1, j, k)) * dy;
-          const double fw =
-              u(i - 1, j, k) * 0.5 * (h_old(i - 1, j, k) + h_old(i, j, k)) * dy;
-          const double fn =
-              v(i, j, k) * 0.5 * (h_old(i, j, k) + h_old(i, j + 1, k)) *
-              metrics.dx_vface[static_cast<std::size_t>(j) + 1];
-          const double fs =
-              v(i, j - 1, k) * 0.5 * (h_old(i, j - 1, k) + h_old(i, j, k)) *
-              metrics.dx_vface[static_cast<std::size_t>(j)];
-          const double flux_e = fe * upwind(fe, c(i, j, k), c(i + 1, j, k));
-          const double flux_w = fw * upwind(fw, c(i - 1, j, k), c(i, j, k));
-          const double flux_n = fn * upwind(fn, c(i, j, k), c(i, j + 1, k));
-          const double flux_s = fs * upwind(fs, c(i, j - 1, k), c(i, j, k));
-          const double ch =
-              c(i, j, k) * h_old(i, j, k) -
-              dt * inv_area * (flux_e - flux_w + flux_n - flux_s);
-          updated(i, j, k) = ch / h_new(i, j, k);
-        }
-      }
-    }
-    for (int k = 0; k < nk; ++k)
-      for (int j = 0; j < box.nj; ++j)
-        for (int i = 0; i < box.ni; ++i) c(i, j, k) = updated(i, j, k);
-  }
-
-  KernelCost cost;
+KernelCost advection_cost(bool optimized, const grid::LocalBox& box, int nk,
+                          std::size_t ntracers) {
   const double points = static_cast<double>(box.ni) * box.nj * nk;
-  // Per point per tracer: 4 mass fluxes (6 flops each incl. face
-  // thickness), 4 upwind fluxes (2), update (6) ~= 38 flops.
-  cost.flops = 38.0 * points * static_cast<double>(tracers.size());
-  // Each pass streams a modest set of arrays (u, v, h_old, h_new, tracer,
-  // scratch), so per-pass cache behaviour is comparatively benign — the
-  // waste is the *recomputation*, not the locality.
-  cost.cache_efficiency = 0.80;
+  const double tracers = static_cast<double>(ntracers);
+  KernelCost cost;
+  if (!optimized) {
+    // Per point per tracer: 4 mass fluxes (6 flops each incl. face
+    // thickness), 4 upwind fluxes (2), update (6) ~= 38 flops.
+    cost.flops = 38.0 * points * tracers;
+    // Each pass streams a modest set of arrays (u, v, h_old, h_new, tracer,
+    // scratch), so per-pass cache behaviour is comparatively benign — the
+    // waste is the *recomputation*, not the locality.
+    cost.cache_efficiency = 0.80;
+    return cost;
+  }
+  // Mass fluxes once (12 flops/point), then per tracer: 4 upwind fluxes (8)
+  // plus the update (6).
+  cost.flops = points * (12.0 + 14.0 * tracers);
+  // The fused loop references more concurrent streams (two flux arrays,
+  // both thicknesses, every tracer and its scratch), which hurts the tiny
+  // 1990s caches — the paper's own observation that a "better" data
+  // structure for one loop can be worse for another. The net effect is
+  // still a ~35% faster routine, dominated by the eliminated flops.
+  cost.cache_efficiency = 0.66;
   return cost;
 }
 
@@ -101,34 +74,20 @@ KernelCost advect_tracers_optimized(
     const grid::Array3D<double>& h_new, const grid::Array3D<double>& u,
     const grid::Array3D<double>& v,
     std::span<grid::Array3D<double>* const> tracers, double dt) {
-  const int nk = grid.nlev();
-  // Host execution is delegated to the tiled, unrolled kernel engine, which
-  // produces fields bitwise identical to the pre-engine implementation
-  // (preserved verbatim in advection_seed_ref.cpp and cross-checked by
-  // bench_kernel_engine and the dynamics tests). Scratch comes from the
-  // per-rank KernelWorkspace, so the steady state allocates nothing.
+  // Host execution is the row-streamed kernel engine, bitwise identical to
+  // both the baseline loop and the pre-engine optimized path (preserved in
+  // advection_seed_ref.cpp and cross-checked by the dynamics tests). Its
+  // O(ni) scratch comes from the per-rank KernelWorkspace, so the steady
+  // state allocates nothing.
   const kernels::AdvectionMetricsView mview{
       metrics.inv_area.data(), metrics.dy_face.data(),
       metrics.dx_vface.data()};
   kernels::advect_tracers_engine(mview, h_old, h_new, u, v, tracers, box.ni,
-                                 box.nj, nk, dt,
+                                 box.nj, grid.nlev(), dt,
                                  util::rank_local<kernels::KernelWorkspace>());
-
   // The virtual-cost model is the SEED's, unchanged: the engine reorganizes
   // host loops, not the modelled 1990s machine (docs/kernels.md).
-  KernelCost cost;
-  const double points = static_cast<double>(box.ni) * box.nj * nk;
-  // Mass fluxes once (12 flops/point), then per tracer: 4 upwind fluxes (8)
-  // plus the update (6).
-  cost.flops =
-      points * (12.0 + 14.0 * static_cast<double>(tracers.size()));
-  // The fused loop references more concurrent streams (two flux arrays,
-  // both thicknesses, every tracer and its scratch), which hurts the tiny
-  // 1990s caches — the paper's own observation that a "better" data
-  // structure for one loop can be worse for another. The net effect is
-  // still a ~35% faster routine, dominated by the eliminated flops.
-  cost.cache_efficiency = 0.66;
-  return cost;
+  return advection_cost(/*optimized=*/true, box, grid.nlev(), tracers.size());
 }
 
 }  // namespace agcm::dynamics

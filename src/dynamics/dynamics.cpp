@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "filter/bank_cache.hpp"
 #include "grid/halo.hpp"
+#include "kernels/dycore_kernels.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
 
@@ -122,24 +126,19 @@ void Dynamics::step(State& state) {
 void Dynamics::continuity(const State& state,
                           const grid::Array3D<double>& h_base, double step) {
   // h_new = h_base - step/area * div(mass flux), flux form, fluxes at n.
+  const grid::ConstFieldView u = state.u.view();
+  const grid::ConstFieldView v = state.v.view();
+  const grid::ConstFieldView h = state.h.view();
+  const grid::ConstFieldView hb = h_base.view();
+  const grid::FieldView out = h_new_.view();
   for (int k = 0; k < grid_->nlev(); ++k) {
     for (int j = 0; j < box_.nj; ++j) {
-      const double inv_area = metrics_.inv_area[static_cast<std::size_t>(j)];
-      const double dxn = metrics_.dx_vface[static_cast<std::size_t>(j) + 1];
-      const double dxs = metrics_.dx_vface[static_cast<std::size_t>(j)];
-      const double dyf = metrics_.dy_face[static_cast<std::size_t>(j)];
-      for (int i = 0; i < box_.ni; ++i) {
-        const double fe = state.u(i, j, k) * 0.5 *
-                          (state.h(i, j, k) + state.h(i + 1, j, k)) * dyf;
-        const double fw = state.u(i - 1, j, k) * 0.5 *
-                          (state.h(i - 1, j, k) + state.h(i, j, k)) * dyf;
-        const double fn = state.v(i, j, k) * 0.5 *
-                          (state.h(i, j, k) + state.h(i, j + 1, k)) * dxn;
-        const double fs = state.v(i, j - 1, k) * 0.5 *
-                          (state.h(i, j - 1, k) + state.h(i, j, k)) * dxs;
-        h_new_(i, j, k) =
-            h_base(i, j, k) - step * inv_area * (fe - fw + fn - fs);
-      }
+      const auto r = static_cast<std::size_t>(j);
+      kernels::continuity_row(
+          box_.ni, metrics_.dy_face[r], metrics_.dx_vface[r + 1],
+          metrics_.dx_vface[r], step * metrics_.inv_area[r], u.row(j, k),
+          v.row(j, k), v.row(j - 1, k), h.row(j, k), h.row(j + 1, k),
+          h.row(j - 1, k), hb.row(j, k), out.row(j, k));
     }
   }
   charge_fd(16.0);
@@ -150,69 +149,56 @@ void Dynamics::momentum(const State& state,
                         const grid::Array3D<double>& v_base,
                         const grid::Array3D<double>& h_pgf, double step,
                         double smooth_scale) {
-  const double g = grid_->planet().gravity;
-  const double omega = grid_->planet().omega;
+  const kernels::MomentumCoeffs coeffs{grid_->planet().gravity,
+                                       config_.kappa_smooth, step,
+                                       smooth_scale};
   const double dy = grid_->dy_m();
-  const double kappa = config_.kappa_smooth;
   const int global_nlat = grid_->nlat();
+  const grid::ConstFieldView u = state.u.view();
+  const grid::ConstFieldView v = state.v.view();
+  const grid::ConstFieldView ub = u_base.view();
+  const grid::ConstFieldView vb = v_base.view();
+  const grid::ConstFieldView hp = h_pgf.view();
+  const grid::FieldView u_out = u_new_.view();
+  const grid::FieldView v_out = v_new_.view();
   for (int k = 0; k < grid_->nlev(); ++k) {
     for (int j = 0; j < box_.nj; ++j) {
+      const auto r = static_cast<std::size_t>(j);
       const int gj = box_.j0 + j;
-      const double f_u = 2.0 * omega * std::sin(grid_->lat_center(gj));
-      const double dx_u = grid_->dx_m(gj);
-      const bool south_edge = (gj == 0);
       const bool north_edge = (gj == global_nlat - 1);
-      for (int i = 0; i < box_.ni; ++i) {
-        // u on the east face of (i, j).
-        const double vbar = 0.25 * (state.v(i, j, k) + state.v(i + 1, j, k) +
-                                    state.v(i, j - 1, k) +
-                                    state.v(i + 1, j - 1, k));
-        const double pgf_x =
-            -g * (h_pgf(i + 1, j, k) - h_pgf(i, j, k)) / dx_u;
-        const double u_n = north_edge ? u_base(i, j, k) : u_base(i, j + 1, k);
-        const double u_s = south_edge ? u_base(i, j, k) : u_base(i, j - 1, k);
-        // Grid-space del-2 smoothing (see DynamicsConfig::kappa_smooth).
-        const double smooth_u =
-            kappa * (u_base(i + 1, j, k) + u_base(i - 1, j, k) -
-                     2.0 * u_base(i, j, k)) +
-            kappa * (u_n + u_s - 2.0 * u_base(i, j, k));
-        u_new_(i, j, k) = u_base(i, j, k) + step * (f_u * vbar + pgf_x) +
-                          smooth_scale * smooth_u;
+      // u on the east faces. The del-2 smoothing's meridional neighbours
+      // fall back to the row itself at the global edges.
+      const double* ub_row = ub.row(j, k);
+      kernels::momentum_u_row(
+          box_.ni, coeffs, metrics_.coriolis_u[r], metrics_.dx_u[r],
+          v.row(j, k), v.row(j - 1, k), hp.row(j, k), ub_row,
+          north_edge ? ub_row : ub.row(j + 1, k),
+          gj == 0 ? ub_row : ub.row(j - 1, k), u_out.row(j, k));
 
-        // v on the north face of (i, j); the polar faces stay at rest.
-        if (gj + 1 >= global_nlat) {
-          v_new_(i, j, k) = 0.0;
-          continue;
-        }
-        const double f_v = 2.0 * omega * std::sin(grid_->lat_vface(gj + 1));
-        const double ubar = 0.25 * (state.u(i, j, k) + state.u(i - 1, j, k) +
-                                    state.u(i, j + 1, k) +
-                                    state.u(i - 1, j + 1, k));
-        const double pgf_y =
-            -g * (h_pgf(i, j + 1, k) - h_pgf(i, j, k)) / dy;
-        const double v_n = north_edge ? v_base(i, j, k) : v_base(i, j + 1, k);
-        const double v_s = v_base(i, j - 1, k);
-        const double smooth_v =
-            kappa * (v_base(i + 1, j, k) + v_base(i - 1, j, k) -
-                     2.0 * v_base(i, j, k)) +
-            kappa * (v_n + v_s - 2.0 * v_base(i, j, k));
-        v_new_(i, j, k) = v_base(i, j, k) + step * (-f_v * ubar + pgf_y) +
-                          smooth_scale * smooth_v;
+      // v on the north faces; the polar faces stay at rest.
+      if (north_edge) {
+        std::fill_n(v_out.row(j, k), box_.ni, 0.0);
+        continue;
       }
+      kernels::momentum_v_row(box_.ni, coeffs, metrics_.coriolis_v[r], dy,
+                              u.row(j, k), u.row(j + 1, k), hp.row(j, k),
+                              hp.row(j + 1, k), vb.row(j, k),
+                              vb.row(j + 1, k), vb.row(j - 1, k),
+                              v_out.row(j, k));
     }
   }
 }
 
 void Dynamics::advect(State& state) {
   // The paper's "advection routine": a forward upwind step n -> n+1 with
-  // level-n fluxes, whichever scheme integrates the gravity waves.
+  // level-n fluxes, whichever scheme integrates the gravity waves. Both of
+  // the paper's variants give the same bits, so the host always runs the
+  // engine; the flag picks which variant the virtual clock is charged for.
   grid::Array3D<double>* tracers[] = {&state.theta, &state.q};
-  const KernelCost cost =
-      config_.optimized_advection
-          ? advect_tracers_optimized(*grid_, box_, metrics_, state.h, h_new_,
-                                     state.u, state.v, tracers, config_.dt_sec)
-          : advect_tracers_baseline(*grid_, box_, metrics_, state.h, h_new_,
-                                    state.u, state.v, tracers, config_.dt_sec);
+  advect_tracers_optimized(*grid_, box_, metrics_, state.h, h_new_, state.u,
+                           state.v, tracers, config_.dt_sec);
+  const KernelCost cost = advection_cost(config_.optimized_advection, box_,
+                                         grid_->nlev(), std::size(tracers));
   mesh_->world().context().clock().compute(
       kFullDycoreFactor * cost.flops, cost.cache_efficiency * loop_eff_);
 }
@@ -231,15 +217,17 @@ void Dynamics::forward_backward(State& state) {
   charge_fd(44.0);
   advect(state);
 
-  const int nk = grid_->nlev();
-  for (int k = 0; k < nk; ++k) {
-    for (int j = 0; j < box_.nj; ++j) {
-      for (int i = 0; i < box_.ni; ++i) {
-        state.h(i, j, k) = h_new_(i, j, k);
-        state.u(i, j, k) = u_new_(i, j, k);
-        state.v(i, j, k) = v_new_(i, j, k);
-      }
-    }
+  // Commit the interiors row by row (a bitwise copy).
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(box_.ni) * sizeof(double);
+  for (auto [dst, src] : {std::pair{&state.h, &h_new_},
+                          std::pair{&state.u, &u_new_},
+                          std::pair{&state.v, &v_new_}}) {
+    const grid::FieldView to = dst->view();
+    const grid::FieldView from = src->view();
+    for (int k = 0; k < grid_->nlev(); ++k)
+      for (int j = 0; j < box_.nj; ++j)
+        std::memcpy(to.row(j, k), from.row(j, k), row_bytes);
   }
   mesh_->world().context().clock().memory_traffic(6.0 * points_ *
                                                   sizeof(double));

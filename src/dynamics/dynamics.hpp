@@ -42,7 +42,9 @@ struct DynamicsConfig {
   bool use_polar_filter = true;
   filter::FilterAlgorithm filter_algorithm =
       filter::FilterAlgorithm::kFftBalanced;
-  bool optimized_advection = false;  ///< Section 3.4 single-node variant
+  /// Which Section 3.4 advection variant the virtual clock is charged
+  /// for. Both give the same bits, so the host runs one engine either way.
+  bool optimized_advection = false;
   /// Dimensionless per-step horizontal smoothing of momentum (a grid-space
   /// del-2 with coefficient kappa per direction; stable for kappa < 0.25).
   /// Expressed in grid units so the polar rows, where dx shrinks by two

@@ -1,7 +1,7 @@
 #include "dynamics/state.hpp"
 
 #include <cmath>
-#include <numbers>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -22,44 +22,56 @@ void initialize_state(State& state, const grid::LatLonGrid& grid,
   const double omega = grid.planet().omega;
   const double a = grid.planet().radius_m;
 
+  // Every factor below that depends only on the column (i) or only on the
+  // row and layer (j, k) is evaluated once, with the same operations the
+  // per-point expressions used, so the fields keep every bit.
+  std::vector<double> wave(static_cast<std::size_t>(box.ni));
+  for (int i = 0; i < box.ni; ++i)
+    wave[static_cast<std::size_t>(i)] =
+        8.0 * std::cos(4.0 * grid.lon_center(box.i0 + i));
+
   for (int k = 0; k < grid.nlev(); ++k) {
     const double layer_scale = 1.0 + 0.15 * k;  // faster aloft
     for (int j = 0; j < box.nj; ++j) {
       const int gj = box.j0 + j;
       const double lat = grid.lat_center(gj);
       const double lat_face = grid.lat_vface(gj + 1);
+      const double sin_lat = std::sin(lat);
+      // Zonal jet peaking at +-45 degrees.
+      const double jet = jet_speed * layer_scale * std::sin(2.0 * lat) *
+                         std::sin(2.0 * lat);
+      // Geostrophically consistent height depression under the jet:
+      // dh/dphi = -(a f u)/g with f = 2 Omega sin(phi); we use the
+      // closed-form integral of the jet profile above.
+      const double f = 2.0 * omega * sin_lat;
+      const double hbal = h0 - (a / g) * f * jet * 0.35;  // approximate balance
+      // Small deterministic wavenumber-4 perturbation, amplified toward
+      // the poles so the polar filter has real work to do.
+      const double polar_boost = 1.0 + 3.0 * std::pow(sin_lat, 8.0);
+      const double u_face = jet * std::cos(lat_face * 0.0);  // u on east face
+      // Warm equator, cold poles; stable-ish stratification with layer.
+      const double theta_row = 300.0 - 40.0 * sin_lat * sin_lat + 3.0 * k;
+      // Moist tropics.
+      const double q_row = 0.018 * std::exp(-std::pow(lat / 0.45, 2.0)) *
+                           std::exp(-0.35 * k);
+      double* const h_row = state.h.view().row(j, k);
+      double* const u_row = state.u.view().row(j, k);
+      double* const v_row = state.v.view().row(j, k);
+      double* const theta_out = state.theta.view().row(j, k);
+      double* const q_out = state.q.view().row(j, k);
       for (int i = 0; i < box.ni; ++i) {
         const int gi = box.i0 + i;
-        const double lon = grid.lon_center(gi);
-        // Zonal jet peaking at +-45 degrees.
-        const double jet = jet_speed * layer_scale *
-                           std::sin(2.0 * lat) * std::sin(2.0 * lat);
-        // Geostrophically consistent height depression under the jet:
-        // dh/dphi = -(a f u)/g with f = 2 Omega sin(phi); we use the
-        // closed-form integral of the jet profile above.
-        const double f = 2.0 * omega * std::sin(lat);
-        const double hbal =
-            h0 - (a / g) * f * jet * 0.35;  // approximate balance
-        // Small deterministic wavenumber-4 perturbation, amplified toward
-        // the poles so the polar filter has real work to do.
         Rng rng = Rng::for_stream(seed, (static_cast<std::uint64_t>(k) << 32) ^
                                             (static_cast<std::uint64_t>(gj) << 16) ^
                                             static_cast<std::uint64_t>(gi));
-        const double polar_boost = 1.0 + 3.0 * std::pow(std::sin(lat), 8.0);
         const double bump =
-            (8.0 * std::cos(4.0 * lon) + 2.0 * (rng.uniform() - 0.5)) *
+            (wave[static_cast<std::size_t>(i)] + 2.0 * (rng.uniform() - 0.5)) *
             polar_boost;
-        state.h(i, j, k) = hbal + bump;
-        state.u(i, j, k) = jet * std::cos(lat_face * 0.0);  // u on east face
-        state.v(i, j, k) = 0.0;
-        // Warm equator, cold poles; stable-ish stratification with layer.
-        state.theta(i, j, k) =
-            300.0 - 40.0 * std::sin(lat) * std::sin(lat) + 3.0 * k +
-            0.5 * (rng.uniform() - 0.5);
-        // Moist tropics.
-        state.q(i, j, k) =
-            0.018 * std::exp(-std::pow(lat / 0.45, 2.0)) *
-            std::exp(-0.35 * k) * (1.0 + 0.1 * (rng.uniform() - 0.5));
+        h_row[i] = hbal + bump;
+        u_row[i] = u_face;
+        v_row[i] = 0.0;
+        theta_out[i] = theta_row + 0.5 * (rng.uniform() - 0.5);
+        q_out[i] = q_row * (1.0 + 0.1 * (rng.uniform() - 0.5));
       }
     }
   }

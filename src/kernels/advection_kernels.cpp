@@ -1,7 +1,7 @@
 #include "kernels/advection_kernels.hpp"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "kernels/simd/dispatch.hpp"
 
@@ -9,11 +9,14 @@ namespace agcm::kernels {
 
 namespace {
 
-/// Rows per (k, j) tile of the fused flux+update sweep. A tile keeps its
-/// flux rows cache-hot across every tracer's update pass; 8 rows of the
-/// production shapes (ni <= a few hundred) fit comfortably in L1/L2
-/// together with the tracer and thickness streams.
-constexpr int kTileJ = 8;
+/// Padding ahead of every scratch row: fx is indexed from -1, and the pad
+/// keeps each row's element 0 on a 64-byte boundary.
+constexpr std::size_t kRowLead = 8;
+
+/// Distance between scratch rows: a whole number of cache lines.
+std::size_t row_stride(int ni) {
+  return kRowLead + (static_cast<std::size_t>(ni) + 7) / 8 * 8;
+}
 
 // The row kernels below route through the SIMD dispatch table
 // (kernels/simd/dispatch.hpp): flux_row covers both directions via pointer
@@ -47,67 +50,57 @@ void advect_tracers_engine(const AdvectionMetricsView& m,
                            std::span<grid::Array3D<double>* const> tracers,
                            int ni, int nj, int nk, double dt,
                            KernelWorkspace& ws) {
-  grid::Array3D<double>& fx = ws.flux_x(ni, nj, nk);
-  grid::Array3D<double>& fy = ws.flux_y(ni, nj, nk);
-  std::span<grid::Array3D<double>> updates =
-      ws.tracer_updates(tracers.size(), ni, nj, nk);
+  // Scratch rows, all of one stride: fx, the fy rows of the current row's
+  // south and north faces, then two update rows per tracer (rows j-1 and
+  // j, by the parity of j).
+  const std::size_t nt = tracers.size();
+  const std::size_t stride = row_stride(ni);
+  double* const base = ws.advection.take((3 + 2 * nt) * stride).data() +
+                       kRowLead;
+  double* const fxr = base;
+  double* fy_south = base + stride;
+  double* fy_north = base + 2 * stride;
+  const auto update_row = [&](std::size_t t, int j) {
+    return base + (3 + 2 * t + static_cast<std::size_t>(j & 1)) * stride;
+  };
+  const std::size_t row_bytes = static_cast<std::size_t>(ni) * sizeof(double);
 
   const grid::ConstFieldView hv = h_old.view();
   const grid::ConstFieldView hnv = h_new.view();
   const grid::ConstFieldView uv = u.view();
   const grid::ConstFieldView vv = v.view();
-  const grid::FieldView fxv = fx.view();
-  const grid::FieldView fyv = fy.view();
 
   // One dispatch-table fetch per engine call (resolved once per process).
   const simd::KernelOps& ops = simd::ops();
 
   for (int k = 0; k < nk; ++k) {
-    // South-edge fluxes of row 0 (face j = -1/2) before the tiles, so
-    // the first tile's update rows can read fy row -1.
+    // South-edge fluxes of row 0 (face j = -1/2).
     flux_y_row(ops, ni, m.dx_vface[0], vv.row(-1, k), hv.row(-1, k),
-               hv.row(0, k), fyv.row(-1, k));
+               hv.row(0, k), fy_south);
 
-    for (int j0 = 0; j0 < nj; j0 += kTileJ) {
-      const int j1 = std::min(j0 + kTileJ, nj);
+    for (int j = 0; j < nj; ++j) {
+      // The row's fluxes, computed once and reused by every tracer.
+      const double* __restrict hr = hv.row(j, k);
+      flux_x_row(ops, ni, m.dy_face[j], uv.row(j, k), hr, fxr);
+      flux_y_row(ops, ni, m.dx_vface[j + 1], vv.row(j, k), hr,
+                 hv.row(j + 1, k), fy_north);
 
-      // Flux rows of the tile (computed once, reused by every tracer).
-      for (int j = j0; j < j1; ++j) {
-        const double* __restrict hr = hv.row(j, k);
-        flux_x_row(ops, ni, m.dy_face[j], uv.row(j, k), hr, fxv.row(j, k));
-        flux_y_row(ops, ni, m.dx_vface[j + 1], vv.row(j, k), hr,
-                   hv.row(j + 1, k), fyv.row(j, k));
+      for (std::size_t t = 0; t < nt; ++t) {
+        const grid::FieldView cv = tracers[t]->view();
+        ops.advect_update_row(ni, dt * m.inv_area[j], fxr, fy_north,
+                              fy_south, cv.row(j, k), cv.row(j - 1, k),
+                              cv.row(j + 1, k), hr, hnv.row(j, k),
+                              update_row(t, j));
+        // Row j was the last reader of row j-1's old values: commit it
+        // (a bitwise copy, exactly the seed's assignment loop).
+        if (j > 0)
+          std::memcpy(cv.row(j - 1, k), update_row(t, j - 1), row_bytes);
       }
-
-      // Fused tracer updates while the tile's fluxes are hot. The loop
-      // order (tracer outer, i inner) transposes the seed's per-point
-      // tracer loop; every (i, tracer) point is independent, so the
-      // interchange moves no bits.
-      for (std::size_t t = 0; t < tracers.size(); ++t) {
-        const grid::ConstFieldView cv =
-            static_cast<const grid::Array3D<double>&>(*tracers[t]).view();
-        const grid::FieldView upv = updates[t].view();
-        for (int j = j0; j < j1; ++j) {
-          ops.advect_update_row(ni, dt * m.inv_area[j], fxv.row(j, k),
-                                fyv.row(j, k), fyv.row(j - 1, k),
-                                cv.row(j, k), cv.row(j - 1, k),
-                                cv.row(j + 1, k), hv.row(j, k),
-                                hnv.row(j, k), upv.row(j, k));
-        }
-      }
+      std::swap(fy_south, fy_north);
     }
-  }
-
-  // Commit: copy each update field back into its tracer's interior
-  // (row-wise memcpy — a bitwise copy, exactly the seed's assignment loop).
-  for (std::size_t t = 0; t < tracers.size(); ++t) {
-    const grid::FieldView cv = tracers[t]->view();
-    const grid::ConstFieldView upv =
-        static_cast<const grid::Array3D<double>&>(updates[t]).view();
-    const std::size_t row_bytes = static_cast<std::size_t>(ni) * sizeof(double);
-    for (int k = 0; k < nk; ++k)
-      for (int j = 0; j < nj; ++j)
-        std::memcpy(cv.row(j, k), upv.row(j, k), row_bytes);
+    for (std::size_t t = 0; t < nt; ++t)
+      std::memcpy(tracers[t]->view().row(nj - 1, k), update_row(t, nj - 1),
+                  row_bytes);
   }
 }
 

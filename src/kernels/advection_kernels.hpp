@@ -1,24 +1,26 @@
-// Tiled, unrolled tracer-advection engine — the industrialized form of the
+// Row-streamed tracer-advection engine — the industrialized form of the
 // paper's Section 3.4 single-node optimization of the advection routine.
 //
-// Produces fields BITWISE IDENTICAL to dynamics::advect_tracers_optimized's
-// seed implementation (preserved as advect_tracers_optimized_seed_ref):
+// Produces fields BITWISE IDENTICAL to the paper's baseline loop and to the
+// pre-engine optimized path (both preserved in dynamics/advection_seed_ref):
 // the per-point operation order of every arithmetic statement is the
 // seed's; what changes is everything around it —
 //   * all field accesses go through grid::FieldView raw-pointer rows
-//     hoisted into `__restrict` locals (no Array3D::at ghost arithmetic),
-//   * the flux and update sweeps are fused into k-over-j tiles so a tile
-//     of flux rows is still cache-hot when every tracer consumes it,
-//   * inner i loops are 4-wide unrolled with scalar remainders (point
-//     updates are independent, so unrolling cannot change bits),
-//   * the tracer loop runs innermost per tile but with the i loop inside
-//     it, giving each tracer a flat vectorizable walk,
-//   * all scratch (flux arrays, per-tracer update fields) comes from the
-//     per-rank KernelWorkspace — zero heap allocation in steady state.
+//     (no Array3D::at ghost arithmetic),
+//   * each k-slab is streamed row by row: row j's fluxes are computed once
+//     into O(ni) scratch rows and consumed at once by every tracer's
+//     update of row j, so they never leave L1,
+//   * update row j-1 is committed into its tracer as soon as row j is
+//     computed (row j is the last reader of row j-1's old values), so each
+//     tracer needs two update rows, not a full update field,
+//   * the row kernels come from the SIMD dispatch table; every point is
+//     independent, so unrolling and vectorizing cannot change bits,
+//   * all scratch comes from one growth-only buffer in the per-rank
+//     KernelWorkspace — zero heap allocation in steady state.
 //
-// The engine does NOT touch the virtual clock: callers charge the same
-// KernelCost as the seed path, keeping every frozen virtual-time artefact
-// byte-identical (docs/kernels.md).
+// The engine does NOT touch the virtual clock: callers charge the selected
+// variant's dynamics::advection_cost(), keeping every frozen virtual-time
+// artefact byte-identical (docs/kernels.md).
 #pragma once
 
 #include <span>
@@ -39,7 +41,7 @@ struct AdvectionMetricsView {
 
 /// Advances `tracers` in place (interior ni x nj x nk, ghost >= 1, halos
 /// current) by dt with upwind fluxes from (u, v, h_old); bitwise identical
-/// to the seed optimized path. Scratch lives in `ws`.
+/// to the seed paths. Scratch rows live in `ws.advection`.
 void advect_tracers_engine(const AdvectionMetricsView& m,
                            const grid::Array3D<double>& h_old,
                            const grid::Array3D<double>& h_new,

@@ -137,6 +137,8 @@ RunResult Machine::collect(
   result.pool_reuses = network.pool().reuses();
   result.pool_misses = network.pool().misses();
   result.live_channels = network.live_channels();
+  result.mailbox_deliveries = network.mailbox_deliveries();
+  result.rendezvous_blocks = network.rendezvous_blocks();
   return result;
 }
 

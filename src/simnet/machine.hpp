@@ -126,6 +126,11 @@ struct RunResult {
   std::uint64_t pool_reuses = 0;    ///< BufferPool acquires served from the freelist
   std::uint64_t pool_misses = 0;    ///< BufferPool acquires that allocated
   std::uint64_t live_channels = 0;  ///< channels created, summed over mailboxes
+  /// Messages that went through a mailbox, and all-to-all blocks charged
+  /// by a rendezvous replay. Together they are every ledger message:
+  /// mailbox_deliveries + rendezvous_blocks == total_messages.
+  std::uint64_t mailbox_deliveries = 0;
+  std::uint64_t rendezvous_blocks = 0;
 
   /// Virtual makespan: the slowest rank's finish time.
   double makespan() const;

@@ -103,6 +103,7 @@ void Mailbox::push(Packet packet) {
   {
     std::lock_guard lock(ch.mutex);
     ch.queue.push(std::move(packet));
+    ++ch.delivered;
 #if AGCM_SIMNET_HAS_FIBERS
     // Scheduler-integrated wakeup: claim the parked receiving fiber (if
     // any) while holding the channel lock, unpark it after releasing — the
@@ -198,6 +199,15 @@ std::size_t Mailbox::live_lanes() const {
 std::size_t Mailbox::live_channels() const {
   std::size_t n = 0;
   for_each_channel([&](int, std::int64_t, Channel&) { ++n; });
+  return n;
+}
+
+std::uint64_t Mailbox::deliveries() const {
+  std::uint64_t n = 0;
+  for_each_channel([&](int, std::int64_t, Channel& ch) {
+    std::lock_guard lock(ch.mutex);
+    n += ch.delivered;
+  });
   return n;
 }
 
@@ -314,6 +324,11 @@ void Rendezvous::exchange(RankContext& ctx, int m,
   if (!failure.empty()) throw CommError(failure);
 }
 
+std::uint64_t Rendezvous::blocks() {
+  std::lock_guard lock(mutex_);
+  return blocks_;
+}
+
 void Rendezvous::replay() {
   const int p = members();
   const std::size_t half = members_.front().half;
@@ -340,9 +355,11 @@ void Rendezvous::replay() {
   for (int s = 1; s < p; ++s) {
     for (int r = 0; r < p; ++r) {
       const int dst = r + s < p ? r + s : r + s - p;
-      if (const std::size_t bytes = sent[at(r, dst)])
+      if (const std::size_t bytes = sent[at(r, dst)]) {
         depart_[static_cast<std::size_t>(r)] =
             ctx_[static_cast<std::size_t>(r)]->charge_send(bytes);
+        ++blocks_;
+      }
     }
     for (int r = 0; r < p; ++r) {
       const int src = r - s >= 0 ? r - s : r - s + p;
@@ -368,6 +385,19 @@ Mailbox& Network::mailbox(int rank) {
 std::size_t Network::live_channels() const {
   std::size_t n = 0;
   for (const auto& mailbox : mailboxes_) n += mailbox->live_channels();
+  return n;
+}
+
+std::uint64_t Network::mailbox_deliveries() const {
+  std::uint64_t n = 0;
+  for (const auto& mailbox : mailboxes_) n += mailbox->deliveries();
+  return n;
+}
+
+std::uint64_t Network::rendezvous_blocks() {
+  std::lock_guard lock(rendezvous_mutex_);
+  std::uint64_t n = 0;
+  for (const auto& [context, slot] : rendezvous_) n += slot->blocks();
   return n;
 }
 

@@ -133,6 +133,8 @@ class Mailbox {
   std::size_t live_lanes() const;
   /// Channels created so far, across every lane.
   std::size_t live_channels() const;
+  /// Packets pushed into this mailbox since construction.
+  std::uint64_t deliveries() const;
 
  private:
   /// One FIFO channel shard: own lock, own queue, own wakeup. `waiter` is
@@ -145,6 +147,7 @@ class Mailbox {
     std::condition_variable cv;
     Fiber* waiter = nullptr;
     PacketRing queue;
+    std::uint64_t delivered = 0;  ///< packets pushed, ever
   };
 
   /// Every channel from one source: a flat run of (tag, channel) slots,
@@ -231,6 +234,9 @@ class Rendezvous {
   /// The block `src` sent to member `m` in m's last exchange().
   std::span<const std::byte> incoming(int m, int src) const;
 
+  /// Blocks charged as messages by every replay so far (host diagnostics).
+  std::uint64_t blocks();
+
  private:
   struct alignas(64) Member {
     Fiber* waiter = nullptr;         ///< parked fiber; guarded by mutex_
@@ -263,6 +269,7 @@ class Rendezvous {
   std::condition_variable cv_;  ///< thread-backend waiters
   int arrived_ = 0;
   std::uint64_t completed_ = 0;  ///< exchanges finished
+  std::uint64_t blocks_ = 0;     ///< blocks charged as messages, ever
   std::string failure_;          ///< the last replay's error, if any
 };
 
@@ -286,6 +293,10 @@ class Network {
 
   /// Channels created so far, summed over every mailbox (host diagnostics).
   std::size_t live_channels() const;
+  /// Packets delivered through the mailboxes, summed over every mailbox.
+  std::uint64_t mailbox_deliveries() const;
+  /// Blocks the all-to-all rendezvous slots charged as messages.
+  std::uint64_t rendezvous_blocks();
 
   /// The all-to-all slot of communicator context `context` with `members`
   /// ranks, created on first use. The reference stays valid for the

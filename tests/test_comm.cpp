@@ -763,6 +763,8 @@ TEST(AlltoallvRendezvous, SendsNoHostMessages) {
         [](int, PackedReader& r) { (void)r.view<double>(2); });
   });
   EXPECT_EQ(result.total_messages, 4u * kRanks * (kRanks - 1));
+  EXPECT_EQ(result.rendezvous_blocks, result.total_messages);
+  EXPECT_EQ(result.mailbox_deliveries, 0u);
   EXPECT_EQ(result.live_channels, 0u);
 }
 

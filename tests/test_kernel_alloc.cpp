@@ -1,9 +1,12 @@
-// Allocation-freedom test for the kernel engine: after a warm-up step, the
+// Allocation-freedom test for the kernel engine: after warm-up steps, the
 // steady-state dynamics + physics hot paths must not touch the heap
-// (docs/kernels.md, "allocation-free steady state"). All scratch lives in
-// the per-rank KernelWorkspace (flux arrays, tracer updates, column bands),
-// the Physics gather buffers are members sized in the constructor, and the
-// profile Thomas solves run in place via thomas_solve_into.
+// (docs/kernels.md, "allocation-free steady state"). This is a property of
+// the configurations tested here — both time schemes, both
+// `optimized_advection` settings, a 1x1 mesh with LB off — not a claim
+// about every path of a model step. All kernel scratch lives in the
+// per-rank KernelWorkspace (advection rows, column bands), the Physics
+// gather buffers are members sized in the constructor, and the profile
+// Thomas solves run in place via thomas_solve_into.
 //
 // The check hooks the global operator new/delete with a counting wrapper,
 // like tests/test_comm_alloc.cpp; it lives in its own binary so the hooks
@@ -22,6 +25,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -159,8 +163,11 @@ TEST(KernelAllocFree, ColumnPhysicsAfterWarmup) {
       << "warm column physics touched the heap";
 }
 
+/// (time scheme, optimized_advection). Both advection settings run the
+/// same host engine; the flag only changes the virtual charge.
 class KernelAllocFreeScheme
-    : public ::testing::TestWithParam<dynamics::TimeScheme> {};
+    : public ::testing::TestWithParam<std::tuple<dynamics::TimeScheme, bool>> {
+};
 
 TEST_P(KernelAllocFreeScheme, WarmDynamicsPlusPhysicsStep) {
   const int nlon = 24, nlat = 16, nlev = 3;
@@ -174,8 +181,8 @@ TEST_P(KernelAllocFreeScheme, WarmDynamicsPlusPhysicsStep) {
     const grid::LatLonGrid g(nlon, nlat, nlev);
 
     dynamics::DynamicsConfig dcfg;
-    dcfg.optimized_advection = true;  // the engine path
-    dcfg.time_scheme = GetParam();
+    dcfg.time_scheme = std::get<0>(GetParam());
+    dcfg.optimized_advection = std::get<1>(GetParam());
     dynamics::Dynamics dyn(mesh, decomp, g, dcfg);
 
     physics::PhysicsConfig pcfg;
@@ -205,12 +212,15 @@ TEST_P(KernelAllocFreeScheme, WarmDynamicsPlusPhysicsStep) {
 
 INSTANTIATE_TEST_SUITE_P(
     TimeSchemes, KernelAllocFreeScheme,
-    ::testing::Values(dynamics::TimeScheme::kForwardBackward,
-                      dynamics::TimeScheme::kLeapfrog),
+    ::testing::Combine(::testing::Values(dynamics::TimeScheme::kForwardBackward,
+                                         dynamics::TimeScheme::kLeapfrog),
+                       ::testing::Bool()),
     [](const auto& info) {
-      return info.param == dynamics::TimeScheme::kLeapfrog
-                 ? std::string("Leapfrog")
-                 : std::string("ForwardBackward");
+      const std::string scheme =
+          std::get<0>(info.param) == dynamics::TimeScheme::kLeapfrog
+              ? "Leapfrog"
+              : "ForwardBackward";
+      return scheme + (std::get<1>(info.param) ? "Optimized" : "Baseline");
     });
 
 }  // namespace

@@ -638,6 +638,8 @@ TEST(Machine, ConcurrentLaneAndChannelCreation) {
   EXPECT_EQ(result.live_channels,
             static_cast<std::uint64_t>(kRanks * (kRanks - 1) * kTags));
   EXPECT_EQ(result.pool_reuses + result.pool_misses, result.total_messages);
+  EXPECT_EQ(result.mailbox_deliveries, result.total_messages);
+  EXPECT_EQ(result.rendezvous_blocks, 0u);
 }
 
 TEST(Machine, VirtualTimeIsDeterministicAcrossRuns) {

@@ -751,9 +751,12 @@ TEST(TraceModel, TracingChangesVirtualResultsByExactlyZero) {
     // The traced run published the simnet host gauges, and they stay out of
     // the serialised metrics that byte-compared artefacts embed.
     const auto host = MetricsRegistry::instance().host_gauges();
-    ASSERT_EQ(host.size(), 3u);
-    EXPECT_GE(host.at("simnet.pool.reuses") + host.at("simnet.pool.misses"),
+    ASSERT_EQ(host.size(), 5u);
+    // Every ledger message went through exactly one of the two transports.
+    EXPECT_EQ(host.at("simnet.mailbox.deliveries") +
+                  host.at("simnet.rendezvous.blocks"),
               static_cast<double>(traced.total_messages));
+    EXPECT_GT(host.at("simnet.rendezvous.blocks"), 0.0);
     EXPECT_GT(host.at("simnet.mailbox.live_channels"), 0.0);
     const std::string json = MetricsRegistry::instance().to_json().dump();
     EXPECT_EQ(json.find("simnet."), std::string::npos);
