@@ -3,7 +3,7 @@
 //
 // For every tier the host can run (scalar always; AVX2/AVX-512 when built
 // and supported), this bench forces the dispatch table to that tier and
-// measures the five kernel families against the forced-scalar engine —
+// measures the six kernel families against the forced-scalar engine —
 // the PR 4 baseline the intrinsics are supposed to beat:
 //
 //  * advection — gated on the row-sweep composite (flux_row +
@@ -16,21 +16,25 @@
 //    aligned buffers (n=1152, m=144; larger shapes are bandwidth-bound and
 //    would measure the memory bus, not the ISA — see docs/kernels.md);
 //  * stencil   — the separate-fields Laplace engine (informational);
-//  * daxpy     — the miniblas dispatched form (informational).
+//  * daxpy     — the miniblas dispatched form (informational);
+//  * conv chunk — one node's table10-conv ring filter: 4 hops of 15
+//    layers, 36 outputs from 36 sources of a 144-point kernel
+//    (informational).
 //
 // Every trial restarts from a fresh copy of the same initial state
 // (best-of-N min time, the bench_kernel_engine convention).
 //
 // Acceptance gates (exit 1 on failure, recorded in the BENCH JSON):
-//   * every family (advection, pointwise, stencil, daxpy) BITWISE
-//     identical to its scalar reference on every checked tier, the forced-
-//     scalar tier included;
+//   * every family (advection, pointwise, stencil, daxpy, conv chunk)
+//     BITWISE identical to its scalar reference on every checked tier, the
+//     forced-scalar tier included;
 //   * when the active tier is a SIMD tier: advection and pointwise at the
 //     active tier >= 1.5x the forced-scalar engine. Skipped (with a note)
 //     when the resolved tier is scalar — e.g. the AGCM_SIMD=scalar CI leg.
 //
 // `--check-only` skips all timing and emits only deterministic fields so
 // CI's determinism fence can byte-compare two runs on the same host.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -274,6 +278,42 @@ PathResult run_daxpy(simd::Tier tier, bool dispatch, int reps, int trials) {
   return out;
 }
 
+// --- ring convolution chunk -------------------------------------------------
+
+/// One table10-conv ring filter on one node: nlon 144 over 4 columns, so 36
+/// outputs per held chunk of 36 sources, 4 hops (lags 0, 108, 72, 36) of 15
+/// layers that share one kernel, accumulating into the same output chunks.
+PathResult run_conv(simd::Tier tier, int reps, int trials) {
+  constexpr std::size_t kN = 144, kWidth = 36, kLines = 15, kHops = 4;
+  std::vector<double> kernel(kN), held(kHops * kLines * kWidth),
+      kext(kN + kWidth - 1), out_v(kLines * kWidth);
+  fill_det(kernel, 53u, 1.0);
+  for (double& k : kernel) k /= 3.0;  // products round: add order shows
+  fill_det(held, 59u, 1.0);
+  for (std::size_t i = 0; i < kext.size(); ++i) kext[i] = kernel[i % kN];
+
+  const ForcedTier forced(tier);
+  const simd::KernelOps& ops = simd::ops();
+  PathResult out;
+  for (int t = 0; t < trials; ++t) {
+    std::fill(out_v.begin(), out_v.end(), 0.0);  // identical work every trial
+    const Stopwatch sw;
+    for (int r = 0; r < reps; ++r) {
+      for (std::size_t hop = 0; hop < kHops; ++hop) {
+        const std::size_t lag0 = (kN - hop * kWidth) % kN;
+        for (std::size_t q = 0; q < kLines; ++q)
+          ops.conv_chunk(kWidth, kWidth, kN, lag0, kext.data(),
+                         held.data() + (hop * kLines + q) * kWidth,
+                         out_v.data() + q * kWidth);
+      }
+    }
+    const double sec = sw.seconds();
+    if (t == 0 || sec < out.seconds) out.seconds = sec;
+  }
+  out.fields = out_v;
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -306,6 +346,7 @@ int main(int argc, char** argv) {
   const int pw_reps = g_check_only ? 1 : 8000;
   const int sten_reps = g_check_only ? 1 : 4;
   const int blas_reps = g_check_only ? 1 : 4000;
+  const int conv_reps = g_check_only ? 1 : 400;
   const int trials = g_check_only ? 1 : 7;
 
   // Scalar-tier references (and, for advection, the seed implementation).
@@ -319,12 +360,15 @@ int main(int argc, char** argv) {
       run_stencil(simd::Tier::kScalar, false, sten_reps, trials);
   const PathResult blas_scalar =
       run_daxpy(simd::Tier::kScalar, false, blas_reps, trials);
+  const PathResult conv_scalar =
+      run_conv(simd::Tier::kScalar, conv_reps, trials);
 
   // Per-tier runs, each compared bitwise with the scalar references.
-  bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true;
+  bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true,
+       conv_bits = true;
   struct TierRow {
     simd::Tier tier;
-    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms;
+    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, conv_ms;
   };
   std::vector<TierRow> rows;
   for (simd::Tier tier : tiers) {
@@ -333,18 +377,22 @@ int main(int argc, char** argv) {
     const PathResult pw = run_pointwise(tier, true, pw_reps, trials);
     const PathResult sten = run_stencil(tier, true, sten_reps, trials);
     const PathResult axp = run_daxpy(tier, true, blas_reps, trials);
+    const PathResult conv = run_conv(tier, conv_reps, trials);
 
     adv_bits = adv_bits && bitwise_equal(rows_scalar.fields, advr.fields) &&
                bitwise_equal(adv_seed.fields, adv.fields);
     pw_bits = pw_bits && bitwise_equal(pw_scalar.fields, pw.fields);
     sten_bits = sten_bits && bitwise_equal(sten_seed.fields, sten.fields);
     daxpy_bits = daxpy_bits && bitwise_equal(blas_scalar.fields, axp.fields);
+    conv_bits = conv_bits && bitwise_equal(conv_scalar.fields, conv.fields);
 
     rows.push_back({tier, advr.seconds * 1e3, adv.seconds * 1e3,
-                    pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3});
+                    pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3,
+                    conv.seconds * 1e3});
   }
 
-  const bool correctness = adv_bits && pw_bits && sten_bits && daxpy_bits;
+  const bool correctness =
+      adv_bits && pw_bits && sten_bits && daxpy_bits && conv_bits;
 
   Table bits("Cross-tier correctness vs scalar references (bitwise)",
              {"Family", "Result"});
@@ -353,6 +401,7 @@ int main(int argc, char** argv) {
   bits.add_row({"pointwise", verdict(pw_bits)});
   bits.add_row({"stencil separate", verdict(sten_bits)});
   bits.add_row({"daxpy", verdict(daxpy_bits)});
+  bits.add_row({"ring convolution chunk", verdict(conv_bits)});
   agcm::bench::emit_table(report, bits);
 
   report.set("mode", g_check_only ? "check-only" : "full");
@@ -364,6 +413,7 @@ int main(int argc, char** argv) {
   report.set("pointwise_bitwise_identical", pw_bits);
   report.set("stencil_bitwise_identical", sten_bits);
   report.set("daxpy_bitwise_identical", daxpy_bits);
+  report.set("conv_chunk_bitwise_identical", conv_bits);
   report.set("gate_speedup_min", kSpeedGate);
 
   bool gates = correctness;
@@ -371,7 +421,7 @@ int main(int argc, char** argv) {
     Table speed("Per-tier best-of-" + std::to_string(trials) +
                     " host time (ms; speedup vs forced-scalar engine)",
                 {"Tier", "Advect rows", "Advect engine", "Pointwise",
-                 "Stencil", "daxpy"});
+                 "Stencil", "daxpy", "Conv chunk"});
     const TierRow& base = rows.front();
     auto cell = [&](double ms, double base_ms) {
       return Table::num(ms, 3) + " (" + Table::num(base_ms / ms, 2) + "x)";
@@ -380,7 +430,8 @@ int main(int argc, char** argv) {
       speed.add_row({simd::tier_name(r.tier), cell(r.rows_ms, base.rows_ms),
                      cell(r.adv_ms, base.adv_ms), cell(r.pw_ms, base.pw_ms),
                      cell(r.sten_ms, base.sten_ms),
-                     cell(r.daxpy_ms, base.daxpy_ms)});
+                     cell(r.daxpy_ms, base.daxpy_ms),
+                     cell(r.conv_ms, base.conv_ms)});
     }
     agcm::bench::emit_table(report, speed);
 

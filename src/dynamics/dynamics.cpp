@@ -318,14 +318,21 @@ double Dynamics::total_tracer_mass(const State& state,
   return mesh_->world().allreduce_sum(local);
 }
 
+// Both Courant numbers are monotone in one per-point quantity (|u|, and
+// max(h, 0)), so each row's largest value gives the row's largest Courant
+// number: one division (and one sqrt) per row instead of per point, with
+// the same bits. std::max returns its first argument when the second is
+// NaN, so a NaN point is skipped here exactly as in the per-point form
+// (tests/test_dynamics.cpp, CourantDiagnosticsMatchThePerPointLoop).
 double Dynamics::max_zonal_courant(const State& state) const {
   double local = 0.0;
   for (int k = 0; k < grid_->nlev(); ++k)
     for (int j = 0; j < box_.nj; ++j) {
       const double dx = grid_->dx_m(box_.j0 + j);
+      double u_max = 0.0;
       for (int i = 0; i < box_.ni; ++i)
-        local = std::max(local,
-                         std::abs(state.u(i, j, k)) * config_.dt_sec / dx);
+        u_max = std::max(u_max, std::abs(state.u(i, j, k)));
+      local = std::max(local, u_max * config_.dt_sec / dx);
     }
   return mesh_->world().allreduce_max(local);
 }
@@ -336,10 +343,10 @@ double Dynamics::max_gravity_courant(const State& state) const {
   for (int k = 0; k < grid_->nlev(); ++k)
     for (int j = 0; j < box_.nj; ++j) {
       const double dx = std::min(grid_->dx_m(box_.j0 + j), grid_->dy_m());
-      for (int i = 0; i < box_.ni; ++i) {
-        const double h = std::max(state.h(i, j, k), 0.0);
-        local = std::max(local, std::sqrt(g * h) * config_.dt_sec / dx);
-      }
+      double h_max = 0.0;  // also drops negative h, as max(h, 0) did
+      for (int i = 0; i < box_.ni; ++i)
+        h_max = std::max(h_max, state.h(i, j, k));
+      local = std::max(local, std::sqrt(g * h_max) * config_.dt_sec / dx);
     }
   return mesh_->world().allreduce_max(local);
 }

@@ -7,7 +7,7 @@
 
 #include "filter/serial.hpp"
 #include "filter/variants.hpp"
-#include "singlenode/miniblas.hpp"
+#include "kernels/simd/dispatch.hpp"
 #include "util/error.hpp"
 
 namespace agcm::filter {
@@ -15,31 +15,6 @@ namespace agcm::filter {
 namespace {
 
 constexpr int kRingTag = 310;
-
-/// Adds one held chunk's contribution to my output chunk of a line:
-///   dst[c] += sum_g kernel[(out_i0 + c - src_i0 - g) mod n] * src[g],
-/// where the chunk holds global longitudes src_i0 .. src_i0 + src.size() - 1.
-/// As g rises the lag walks down and, since src.size() <= n, wraps at most
-/// once, so each partial sum is two chained ddot_strided calls (kernel
-/// stride -1 from the first lag, then from n - 1). They add the same
-/// products in the same order as a per-element `mod n` loop: bitwise
-/// identical (tests/test_filter.cpp).
-void accumulate_chunk(std::span<const double> kernel,
-                      std::span<const double> src, int src_i0, int out_i0,
-                      std::span<double> dst) {
-  const auto n = static_cast<int>(kernel.size());
-  const std::size_t m = src.size();
-  for (std::size_t c = 0; c < dst.size(); ++c) {
-    int lag0 = out_i0 + static_cast<int>(c) - src_i0;  // in (-n, n)
-    if (lag0 < 0) lag0 += n;
-    const std::size_t head = std::min(m, static_cast<std::size_t>(lag0) + 1);
-    double acc = singlenode::ddot_strided(head, kernel.data() + lag0, -1,
-                                          src.data(), 1, 0.0);
-    acc = singlenode::ddot_strided(m - head, kernel.data() + (n - 1), -1,
-                                   src.data() + head, 1, acc);
-    dst[c] += acc;
-  }
-}
 
 }  // namespace
 
@@ -49,7 +24,8 @@ ConvolutionFilter::ConvolutionFilter(const comm::Mesh2D& mesh,
                                      FilterAlgorithm algorithm)
     : PolarFilter(mesh, decomp, bank),
       algorithm_(algorithm),
-      lines_(local_lines()) {
+      lines_(local_lines()),
+      kext_(static_cast<std::size_t>(decomp.nlon() + box().ni - 1)) {
   if (algorithm != FilterAlgorithm::kConvolutionRing &&
       algorithm != FilterAlgorithm::kConvolutionTree) {
     throw ConfigError("not a convolution-filter algorithm: " +
@@ -89,6 +65,8 @@ void ConvolutionFilter::ring(std::span<const LineKey> lines,
   const int ncols = mesh().cols();
   const std::size_t nlines = lines.size();
   const auto ni = static_cast<std::size_t>(box().ni);
+  const auto nlon = static_cast<std::size_t>(decomp().nlon());
+  const auto conv_chunk = simd::ops().conv_chunk;
 
   // `held` starts as my own chunks; after r hops westward it holds the
   // chunks originally owned by column (mycol + r) mod ncols.
@@ -113,10 +91,23 @@ void ConvolutionFilter::ring(std::span<const LineKey> lines,
       row_comm.send<double>((row_comm.rank() - 1 + ncols) % ncols, kRingTag,
                             held);
     }
+    // Each output adds the chunk's products in ascending source order from
+    // a +0.0 start, as one dot product per output would, then lands in
+    // `out` with one add; the kernel runs outputs side by side
+    // (kernels/simd/dispatch.hpp, docs/filter.md). Lines are (var, j, k)
+    // sorted, so a run of layers shares one kernel and one extension.
+    int lag0 = box().i0 - src_i0;  // the lag of output 0 from source 0
+    if (lag0 < 0) lag0 += static_cast<int>(nlon);
+    const double* extended = nullptr;
     for (std::size_t q = 0; q < nlines; ++q) {
-      accumulate_chunk(bank().kernel(lines[q].var, lines[q].j),
-                       std::span<const double>(held).subspan(q * src_ni, src_ni),
-                       src_i0, box().i0, out.subspan(q * ni, ni));
+      const auto kernel = bank().kernel(lines[q].var, lines[q].j);
+      if (kernel.data() != extended) {
+        std::copy(kernel.begin(), kernel.end(), kext_.begin());
+        std::copy_n(kernel.begin(), ni - 1, kext_.begin() + nlon);
+        extended = kernel.data();
+      }
+      conv_chunk(ni, src_ni, nlon, static_cast<std::size_t>(lag0),
+                 kext_.data(), held.data() + q * src_ni, out.data() + q * ni);
     }
 
     // recv overwrites the whole buffer.

@@ -45,6 +45,7 @@ class ConvolutionFilter final : public PolarFilter {
   std::vector<int> counts_;       ///< tree: per-column allgatherv counts
   std::vector<double> gathered_;  ///< tree: the allgathered column blocks
   std::vector<double> full_;      ///< tree: whole lines
+  std::vector<double> kext_;      ///< ring: one kernel, extended by ni - 1
 };
 
 /// The transpose-filter pipeline behind three algorithms: whole lines are

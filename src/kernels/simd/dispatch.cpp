@@ -17,7 +17,7 @@ constexpr const char* kTierNames[] = {"scalar", "avx2", "avx512"};
 
 constexpr const char* kFamilyNames[] = {"flux_row", "advect_update_row",
                                         "stencil7_interior", "pointwise_panel",
-                                        "daxpy"};
+                                        "daxpy", "conv_chunk"};
 static_assert(std::size(kFamilyNames) == kFamilyCount);
 
 const KernelOps* tier_table(Tier t) {
@@ -96,6 +96,7 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   constexpr int kBuf = kMax + 2 * kPad;
   double a[kBuf], b[kBuf], c[kBuf], d[kBuf], e[kBuf], g[kBuf], h[kBuf];
   double o1[kBuf], o2[kBuf];
+  double kext[2 * kMax];  // g[0 .. kMax) / 3, extended periodically
   fill_det(a, kBuf, 1, 0.0);
   fill_det(b, kBuf, 2, 0.0);
   fill_det(c, kBuf, 3, 0.0);
@@ -103,6 +104,10 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   fill_det(e, kBuf, 5, 0.0);
   fill_det(g, kBuf, 6, 1.0);  // thickness-like streams, bounded away
   fill_det(h, kBuf, 7, 1.0);  // from zero (divisor)
+  // Non-dyadic and near 1/3, so the products round, the sums are not
+  // exact and outgrow dst's entries: a change in the order of
+  // conv_chunk's adds shows in the bits.
+  for (int i = 0; i < 2 * kMax; ++i) kext[i] = g[i % kMax] / 3.0;
   for (int n : {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 24, 31, kMax}) {
     fill_det(o1, kBuf, 8, 0.25);
     std::memcpy(o2, o1, sizeof(o1));
@@ -135,6 +140,16 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
         ref.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o1 + kPad);
         cand.daxpy(static_cast<std::size_t>(n), 1.375, a + kPad, o2 + kPad);
         break;
+      case Family::kConvChunk: {
+        // A kMax-point kernel, n outputs from kMax + 1 - n sources, the
+        // wrap moving through the row as n changes.
+        const auto w = static_cast<std::size_t>(n);
+        const auto m = static_cast<std::size_t>(kMax + 1 - n);
+        const auto lag0 = static_cast<std::size_t>(7 * n % kMax);
+        ref.conv_chunk(w, m, kMax, lag0, kext, h, o1 + kPad);
+        cand.conv_chunk(w, m, kMax, lag0, kext, h, o2 + kPad);
+        break;
+      }
     }
     if (!bits_equal(o1, o2, kBuf)) return false;
   }
@@ -161,29 +176,18 @@ void apply_tier(State& st, Tier tier) {
   }
   // Check each family; on mismatch, point that slot back at the
   // scalar kernel (the rest of the tier stays active).
-  if (!check_family(Family::kFluxRow, *table, scalar)) {
-    st.ops.flux_row = scalar.flux_row;
-    st.info.demoted_families.emplace_back(family_name(Family::kFluxRow));
-  }
-  if (!check_family(Family::kAdvectUpdateRow, *table, scalar)) {
-    st.ops.advect_update_row = scalar.advect_update_row;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kAdvectUpdateRow));
-  }
-  if (!check_family(Family::kStencil7Interior, *table, scalar)) {
-    st.ops.stencil7_interior = scalar.stencil7_interior;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kStencil7Interior));
-  }
-  if (!check_family(Family::kPointwisePanel, *table, scalar)) {
-    st.ops.pointwise_panel = scalar.pointwise_panel;
-    st.info.demoted_families.emplace_back(
-        family_name(Family::kPointwisePanel));
-  }
-  if (!check_family(Family::kDaxpy, *table, scalar)) {
-    st.ops.daxpy = scalar.daxpy;
-    st.info.demoted_families.emplace_back(family_name(Family::kDaxpy));
-  }
+  const auto check = [&](Family f, auto KernelOps::*slot) {
+    if (!check_family(f, *table, scalar)) {
+      st.ops.*slot = scalar.*slot;
+      st.info.demoted_families.emplace_back(family_name(f));
+    }
+  };
+  check(Family::kFluxRow, &KernelOps::flux_row);
+  check(Family::kAdvectUpdateRow, &KernelOps::advect_update_row);
+  check(Family::kStencil7Interior, &KernelOps::stencil7_interior);
+  check(Family::kPointwisePanel, &KernelOps::pointwise_panel);
+  check(Family::kDaxpy, &KernelOps::daxpy);
+  check(Family::kConvChunk, &KernelOps::conv_chunk);
 }
 
 State resolve_auto() {

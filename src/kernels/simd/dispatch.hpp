@@ -9,14 +9,18 @@
 // tier").
 //
 // FP contract: every family — advection flux + upwind-update rows, the
-// 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy — is an
-// independent per-point update whose SIMD form performs exactly the seed's
-// multiplies/adds per lane (no FMA: the SIMD translation units are
-// compiled with -ffp-contract=off, and the baseline x86-64 scalar build has
-// no FMA to contract into). Every tier's output is therefore bitwise
-// identical to the scalar engine, which is itself bitwise identical to the
-// preserved seed paths, and every family runs dispatched in production.
-// Dot products, the longwave pair-exchange sum and the FFT stages have no
+// 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy, the
+// ring convolution's chunk sums — is an independent per-point update whose
+// SIMD form performs exactly the seed's multiplies/adds per lane (no FMA:
+// the SIMD translation units are compiled with -ffp-contract=off, and the
+// baseline x86-64 scalar build has no FMA to contract into). Every tier's
+// output is therefore bitwise identical to the scalar engine, which is
+// itself bitwise identical to the preserved seed paths, and every family
+// runs dispatched in production. The convolution family vectorises across
+// outputs only: each output is still one sequential accumulator that adds
+// its products in ascending source order, so independent outputs run side
+// by side and no single sum is reassociated. Dot products (ddot,
+// ddot_strided), the longwave pair-exchange sum and the FFT stages have no
 // dispatched form: they stay sequential scalar code, so no sum that feeds
 // the frozen virtual-time artefacts is ever reassociated.
 //
@@ -56,8 +60,9 @@ enum class Family : int {
   kStencil7Interior,
   kPointwisePanel,
   kDaxpy,
+  kConvChunk,
 };
-inline constexpr int kFamilyCount = 5;
+inline constexpr int kFamilyCount = 6;
 
 const char* family_name(Family f);
 
@@ -87,6 +92,16 @@ struct KernelOps {
                           double* out);
   /// y[i] = y[i] + alpha * x[i] (mul-then-add, never fused).
   void (*daxpy)(std::size_t n, double alpha, const double* x, double* y);
+  /// One held chunk of the ring convolution (filter/convolution.cpp) into
+  /// `width` outputs. With b_g = (lag0 - g) mod n, for each c in
+  /// [0, width): acc = +0.0; then, for g = 0 .. m-1 in ascending order,
+  ///   acc += kext[b_g + c] * src[g];
+  /// then dst[c] += acc. `kext` is the n-point kernel extended periodically
+  /// to n + width - 1 entries (kext[i] = kernel[i mod n]), so the lag
+  /// never wraps inside a vector; width <= n, m <= n and lag0 < n.
+  void (*conv_chunk)(std::size_t width, std::size_t m, std::size_t n,
+                     std::size_t lag0, const double* kext, const double* src,
+                     double* dst);
 };
 
 /// The resolved dispatch decision (exported into bench/trace metadata).

@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace agcm::simd::detail {
 
 namespace {
@@ -129,11 +131,80 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+/// V vectors of outputs, `live` of them real (4V - 4 < live <= 4V), each
+/// lane one output whose accumulator stays in a register across all m
+/// sources. The last vector's dead lanes are masked off on every load, and
+/// its live lanes are stored one by one, so nothing past kext's
+/// n + width - 1 entries or dst's `live` is touched.
+template <int V>
+void conv_block(std::size_t live, std::size_t m, std::size_t n,
+                std::size_t lag0, const double* kext, const double* src,
+                double* dst) {
+  const std::size_t tail = live - 4 * (V - 1);  // 1..4
+  const __m256i mask = _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(tail)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  std::size_t b = lag0;
+  for (std::size_t g = 0; g < m; ++g) {
+    const __m256d s = _mm256_set1_pd(src[g]);
+    const double* k = kext + b;
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < V; ++v) {
+      acc[v] = _mm256_add_pd(acc[v],
+                             _mm256_mul_pd(_mm256_loadu_pd(k + 4 * v), s));
+    }
+    acc[V - 1] = _mm256_add_pd(
+        acc[V - 1],
+        _mm256_mul_pd(_mm256_maskload_pd(k + 4 * (V - 1), mask), s));
+    b = (b == 0 ? n : b) - 1;
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v + 1 < V; ++v) {
+    _mm256_storeu_pd(dst + 4 * v,
+                     _mm256_add_pd(_mm256_loadu_pd(dst + 4 * v), acc[v]));
+  }
+  alignas(32) double last[4];
+  _mm256_store_pd(last, acc[V - 1]);
+  for (std::size_t l = 0; l < tail; ++l) dst[4 * (V - 1) + l] += last[l];
+}
+
+/// The scalar tier's loop nest (kernels_scalar.cpp) with 4 outputs per
+/// vector, in blocks of at most 8 vectors, as equal as they can be: lanes
+/// are different outputs, so each output's adds keep their order.
+void conv_chunk(std::size_t width, std::size_t m, std::size_t n,
+                std::size_t lag0, const double* kext, const double* src,
+                double* dst) {
+  constexpr std::size_t kMaxVectors = 8;
+  std::size_t vectors = (width + 3) / 4;
+  for (std::size_t c = 0; vectors > 0;) {
+    const std::size_t blocks = (vectors + kMaxVectors - 1) / kMaxVectors;
+    const std::size_t nv = (vectors + blocks - 1) / blocks;
+    const std::size_t live = std::min(width - c, 4 * nv);
+    const double* k = kext + c;
+    double* d = dst + c;
+    switch (nv) {
+      case 1: conv_block<1>(live, m, n, lag0, k, src, d); break;
+      case 2: conv_block<2>(live, m, n, lag0, k, src, d); break;
+      case 3: conv_block<3>(live, m, n, lag0, k, src, d); break;
+      case 4: conv_block<4>(live, m, n, lag0, k, src, d); break;
+      case 5: conv_block<5>(live, m, n, lag0, k, src, d); break;
+      case 6: conv_block<6>(live, m, n, lag0, k, src, d); break;
+      case 7: conv_block<7>(live, m, n, lag0, k, src, d); break;
+      default: conv_block<8>(live, m, n, lag0, k, src, d); break;
+    }
+    c += live;
+    vectors -= nv;
+  }
+}
+
 }  // namespace
 
 const KernelOps* avx2_ops() {
   static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
-                             pointwise_panel, daxpy};
+                             pointwise_panel, daxpy, conv_chunk};
   return &ops;
 }
 

@@ -11,6 +11,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace agcm::simd::detail {
 
 namespace {
@@ -123,11 +125,78 @@ void daxpy(std::size_t n, double alpha, const double* x, double* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+/// V vectors of outputs, `live` of them real (8V - 8 < live <= 8V), each
+/// lane one output whose accumulator stays in a register across all m
+/// sources. The last vector's dead lanes are masked off on every load and
+/// store, so nothing past kext's n + width - 1 entries or dst's `live` is
+/// touched.
+template <int V>
+void conv_block(std::size_t live, std::size_t m, std::size_t n,
+                std::size_t lag0, const double* kext, const double* src,
+                double* dst) {
+  const auto tail =
+      static_cast<__mmask8>((1u << (live - 8 * (V - 1))) - 1u);
+  __m512d acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_pd();
+  std::size_t b = lag0;
+  for (std::size_t g = 0; g < m; ++g) {
+    const __m512d s = _mm512_set1_pd(src[g]);
+    const double* k = kext + b;
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < V; ++v) {
+      acc[v] = _mm512_add_pd(acc[v],
+                             _mm512_mul_pd(_mm512_loadu_pd(k + 8 * v), s));
+    }
+    acc[V - 1] = _mm512_add_pd(
+        acc[V - 1],
+        _mm512_mul_pd(_mm512_maskz_loadu_pd(tail, k + 8 * (V - 1)), s));
+    b = (b == 0 ? n : b) - 1;
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v + 1 < V; ++v) {
+    _mm512_storeu_pd(dst + 8 * v,
+                     _mm512_add_pd(_mm512_loadu_pd(dst + 8 * v), acc[v]));
+  }
+  double* d = dst + 8 * (V - 1);
+  _mm512_mask_storeu_pd(
+      d, tail, _mm512_add_pd(_mm512_maskz_loadu_pd(tail, d), acc[V - 1]));
+}
+
+/// The scalar tier's loop nest (kernels_scalar.cpp) with 8 outputs per
+/// vector, in blocks of at most 8 vectors, as equal as they can be: lanes
+/// are different outputs, so each output's adds keep their order.
+void conv_chunk(std::size_t width, std::size_t m, std::size_t n,
+                std::size_t lag0, const double* kext, const double* src,
+                double* dst) {
+  constexpr std::size_t kMaxVectors = 8;
+  std::size_t vectors = (width + 7) / 8;
+  for (std::size_t c = 0; vectors > 0;) {
+    const std::size_t blocks = (vectors + kMaxVectors - 1) / kMaxVectors;
+    const std::size_t nv = (vectors + blocks - 1) / blocks;
+    const std::size_t live = std::min(width - c, 8 * nv);
+    const double* k = kext + c;
+    double* d = dst + c;
+    switch (nv) {
+      case 1: conv_block<1>(live, m, n, lag0, k, src, d); break;
+      case 2: conv_block<2>(live, m, n, lag0, k, src, d); break;
+      case 3: conv_block<3>(live, m, n, lag0, k, src, d); break;
+      case 4: conv_block<4>(live, m, n, lag0, k, src, d); break;
+      case 5: conv_block<5>(live, m, n, lag0, k, src, d); break;
+      case 6: conv_block<6>(live, m, n, lag0, k, src, d); break;
+      case 7: conv_block<7>(live, m, n, lag0, k, src, d); break;
+      default: conv_block<8>(live, m, n, lag0, k, src, d); break;
+    }
+    c += live;
+    vectors -= nv;
+  }
+}
+
 }  // namespace
 
 const KernelOps* avx512_ops() {
   static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
-                             pointwise_panel, daxpy};
+                             pointwise_panel, daxpy, conv_chunk};
   return &ops;
 }
 

@@ -107,11 +107,46 @@ void daxpy(std::size_t n, double alpha, const double* __restrict x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+/// Four outputs at a time, each with its own accumulator held across all
+/// m sources: output c adds kext[b_g + c] * src[g] for g ascending, the
+/// order of its dot product, while the four chains run side by side.
+void conv_chunk(std::size_t width, std::size_t m, std::size_t n,
+                std::size_t lag0, const double* __restrict kext,
+                const double* __restrict src, double* __restrict dst) {
+  std::size_t c = 0;
+  for (; c + 4 <= width; c += 4) {
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    std::size_t b = lag0;
+    for (std::size_t g = 0; g < m; ++g) {
+      const double s = src[g];
+      const double* k = kext + b + c;
+      a0 += k[0] * s;
+      a1 += k[1] * s;
+      a2 += k[2] * s;
+      a3 += k[3] * s;
+      b = (b == 0 ? n : b) - 1;
+    }
+    dst[c] += a0;
+    dst[c + 1] += a1;
+    dst[c + 2] += a2;
+    dst[c + 3] += a3;
+  }
+  for (; c < width; ++c) {
+    double a = 0.0;
+    std::size_t b = lag0;
+    for (std::size_t g = 0; g < m; ++g) {
+      a += kext[b + c] * src[g];
+      b = (b == 0 ? n : b) - 1;
+    }
+    dst[c] += a;
+  }
+}
+
 }  // namespace
 
 const KernelOps& scalar_ops() {
   static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
-                             pointwise_panel, daxpy};
+                             pointwise_panel, daxpy, conv_chunk};
   return ops;
 }
 

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <map>
 #include <string>
@@ -417,6 +419,65 @@ TEST(Dynamics, CourantDiagnosticsReflectTimestep) {
     // The gravity-wave Courant at the poles exceeds 1 for a timestep that
     // mid-latitudes tolerate easily — the reason the polar filter exists.
     EXPECT_GT(dyn2.max_gravity_courant(state), 1.0);
+  });
+}
+
+/// The row-maximum form of the Courant diagnostics against the per-point
+/// loop it replaced, on a state with negative, NaN and signed-zero h and u:
+/// the same bits, NaN points skipped, negative h counted as 0.
+TEST(Dynamics, CourantDiagnosticsMatchThePerPointLoop) {
+  Machine machine(MachineProfile::ideal());
+  machine.set_recv_timeout_ms(30'000);
+  machine.run(1, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    Mesh2D mesh(world, 1, 1);
+    const LatLonGrid grid(kLon, kLat, kLev);
+    const Decomp2D decomp(kLon, kLat, 1, 1);
+    const auto box = decomp.box(mesh.coord());
+    const DynamicsConfig cfg = base_config();
+    const Dynamics dyn(mesh, decomp, grid, cfg);
+    State state(box, kLev);
+    initialize_state(state, grid, box, kSeed);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // Row 0 is poleward, where dx is smallest: its largest value gives
+    // the largest Courant number, and a NaN right after it must not lose
+    // it. Other rows: all negative, a NaN first, a NaN last, a -0.0.
+    double h_top = 0.0, u_top = 0.0;
+    for (int i = 0; i < box.ni; ++i) {
+      h_top = std::max(h_top, 4.0 * state.h(i, 0, 1));
+      u_top = std::max(u_top, 4.0 * std::abs(state.u(i, 0, 0)) + 1.0);
+    }
+    state.h(4, 0, 1) = h_top;
+    state.h(5, 0, 1) = nan;
+    state.u(2, 0, 0) = -u_top;
+    state.u(3, 0, 0) = nan;
+    for (int i = 0; i < box.ni; ++i) state.h(i, 3, 0) = -1.0 - i;
+    state.h(0, 1, 0) = nan;
+    state.h(box.ni - 1, kLat - 1, 1) = nan;
+    state.h(2, 2, 0) = -0.0;
+    state.u(0, 1, 0) = nan;
+    state.u(box.ni - 1, 2, 1) = nan;
+    state.u(4, 2, 1) = -0.0;
+
+    const double g = grid.planet().gravity;
+    double zonal = 0.0, gravity = 0.0;
+    for (int k = 0; k < kLev; ++k)
+      for (int j = 0; j < box.nj; ++j) {
+        const double dx = grid.dx_m(box.j0 + j);
+        const double dx_g = std::min(dx, grid.dy_m());
+        for (int i = 0; i < box.ni; ++i) {
+          zonal =
+              std::max(zonal, std::abs(state.u(i, j, k)) * cfg.dt_sec / dx);
+          const double h = std::max(state.h(i, j, k), 0.0);
+          gravity = std::max(gravity, std::sqrt(g * h) * cfg.dt_sec / dx_g);
+        }
+      }
+    ASSERT_GT(zonal, 0.0);
+    ASSERT_GT(gravity, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dyn.max_zonal_courant(state)),
+              std::bit_cast<std::uint64_t>(zonal));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dyn.max_gravity_courant(state)),
+              std::bit_cast<std::uint64_t>(gravity));
   });
 }
 

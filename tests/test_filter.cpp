@@ -337,6 +337,23 @@ double ring_reference(std::span<const double> line,
   return out;
 }
 
+/// The tree's (and the serial filter's) summation order written out on its
+/// own: output i is one sum over the kernel's lags s ascending, with one
+/// `mod nlon` per multiply-add. Not filter_chunk_convolution, which the
+/// tree itself runs.
+double tree_reference(std::span<const double> line,
+                      std::span<const double> kernel, int i) {
+  const int nlon = static_cast<int>(line.size());
+  double out = 0.0;
+  for (int s = 0; s < nlon; ++s) {
+    int src = (i - s) % nlon;
+    if (src < 0) src += nlon;
+    out += kernel[static_cast<std::size_t>(s)] *
+           line[static_cast<std::size_t>(src)];
+  }
+  return out;
+}
+
 class ConvolutionBitExact : public ::testing::TestWithParam<VariantCase> {};
 
 /// Uneven column widths (nlon 50 on 3 or 7 columns) put the ring's wrap at
@@ -405,10 +422,15 @@ TEST_P(ConvolutionBitExact, MatchesTheSerialOrder) {
     filter_line_convolution(serial, kernel);
     for (int col = 0; col < param.cols; ++col)
       for (int i = lon.start(col); i < lon.end(col); ++i, ++checked) {
+        const double tree = tree_reference(line, kernel, i);
+        // The serial filter shares the tree's order.
+        ASSERT_EQ(serial[static_cast<std::size_t>(i)], tree)
+            << "serial v=" << key.var << " j=" << key.j << " k=" << key.k
+            << " i=" << i;
         const double expected =
             param.algorithm == FilterAlgorithm::kConvolutionRing
                 ? ring_reference(line, kernel, lon, col, i)
-                : serial[static_cast<std::size_t>(i)];
+                : tree;
         ASSERT_EQ(filtered[at(key.var, i, key.j, key.k)], expected)
             << algorithm_name(param.algorithm) << " mesh " << param.rows
             << "x" << param.cols << " v=" << key.var << " j=" << key.j

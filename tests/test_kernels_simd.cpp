@@ -5,12 +5,14 @@
 // covers whatever the machine offers and degrades gracefully elsewhere:
 //
 // every family (flux/update rows, stencil interior, pointwise panel,
-// daxpy) must be BITWISE identical to the scalar kernels on every tier, at
-// awkward sizes (remainder lanes n%8 in 1..7), unaligned interior offsets,
-// and through the full advection engine on the test_dynamics awkward-shape
-// sweep (ghost 1-2, 0/1/5 tracers).
+// daxpy, ring convolution chunk) must be BITWISE identical to the scalar
+// kernels on every tier, at awkward sizes (remainder lanes n%8 in 1..7),
+// unaligned interior offsets, and through the full advection engine on the
+// test_dynamics awkward-shape sweep (ghost 1-2, 0/1/5 tracers); the
+// convolution chunk also matches a per-element `mod n` reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -178,6 +180,101 @@ TEST(SimdKernels, FamiliesBitwiseAtAwkwardShapes) {
         EXPECT_TRUE(bits_equal(o_ref, o_cand));
       }
     }
+  }
+}
+
+// --- ring convolution chunk: across outputs, every add in order -----------
+
+/// The family's contract written per element with one `mod n` per product,
+/// straight from the unextended kernel: an independent oracle for the
+/// periodic extension and for the order of every output's adds.
+void conv_chunk_reference(std::size_t width, std::size_t m, std::size_t n,
+                          std::size_t lag0, std::span<const double> kernel,
+                          std::span<const double> src, std::span<double> dst) {
+  for (std::size_t c = 0; c < width; ++c) {
+    double acc = 0.0;
+    for (std::size_t g = 0; g < m; ++g)
+      acc += kernel[(lag0 + n + c - g) % n] * src[g];
+    dst[c] += acc;
+  }
+}
+
+/// Widths 1, 7, 36 and n; m = 1, 13 and n; every lag0 for n <= 50, so the
+/// wrap lands at the first output, the last and inside every vector lane,
+/// and a set of lags around the vector boundaries for n = 144. dst starts
+/// nonzero, and guard entries past `width` must come back untouched.
+TEST(SimdKernels, ConvChunkBitwiseOnEveryTierAtAwkwardShapes) {
+  constexpr std::size_t kGuard = 9;
+  // A tier whose kernel fails the dispatcher's self-check is served by the
+  // scalar kernel, and the sweep below would then test scalar twice.
+  for (simd::Tier tier : supported_tiers()) {
+    const ForcedTier forced(tier);
+    const auto& demoted = simd::info().demoted_families;
+    EXPECT_EQ(std::count(demoted.begin(), demoted.end(), "conv_chunk"), 0)
+        << "tier=" << simd::tier_name(tier);
+  }
+  for (std::size_t n : {1u, 7u, 36u, 50u, 144u}) {
+    std::vector<double> kernel(n), src(n), dst0(n + kGuard);
+    // A non-dyadic kernel near 1/3: the products round and each sum
+    // outgrows dst's entry, so a change in the order of the adds shows.
+    fill_det(kernel, 61u, 1.0);
+    for (double& k : kernel) k /= 3.0;
+    fill_det(src, 67u, 1.0);
+    fill_det(dst0, 71u, 0.0);
+    std::vector<std::size_t> lags;
+    if (n <= 50) {
+      for (std::size_t l = 0; l < n; ++l) lags.push_back(l);
+    } else {
+      lags = {0, 1, 3, 7, 8, 9, 100, 107, 108, 109, 136, 140, 142, 143};
+    }
+    for (std::size_t width :
+         {std::size_t{1}, std::size_t{7}, std::size_t{36}, n}) {
+      if (width > n) continue;
+      std::vector<double> kext(n + width - 1);
+      for (std::size_t i = 0; i < kext.size(); ++i) kext[i] = kernel[i % n];
+      for (std::size_t m : {std::size_t{1}, std::size_t{13}, n}) {
+        if (m > n) continue;
+        for (std::size_t lag0 : lags) {
+          std::vector<double> ref = dst0, scalar = dst0;
+          conv_chunk_reference(width, m, n, lag0, kernel, src, ref);
+          {
+            const ForcedTier forced(simd::Tier::kScalar);
+            simd::ops().conv_chunk(width, m, n, lag0, kext.data(), src.data(),
+                                   scalar.data());
+          }
+          for (simd::Tier tier : supported_tiers()) {
+            std::vector<double> got = dst0;
+            {
+              const ForcedTier forced(tier);
+              simd::ops().conv_chunk(width, m, n, lag0, kext.data(),
+                                     src.data(), got.data());
+            }
+            if (!bits_equal(ref, got) || !bits_equal(scalar, got)) {
+              ADD_FAILURE() << "tier=" << simd::tier_name(tier) << " n=" << n
+                            << " width=" << width << " m=" << m
+                            << " lag0=" << lag0;
+              return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Every product zero and dst = -0.0: each output's sum must start from
+/// +0.0, so -0.0 + (+0.0) lands +0.0 in dst. A sum seeded with its first
+/// product (-0.0 here) would leave -0.0.
+TEST(SimdKernels, ConvChunkStartsEachSumAtPositiveZero) {
+  constexpr std::size_t kN = 19, kWidth = 17, kM = 11;
+  const std::vector<double> kext(kN + kWidth - 1, -1.5), src(kM, 0.0);
+  for (simd::Tier tier : supported_tiers()) {
+    SCOPED_TRACE(::testing::Message() << "tier=" << simd::tier_name(tier));
+    std::vector<double> dst(kWidth, -0.0);
+    const ForcedTier forced(tier);
+    simd::ops().conv_chunk(kWidth, kM, kN, 5, kext.data(), src.data(),
+                           dst.data());
+    for (double d : dst) EXPECT_FALSE(std::signbit(d));
   }
 }
 

@@ -65,6 +65,7 @@ REQUIRED_FIELDS = {
         "pointwise_bitwise_identical": bool,
         "stencil_bitwise_identical": bool,
         "daxpy_bitwise_identical": bool,
+        "conv_chunk_bitwise_identical": bool,
         "gate_speedup_min": float,
         "gates_passed": bool,
     },
