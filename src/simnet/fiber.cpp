@@ -2,6 +2,7 @@
 
 #if AGCM_SIMNET_HAS_FIBERS
 
+#include <pthread.h>
 #include <sys/mman.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -280,12 +282,23 @@ class FiberScheduler {
   FiberScheduler& operator=(const FiberScheduler&) = delete;
 
   void run() {
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(static_cast<std::size_t>(workers_));
-      for (int w = 0; w < workers_; ++w)
-        pool.emplace_back([this] { worker_main(); });
+    // Raw POSIX threads, because a std::thread's spawn allocates its state
+    // with operator new on this thread while the workers spawned before it
+    // already run ranks, inside their allocation-free windows
+    // (tests/test_comm_alloc.cpp). Holding the scheduler lock across the
+    // spawns would also keep them apart, but starting every worker at once
+    // strands more free memory across glibc's per-thread arenas.
+    std::vector<pthread_t> pool(static_cast<std::size_t>(workers_));
+    std::size_t started = 0;
+    int error = 0;
+    for (; started < pool.size(); ++started) {
+      error = ::pthread_create(&pool[started], nullptr, &worker_entry, this);
+      if (error != 0) break;
     }
+    for (std::size_t w = 0; w < started; ++w) ::pthread_join(pool[w], nullptr);
+    if (error != 0)
+      throw std::system_error(error, std::generic_category(),
+                              "simnet: cannot start a fiber worker");
     if (first_error_) std::rethrow_exception(first_error_);
   }
 
@@ -405,6 +418,11 @@ class FiberScheduler {
         static_cast<std::uintptr_t>(lo)));
   }
 #endif
+
+  static void* worker_entry(void* scheduler) {
+    static_cast<FiberScheduler*>(scheduler)->worker_main();
+    return nullptr;
+  }
 
   void worker_main() {
     ExecContext native;

@@ -23,15 +23,17 @@
 // tests/test_simnet.cpp and the bench).
 //
 // Blocking protocol (the park/unpark handshake with simnet::Mailbox):
-//   1. the fiber, holding the channel lock and finding the queue empty,
-//      calls prepare_park() and publishes itself as the channel's waiter;
+//   1. the fiber, holding the mailbox lock and finding its channel empty,
+//      calls prepare_park() and publishes itself in the mailbox's waiter
+//      slot;
 //   2. it releases the lock and calls park(), which switches back to the
 //      worker; the worker commits kParking -> kParked under the scheduler
 //      mutex — or, if an unpark() raced in between, requeues the fiber
 //      immediately (kUnparkedWhileParking). The fiber is never resumed
 //      before it has fully switched off its stack;
-//   3. a sender that finds a published waiter clears it and calls
-//      unpark(), which moves a parked fiber to the run queue.
+//   3. a sender that pushes onto the awaited channel clears the waiter
+//      and, after unlocking, calls unpark(), which moves a parked fiber to
+//      the run queue.
 //
 // Deadlock detection replaces the thread backend's wall-clock recv
 // timeout: when every live fiber is parked (no fiber running, run queue

@@ -29,89 +29,34 @@ std::string describe_pending(const Mailbox& mailbox) {
 
 }  // namespace
 
-Mailbox::Mailbox(int nsources)
-    : lanes_(static_cast<std::size_t>(nsources)) {
+Mailbox::Mailbox(int nsources) : first_(static_cast<std::size_t>(nsources)) {
   AGCM_ASSERT(nsources > 0);
 }
 
-Mailbox::~Mailbox() {
-  for (std::atomic<Lane*>& lane : lanes_)
-    delete lane.load(std::memory_order_relaxed);
-}
-
-Mailbox::Channel& Mailbox::channel(int src, std::int64_t tag) {
-  AGCM_ASSERT(src >= 0 && static_cast<std::size_t>(src) < lanes_.size());
-  std::atomic<Lane*>& head = lanes_[static_cast<std::size_t>(src)];
-  Lane* lane = head.load(std::memory_order_acquire);
-  if (lane == nullptr) {
-    // First touch from this source: publish a fresh lane, or adopt the one
-    // the pair's other party published first.
-    auto fresh = std::make_unique<Lane>();
-    if (head.compare_exchange_strong(lane, fresh.get(),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      lane = fresh.release();
-    }
+Mailbox::Channel& Mailbox::channel_locked(int src, std::int64_t tag) {
+  AGCM_ASSERT(src >= 0 && static_cast<std::size_t>(src) < first_.size());
+  std::unique_ptr<Channel>* link = &first_[static_cast<std::size_t>(src)];
+  while (*link != nullptr && (*link)->tag != tag) link = &(*link)->next;
+  if (*link == nullptr) {
+    *link = std::make_unique<Channel>();
+    (*link)->tag = tag;
+    ++channels_;
   }
-
-  if (Channel* ch = find(*lane, tag)) return *ch;
-
-  // New tag: rescan under the append lock (the pair's other party may have
-  // just appended it), then fill the first free slot and publish it.
-  std::lock_guard lock(append_mutex_);
-  if (Channel* ch = find(*lane, tag)) return *ch;
-  Lane* run = lane;
-  while (run->size.load(std::memory_order_relaxed) == Lane::kSlots) {
-    if (run->next.load(std::memory_order_relaxed) == nullptr)
-      run->next.store(new Lane, std::memory_order_release);
-    run = run->next.load(std::memory_order_relaxed);
-  }
-  const std::size_t i = run->size.load(std::memory_order_relaxed);
-  run->tags[i] = tag;
-  run->channels[i] = std::make_unique<Channel>();
-  run->size.store(i + 1, std::memory_order_release);
-  return *run->channels[i];
-}
-
-Mailbox::Channel* Mailbox::find(const Lane& lane, std::int64_t tag) {
-  for (const Lane* run = &lane; run != nullptr;
-       run = run->next.load(std::memory_order_acquire)) {
-    const std::size_t size = run->size.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < size; ++i)
-      if (run->tags[i] == tag) return run->channels[i].get();
-    if (size < Lane::kSlots) break;
-  }
-  return nullptr;
-}
-
-template <typename Visit>
-void Mailbox::for_each_channel(Visit&& visit) const {
-  for (std::size_t src = 0; src < lanes_.size(); ++src) {
-    for (const Lane* run = lanes_[src].load(std::memory_order_acquire);
-         run != nullptr;
-         run = run->next.load(std::memory_order_acquire)) {
-      const std::size_t size = run->size.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < size; ++i)
-        visit(static_cast<int>(src), run->tags[i], *run->channels[i]);
-    }
-  }
+  return **link;
 }
 
 void Mailbox::push(Packet packet) {
-  Channel& ch = channel(packet.src, packet.tag);
   Fiber* waiter = nullptr;
   {
-    std::lock_guard lock(ch.mutex);
+    std::lock_guard lock(mutex_);
+    Channel& ch = channel_locked(packet.src, packet.tag);
     ch.queue.push(std::move(packet));
-    ++ch.delivered;
-#if AGCM_SIMNET_HAS_FIBERS
-    // Scheduler-integrated wakeup: claim the parked receiving fiber (if
-    // any) while holding the channel lock, unpark it after releasing — the
-    // scheduler takes its own lock and must never nest inside a channel's.
-    waiter = ch.waiter;
-    ch.waiter = nullptr;
-#endif
+    ++delivered_;
+    if (&ch != awaited_) return;
+    waiter = std::exchange(waiter_, nullptr);
   }
+  // Wake the receiver after unlocking: the scheduler takes its own lock and
+  // must never nest inside a mailbox's.
 #if AGCM_SIMNET_HAS_FIBERS
   if (waiter != nullptr) {
     waiter->unpark();
@@ -120,43 +65,48 @@ void Mailbox::push(Packet packet) {
 #else
   (void)waiter;
 #endif
-  // Targeted wakeup for thread-backend receivers: at most one thread ever
-  // waits on a (src, tag) channel (the destination rank's receive), so
-  // notify_one is exact — no thundering herd across the rank's other
-  // outstanding receives.
-  ch.cv.notify_one();
+  cv_.notify_one();
 }
 
 Packet Mailbox::pop(int src, std::int64_t tag, int timeout_ms) {
-  Channel& ch = channel(src, tag);
+  std::unique_lock lock(mutex_);
+  Channel& ch = channel_locked(src, tag);
+  if (!ch.queue.empty()) return ch.queue.pop();
+  // Only the mailbox's own rank receives, so the slot is always free here.
+  AGCM_ASSERT(awaited_ == nullptr && waiter_ == nullptr);
+  awaited_ = &ch;
 #if AGCM_SIMNET_HAS_FIBERS
   if (Fiber* self = current_fiber()) {
-    // Fiber path: park instead of blocking the worker thread. Loop because
-    // a wake can also come from the scheduler's deadlock sweep.
-    for (;;) {
-      {
-        std::unique_lock lock(ch.mutex);
-        if (!ch.queue.empty()) return ch.queue.pop();
-        if (self->run_deadlocked()) break;
-        // Publish ourselves as the channel's waiter *after* flagging the
-        // parking state, both under the channel lock, so the sender that
-        // sees the waiter is guaranteed a well-formed unpark target.
-        self->prepare_park();
-        ch.waiter = self;
+    // Park instead of blocking the worker thread. Loop because a wake can
+    // also come from the scheduler's deadlock sweep.
+    while (ch.queue.empty()) {
+      if (self->run_deadlocked()) {
+        awaited_ = nullptr;
+        waiter_ = nullptr;
+        lock.unlock();
+        throw CommError(strformat(
+            "recv deadlock: every live rank is blocked while waiting for "
+            "message src={} tag={} (likely deadlock or tag mismatch); {}",
+            src, tag, describe_pending(*this)));
       }
+      // Flag the parking state before publishing the waiter, both under
+      // the lock, so the sender that claims the waiter is guaranteed a
+      // well-formed unpark target.
+      self->prepare_park();
+      waiter_ = self;
+      lock.unlock();
       self->park();
+      lock.lock();
     }
-    throw CommError(strformat(
-        "recv deadlock: every live rank is blocked while waiting for "
-        "message src={} tag={} (likely deadlock or tag mismatch); {}",
-        src, tag, describe_pending(*this)));
+    awaited_ = nullptr;
+    return ch.queue.pop();
   }
 #endif
-  std::unique_lock lock(ch.mutex);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   const bool ok =
-      ch.cv.wait_until(lock, deadline, [&] { return !ch.queue.empty(); });
+      cv_.wait_until(lock, deadline, [&] { return !ch.queue.empty(); });
+  awaited_ = nullptr;
   if (!ok) {
     lock.unlock();
     throw CommError(strformat(
@@ -169,19 +119,20 @@ Packet Mailbox::pop(int src, std::int64_t tag, int timeout_ms) {
 
 std::size_t Mailbox::pending() const {
   std::size_t n = 0;
-  for_each_channel([&](int, std::int64_t, Channel& ch) {
-    std::lock_guard lock(ch.mutex);
-    n += ch.queue.size();
-  });
+  for (const ChannelInfo& info : pending_channels()) n += info.depth;
   return n;
 }
 
 std::vector<ChannelInfo> Mailbox::pending_channels() const {
   std::vector<ChannelInfo> out;
-  for_each_channel([&](int src, std::int64_t tag, Channel& ch) {
-    std::lock_guard lock(ch.mutex);
-    if (!ch.queue.empty()) out.push_back({src, tag, ch.queue.size()});
-  });
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t src = 0; src < first_.size(); ++src)
+      for (const Channel* ch = first_[src].get(); ch != nullptr;
+           ch = ch->next.get())
+        if (!ch->queue.empty())
+          out.push_back({static_cast<int>(src), ch->tag, ch->queue.size()});
+  }
   std::sort(out.begin(), out.end(), [](const ChannelInfo& a,
                                        const ChannelInfo& b) {
     return a.src != b.src ? a.src < b.src : a.tag < b.tag;
@@ -189,26 +140,14 @@ std::vector<ChannelInfo> Mailbox::pending_channels() const {
   return out;
 }
 
-std::size_t Mailbox::live_lanes() const {
-  std::size_t n = 0;
-  for (const std::atomic<Lane*>& lane : lanes_)
-    n += lane.load(std::memory_order_acquire) != nullptr ? 1 : 0;
-  return n;
-}
-
 std::size_t Mailbox::live_channels() const {
-  std::size_t n = 0;
-  for_each_channel([&](int, std::int64_t, Channel&) { ++n; });
-  return n;
+  std::lock_guard lock(mutex_);
+  return channels_;
 }
 
 std::uint64_t Mailbox::deliveries() const {
-  std::uint64_t n = 0;
-  for_each_channel([&](int, std::int64_t, Channel& ch) {
-    std::lock_guard lock(ch.mutex);
-    n += ch.delivered;
-  });
-  return n;
+  std::lock_guard lock(mutex_);
+  return delivered_;
 }
 
 Rendezvous::Rendezvous(int members)

@@ -7,31 +7,22 @@
 // carries the sender's virtual departure time so the receiver can compute
 // its virtual arrival.
 //
-// The mailbox is sharded: every channel owns its queue, mutex and wakeup
-// slot, so a push wakes exactly the receiver parked on that channel instead
-// of broadcasting to every blocked receiver of the rank, and queue
-// operations never scan or lock unrelated channels. Channels are addressed
-// densely: each mailbox holds one lane pointer per source rank, and a lane
-// holds that source's channels in a short flat list of (tag, channel)
-// slots. Only the pair's sender and receiver ever touch a lane. Lookups are
-// lock-free (an acquire load and a scan of a few tags); a lane is created
-// on first touch by a compare-and-swap, and the first message on a new tag
-// appends its slot under the mailbox's append mutex. Lanes are allocated
-// lazily, so a mailbox costs one pointer per source until that source
-// sends to it.
+// A mailbox is one lock over all of its channels. Channels are indexed
+// densely by source, since a flat gather still reaches its root from every
+// other rank; a source's few tags chain off its first channel. A channel is
+// created on first touch and lives as long as the mailbox.
 //
-// The wakeup slot is scheduler-integrated: under the fiber backend the
-// blocked receive publishes its Fiber* as the channel's waiter and parks
-// (a user-space context switch), and the sender unparks exactly that fiber;
-// under the thread backend the same slot role is played by the channel's
-// condition variable (notify_one). At most one receiver ever waits on a
-// (src, tag) channel — the destination rank — so both wakeups are exact.
+// Only the mailbox's own rank receives from it, so at most one receive
+// waits at a time and the mailbox has a single waiter slot: the channel the
+// receive waits on and, under the fiber backend, the parked Fiber*. A push
+// onto that channel unparks the fiber (a user-space context switch) or,
+// under the thread backend, signals the mailbox's condition variable. A
+// push onto any other channel wakes nobody.
 //
 // All-to-alls bypass the mailbox: each communicator's Rendezvous slot
 // charges their messages' virtual cost without sending them (below).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -101,25 +92,23 @@ class PacketRing {
   std::size_t count_ = 0;
 };
 
-/// Per-destination mailbox; thread-safe, sharded per channel, addressed by
-/// dense per-source lanes.
+/// Per-destination mailbox; thread-safe, one lock and one waiter slot.
 class Mailbox {
  public:
   /// A mailbox that receives from sources 0 .. nsources-1.
   explicit Mailbox(int nsources);
-  ~Mailbox();
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
   void push(Packet packet);
 
   /// Blocks until a packet from (src, tag) is available; FIFO per channel.
-  /// Throws CommError on deadlock, with a message listing every channel
-  /// that has queued packets so a tag mismatch or ordering deadlock is
-  /// visible at a glance. On a fiber the call parks the calling fiber and
-  /// deadlock is detected by scheduler quiescence (immediately); on a plain
-  /// thread it waits on the channel's condition variable and deadlock is a
-  /// `timeout_ms` real-time timeout.
+  /// Only the mailbox's own rank may call it. Throws CommError on deadlock,
+  /// with a message listing every channel that has queued packets so a tag
+  /// mismatch or ordering deadlock is visible at a glance. On a fiber the
+  /// call parks the calling fiber and deadlock is detected by scheduler
+  /// quiescence (immediately); on a plain thread it waits on the mailbox's
+  /// condition variable and deadlock is a `timeout_ms` real-time timeout.
   Packet pop(int src, std::int64_t tag, int timeout_ms);
 
   /// Number of queued packets across all channels (diagnostics).
@@ -129,56 +118,32 @@ class Mailbox {
   /// (src, tag) — the payload of the enriched timeout diagnostics.
   std::vector<ChannelInfo> pending_channels() const;
 
-  /// Sources that have touched this mailbox (lanes allocated so far).
-  std::size_t live_lanes() const;
-  /// Channels created so far, across every lane.
+  /// Channels created so far.
   std::size_t live_channels() const;
   /// Packets pushed into this mailbox since construction.
   std::uint64_t deliveries() const;
 
  private:
-  /// One FIFO channel shard: own lock, own queue, own wakeup. `waiter` is
-  /// the fiber-backend wakeup slot (guarded by `mutex`): the parked
-  /// receiver, published just before it switches out, cleared by the sender
-  /// that wakes it. The condition variable serves the same role for
-  /// thread-backend receivers.
+  /// One (src, tag) FIFO.
   struct Channel {
-    std::mutex mutex;
-    std::condition_variable cv;
-    Fiber* waiter = nullptr;
+    std::int64_t tag = 0;
     PacketRing queue;
-    std::uint64_t delivered = 0;  ///< packets pushed, ever
+    std::unique_ptr<Channel> next;  ///< the same source's next tag
   };
 
-  /// Every channel from one source: a flat run of (tag, channel) slots,
-  /// continued in `next` once full. Slots below `size` are published and
-  /// immutable; readers scan them after an acquire load of `size`, with no
-  /// lock. Channels live for the mailbox's lifetime (stable addresses, so a
-  /// waiting receiver never holds any lock but its channel's).
-  struct Lane {
-    static constexpr std::size_t kSlots = 4;
-    ~Lane() { delete next.load(std::memory_order_relaxed); }
-    std::atomic<std::size_t> size{0};
-    std::int64_t tags[kSlots] = {};
-    std::unique_ptr<Channel> channels[kSlots];
-    std::atomic<Lane*> next{nullptr};  ///< owned
-  };
+  /// Pre: mutex_ held. Finds or creates the channel for (src, tag).
+  Channel& channel_locked(int src, std::int64_t tag);
 
-  /// Finds or creates the channel shard for (src, tag).
-  Channel& channel(int src, std::int64_t tag);
-
-  /// Lock-free scan of a lane's published slots; null when `tag` has none.
-  static Channel* find(const Lane& lane, std::int64_t tag);
-
-  /// Calls `visit(src, tag, channel)` for every published channel.
-  template <typename Visit>
-  void for_each_channel(Visit&& visit) const;
-
-  /// Serialises appends of new tags (a pair's sender and receiver may both
-  /// touch a new tag first). Lookups never take it, and appends are rare:
-  /// one per channel per run.
-  std::mutex append_mutex_;
-  std::vector<std::atomic<Lane*>> lanes_;  ///< one per source; owned
+  mutable std::mutex mutex_;  ///< guards everything below
+  std::vector<std::unique_ptr<Channel>> first_;  ///< one chain per source
+  std::size_t channels_ = 0;
+  std::uint64_t delivered_ = 0;
+  // The waiter slot: the channel the blocked receive waits on, and its
+  // parked fiber (fiber backend) or the condition variable it waits on
+  // (thread backend).
+  Channel* awaited_ = nullptr;
+  Fiber* waiter_ = nullptr;
+  std::condition_variable cv_;
 };
 
 class RankContext;

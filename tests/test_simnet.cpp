@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "comm/communicator.hpp"
 #include "simnet/fiber.hpp"
@@ -199,9 +202,9 @@ TEST(Mailbox, PendingChannelsSortedAndCounted) {
 }
 
 TEST(Mailbox, ManySourcesAndTagsKeepPerChannelFifo) {
-  // 64 sources x 11 tags: every lane overflows its first run of tag slots,
-  // and pushes to all 704 channels interleave. Each channel still drains in
-  // its own push order, whatever order the channels are drained in.
+  // 64 sources x 11 tags: every source chains 11 channels, and pushes to
+  // all 704 channels interleave. Each channel still drains in its own push
+  // order, whatever order the channels are drained in.
   constexpr int kSources = 64;
   constexpr int kTags = 11;
   constexpr int kDepth = 3;
@@ -213,7 +216,6 @@ TEST(Mailbox, ManySourcesAndTagsKeepPerChannelFifo) {
     for (int tag = 0; tag < kTags; ++tag)
       for (int src = 0; src < kSources; ++src)
         box.push(make_packet(value(src, tag, seq), src, 1000 + tag));
-  EXPECT_EQ(box.live_lanes(), static_cast<std::size_t>(kSources));
   EXPECT_EQ(box.live_channels(), static_cast<std::size_t>(kSources * kTags));
   EXPECT_EQ(box.pending(), static_cast<std::size_t>(kSources * kTags * kDepth));
   for (int src = kSources - 1; src >= 0; --src)
@@ -224,9 +226,9 @@ TEST(Mailbox, ManySourcesAndTagsKeepPerChannelFifo) {
   EXPECT_EQ(box.pending(), 0u);
 }
 
-TEST(Mailbox, PendingChannelsSortedAcrossLanes) {
-  // Channels come from several lanes, and one lane holds more tags than a
-  // run of slots, in descending tag order: the report is still sorted by
+TEST(Mailbox, PendingChannelsSortedAcrossSourcesAndTags) {
+  // Channels come from several sources, and one source's chain holds nine
+  // tags created in descending order: the report is still sorted by
   // (src, tag) and skips drained channels.
   Mailbox box(8);
   for (std::int64_t tag = 9; tag >= 1; --tag)
@@ -255,23 +257,60 @@ TEST(Mailbox, PendingChannelsSortedAcrossLanes) {
   EXPECT_EQ(box.pending(), 12u);
 }
 
-TEST(Network, LanesAreAllocatedOnlyWhenTouched) {
-  // At P=1024 a mailbox holds one lane pointer per source; no lane (and so
-  // no channel) exists until a message is sent on that pair.
+TEST(Mailbox, BlockedPopWakesOnlyOnItsChannel) {
+  // A plain-thread pop blocked on (2, 7) completes on the push to that
+  // channel. Pushes to other tags and sources of the same mailbox, made
+  // while it waits, stay pending in FIFO order. A timed-out pop before it
+  // must leave the waiter slot free.
+  Mailbox box(4);
+  EXPECT_THROW(box.pop(0, 0, 20), CommError);
+  std::atomic<bool> done{false};
+  std::byte got{};
+  std::thread receiver([&] {
+    got = box.pop(2, 7, 10'000).payload[0];
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.push(make_packet(std::byte{1}, 2, 8));
+  box.push(make_packet(std::byte{2}, 1, 7));
+  box.push(make_packet(std::byte{3}, 2, 9));
+  box.push(make_packet(std::byte{4}, 2, 8));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());
+  EXPECT_EQ(box.pending(), 4u);
+  const auto pushed = std::chrono::steady_clock::now();
+  box.push(make_packet(std::byte{5}, 2, 7));
+  receiver.join();
+  // The push itself wakes the receive; a lost wakeup would end only at the
+  // pop's 10 s deadline.
+  EXPECT_LT(std::chrono::steady_clock::now() - pushed, std::chrono::seconds(5));
+  EXPECT_EQ(got, std::byte{5});
+  const auto infos = box.pending_channels();
+  ASSERT_EQ(infos.size(), 3u);
+  EXPECT_EQ(infos[0].src, 1);
+  EXPECT_EQ(infos[1].tag, 8);
+  EXPECT_EQ(infos[1].depth, 2u);
+  EXPECT_EQ(infos[2].tag, 9);
+  EXPECT_EQ(box.pop(2, 8, 1000).payload[0], std::byte{1});
+  EXPECT_EQ(box.pop(2, 8, 1000).payload[0], std::byte{4});
+  EXPECT_EQ(box.pop(1, 7, 1000).payload[0], std::byte{2});
+  EXPECT_EQ(box.pop(2, 9, 1000).payload[0], std::byte{3});
+  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_EQ(box.deliveries(), 5u);
+}
+
+TEST(Network, ChannelsAreCreatedOnlyWhenTouched) {
+  // At P=1024 a mailbox holds one channel pointer per source; no channel
+  // exists until a message is sent on that (src, tag).
   Network network(1024);
-  std::size_t lanes = 0;
-  for (int r = 0; r < network.nranks(); ++r)
-    lanes += network.mailbox(r).live_lanes();
-  EXPECT_EQ(lanes, 0u);
   EXPECT_EQ(network.live_channels(), 0u);
 
   network.mailbox(7).push(make_packet(std::byte{1}, 1000, 3));
   network.mailbox(7).push(make_packet(std::byte{2}, 1000, 4));
   network.mailbox(1023).push(make_packet(std::byte{3}, 0, 3));
-  lanes = 0;
-  for (int r = 0; r < network.nranks(); ++r)
-    lanes += network.mailbox(r).live_lanes();
-  EXPECT_EQ(lanes, 2u);
+  EXPECT_EQ(network.mailbox(7).live_channels(), 2u);
+  EXPECT_EQ(network.mailbox(1023).live_channels(), 1u);
+  EXPECT_EQ(network.mailbox(0).live_channels(), 0u);
   EXPECT_EQ(network.live_channels(), 3u);
   EXPECT_EQ(network.mailbox(7).pop(1000, 4, 1000).payload[0], std::byte{2});
 }
@@ -602,10 +641,10 @@ TEST(Machine, PayloadStorageRecyclesThroughPool) {
   });
 }
 
-TEST(Machine, ConcurrentLaneAndChannelCreation) {
+TEST(Machine, ConcurrentChannelCreation) {
   // Every pair talks on several tags at once, and receivers drain in the
   // reverse order senders fill, so the sender and the receiver of a pair
-  // race to create its lane and each channel. FIFO holds per channel, and
+  // race to create each channel. FIFO holds per channel, and
   // exactly one channel exists per (dst, src, tag).
   Machine machine(MachineProfile::ideal());
   machine.set_workers(4);
@@ -906,7 +945,11 @@ TEST(FiberScheduler, DeadlockDetectedWithoutWallClockWait) {
   machine.set_recv_timeout_ms(100);
   try {
     machine.run(3, [](RankContext& ctx) {
-      if (ctx.rank() == 0) (void)ctx.recv_bytes(1, 9);  // never sent
+      if (ctx.rank() != 0) return;
+      // The abandoned receive frees the mailbox's waiter slot, so a retry
+      // throws the same diagnostic instead of tripping an assertion.
+      EXPECT_THROW((void)ctx.recv_bytes(1, 9), CommError);  // never sent
+      (void)ctx.recv_bytes(1, 9);
     });
     FAIL() << "deadlocked run should throw";
   } catch (const CommError& e) {
