@@ -9,10 +9,11 @@
 //    raw-pointer rows, row streaming, 4-wide unrolling, KernelWorkspace
 //    scratch). Full paper grid, 144x90x9, two tracers.
 //  * physics   — physics::step_column_seed_ref (per-pair emissivity
-//    recomputation, per-call band vectors and Thomas copies) vs the
-//    production step_column (distance-indexed emissivity table, unrolled
-//    pair sweep, in-place workspace Thomas solves). A day/night field of
-//    columns at the paper's 9 levels.
+//    recomputation, per-call band vectors and Thomas copies) one column at
+//    a time vs the production column engine, physics::step_columns, over
+//    the whole field (distance-indexed emissivity table, longwave exchange
+//    and Thomas solves across columns in SIMD lanes, pivots and zenith
+//    terms hoisted). A day/night field of columns at the paper's 9 levels.
 //  * stencil   — the Section 3.4 Laplace layout experiment's seed loops vs
 //    the peeled/unrolled engines (informational; no gate).
 //
@@ -155,26 +156,33 @@ PathResult run_physics(bool engine, const ColumnField& init, int steps,
                      ColumnField::kNj;
   PathResult out;
   std::vector<double> theta, q;
+  std::vector<ColumnSite> sites(ncols);
+  std::vector<ColumnResult> results(ncols);
   double totals = 0.0;  // flops + precip + iters, folded into the checksum
   for (int t = 0; t < trials; ++t) {
     theta = init.theta;  // identical work every trial
     q = init.q;
+    for (std::size_t c = 0; c < ncols; ++c) {
+      sites[c] = {c, init.lat[c], init.lon[c],
+                  theta.data() + c * static_cast<std::size_t>(nlev),
+                  q.data() + c * static_cast<std::size_t>(nlev)};
+    }
     totals = 0.0;
     const Stopwatch sw;
     for (int s = 0; s < steps; ++s) {
       const double time_sec = s * init.params.dt_sec;
-      for (std::size_t c = 0; c < ncols; ++c) {
-        const std::span<double> th(
-            theta.data() + c * static_cast<std::size_t>(nlev),
-            static_cast<std::size_t>(nlev));
-        const std::span<double> qv(
-            q.data() + c * static_cast<std::size_t>(nlev),
-            static_cast<std::size_t>(nlev));
-        const ColumnResult r =
-            engine ? step_column(init.params, c, s, init.lat[c], init.lon[c],
-                                 time_sec, th, qv)
-                   : step_column_seed_ref(init.params, c, s, init.lat[c],
-                                          init.lon[c], time_sec, th, qv);
+      if (engine) {
+        step_columns(init.params, s, time_sec, sites, results);
+      } else {
+        for (std::size_t c = 0; c < ncols; ++c) {
+          const ColumnSite& col = sites[c];
+          results[c] = step_column_seed_ref(
+              init.params, col.id, s, col.lat, col.lon, time_sec,
+              {col.theta, static_cast<std::size_t>(nlev)},
+              {col.q, static_cast<std::size_t>(nlev)});
+        }
+      }
+      for (const ColumnResult& r : results) {
         totals += r.flops + r.precipitation +
                   static_cast<double>(r.convection_iters);
       }

@@ -19,14 +19,17 @@
 //  * daxpy     — the miniblas dispatched form (informational);
 //  * conv chunk — one node's table10-conv ring filter: 4 hops of 15
 //    layers, 36 outputs from 36 sources of a 144-point kernel
-//    (informational).
+//    (informational);
+//  * longwave lanes, thomas lanes — one table10-conv rank's column physics
+//    kernels: 800 columns of 15 levels in batches of the tier's
+//    column_lanes, each batch a level-major panel (informational).
 //
 // Every trial restarts from a fresh copy of the same initial state
 // (best-of-N min time, the bench_kernel_engine convention).
 //
 // Acceptance gates (exit 1 on failure, recorded in the BENCH JSON):
-//   * every family (advection, pointwise, stencil, daxpy, conv chunk)
-//     BITWISE identical to its scalar reference on every checked tier, the
+//   * every family (advection, pointwise, stencil, daxpy, conv chunk,
+//     longwave lanes, thomas lanes) BITWISE identical to its scalar reference on every checked tier, the
 //     forced-scalar tier included;
 //   * when the active tier is a SIMD tier: advection and pointwise at the
 //     active tier >= 1.5x the forced-scalar engine. Skipped (with a note)
@@ -314,6 +317,67 @@ PathResult run_conv(simd::Tier tier, int reps, int trials) {
   return out;
 }
 
+// --- column physics lanes ---------------------------------------------------
+
+/// One table10-conv rank's columns (800 of 15 levels) through
+/// longwave_lanes or thomas_lanes, batch by batch as physics::step_columns
+/// runs them: each batch of the tier's column_lanes columns (the last one
+/// possibly short) is a level-major panel of its own. The result is
+/// returned column-major, so tiers with different batch widths compare.
+PathResult run_column_lanes(simd::Tier tier, bool thomas, int reps,
+                            int trials) {
+  constexpr std::size_t kColumns = 800, kLev = 15;
+  constexpr double kDiff = 0.08;
+  std::vector<double> columns(kColumns * kLev);
+  fill_det(columns, 157u, 1.0);
+  std::vector<double> emis(kLev), a(kLev, -kDiff), cp(kLev), denom(kLev);
+  for (std::size_t d = 0; d < kLev; ++d) emis[d] = 0.015 / (1.0 + d);
+  denom[0] = 1.0 + kDiff;
+  cp[0] = -kDiff / denom[0];
+  for (std::size_t k = 1; k < kLev; ++k) {
+    denom[k] = (k + 1 == kLev ? 1.0 + kDiff : 1.0 + 2.0 * kDiff) -
+               a[k] * cp[k - 1];
+    cp[k] = -kDiff / denom[k];
+  }
+
+  const ForcedTier forced(tier);
+  const simd::KernelOps& ops = simd::ops();
+  const std::size_t w = ops.column_lanes;
+  // The batch from column b holds lanes(b) columns at panels[b kLev ...].
+  auto lanes = [&](std::size_t b) { return std::min(w, kColumns - b); };
+  auto at = [&](std::size_t c, std::size_t k) {
+    const std::size_t b = c / w * w;
+    return b * kLev + k * lanes(b) + c % w;
+  };
+  AlignedVec<double> panels0(kColumns * kLev), panels(kColumns * kLev);
+  for (std::size_t c = 0; c < kColumns; ++c)
+    for (std::size_t k = 0; k < kLev; ++k)
+      panels0[at(c, k)] = columns[c * kLev + k];
+  PathResult out;
+  for (int t = 0; t < trials; ++t) {
+    panels = panels0;  // identical work every trial
+    const Stopwatch sw;
+    for (int r = 0; r < reps; ++r) {
+      for (std::size_t b = 0; b < kColumns; b += w) {
+        double* panel = panels.data() + b * kLev;
+        if (thomas) {
+          ops.thomas_lanes(static_cast<int>(kLev), lanes(b), lanes(b),
+                           a.data(), cp.data(), denom.data(), panel);
+        } else {
+          ops.longwave_lanes(static_cast<int>(kLev), lanes(b), lanes(b),
+                             emis.data(), 450.0, panel);
+        }
+      }
+    }
+    const double sec = sw.seconds();
+    if (t == 0 || sec < out.seconds) out.seconds = sec;
+  }
+  for (std::size_t c = 0; c < kColumns; ++c)
+    for (std::size_t k = 0; k < kLev; ++k)
+      out.fields.push_back(panels[at(c, k)]);
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -347,6 +411,7 @@ int main(int argc, char** argv) {
   const int sten_reps = g_check_only ? 1 : 4;
   const int blas_reps = g_check_only ? 1 : 4000;
   const int conv_reps = g_check_only ? 1 : 400;
+  const int lanes_reps = g_check_only ? 1 : 200;
   const int trials = g_check_only ? 1 : 7;
 
   // Scalar-tier references (and, for advection, the seed implementation).
@@ -362,13 +427,18 @@ int main(int argc, char** argv) {
       run_daxpy(simd::Tier::kScalar, false, blas_reps, trials);
   const PathResult conv_scalar =
       run_conv(simd::Tier::kScalar, conv_reps, trials);
+  const PathResult longwave_scalar =
+      run_column_lanes(simd::Tier::kScalar, false, lanes_reps, trials);
+  const PathResult thomas_scalar =
+      run_column_lanes(simd::Tier::kScalar, true, lanes_reps, trials);
 
   // Per-tier runs, each compared bitwise with the scalar references.
   bool adv_bits = true, pw_bits = true, sten_bits = true, daxpy_bits = true,
-       conv_bits = true;
+       conv_bits = true, longwave_bits = true, thomas_bits = true;
   struct TierRow {
     simd::Tier tier;
-    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, conv_ms;
+    double rows_ms, adv_ms, pw_ms, sten_ms, daxpy_ms, conv_ms, longwave_ms,
+        thomas_ms;
   };
   std::vector<TierRow> rows;
   for (simd::Tier tier : tiers) {
@@ -378,6 +448,9 @@ int main(int argc, char** argv) {
     const PathResult sten = run_stencil(tier, true, sten_reps, trials);
     const PathResult axp = run_daxpy(tier, true, blas_reps, trials);
     const PathResult conv = run_conv(tier, conv_reps, trials);
+    const PathResult longwave =
+        run_column_lanes(tier, false, lanes_reps, trials);
+    const PathResult thomas = run_column_lanes(tier, true, lanes_reps, trials);
 
     adv_bits = adv_bits && bitwise_equal(rows_scalar.fields, advr.fields) &&
                bitwise_equal(adv_seed.fields, adv.fields);
@@ -385,14 +458,19 @@ int main(int argc, char** argv) {
     sten_bits = sten_bits && bitwise_equal(sten_seed.fields, sten.fields);
     daxpy_bits = daxpy_bits && bitwise_equal(blas_scalar.fields, axp.fields);
     conv_bits = conv_bits && bitwise_equal(conv_scalar.fields, conv.fields);
+    longwave_bits =
+        longwave_bits && bitwise_equal(longwave_scalar.fields, longwave.fields);
+    thomas_bits =
+        thomas_bits && bitwise_equal(thomas_scalar.fields, thomas.fields);
 
     rows.push_back({tier, advr.seconds * 1e3, adv.seconds * 1e3,
                     pw.seconds * 1e3, sten.seconds * 1e3, axp.seconds * 1e3,
-                    conv.seconds * 1e3});
+                    conv.seconds * 1e3, longwave.seconds * 1e3,
+                    thomas.seconds * 1e3});
   }
 
-  const bool correctness =
-      adv_bits && pw_bits && sten_bits && daxpy_bits && conv_bits;
+  const bool correctness = adv_bits && pw_bits && sten_bits && daxpy_bits &&
+                           conv_bits && longwave_bits && thomas_bits;
 
   Table bits("Cross-tier correctness vs scalar references (bitwise)",
              {"Family", "Result"});
@@ -402,6 +480,8 @@ int main(int argc, char** argv) {
   bits.add_row({"stencil separate", verdict(sten_bits)});
   bits.add_row({"daxpy", verdict(daxpy_bits)});
   bits.add_row({"ring convolution chunk", verdict(conv_bits)});
+  bits.add_row({"longwave lanes", verdict(longwave_bits)});
+  bits.add_row({"thomas lanes", verdict(thomas_bits)});
   agcm::bench::emit_table(report, bits);
 
   report.set("mode", g_check_only ? "check-only" : "full");
@@ -414,6 +494,8 @@ int main(int argc, char** argv) {
   report.set("stencil_bitwise_identical", sten_bits);
   report.set("daxpy_bitwise_identical", daxpy_bits);
   report.set("conv_chunk_bitwise_identical", conv_bits);
+  report.set("longwave_lanes_bitwise_identical", longwave_bits);
+  report.set("thomas_lanes_bitwise_identical", thomas_bits);
   report.set("gate_speedup_min", kSpeedGate);
 
   bool gates = correctness;
@@ -421,7 +503,8 @@ int main(int argc, char** argv) {
     Table speed("Per-tier best-of-" + std::to_string(trials) +
                     " host time (ms; speedup vs forced-scalar engine)",
                 {"Tier", "Advect rows", "Advect engine", "Pointwise",
-                 "Stencil", "daxpy", "Conv chunk"});
+                 "Stencil", "daxpy", "Conv chunk", "Longwave lanes",
+                 "Thomas lanes"});
     const TierRow& base = rows.front();
     auto cell = [&](double ms, double base_ms) {
       return Table::num(ms, 3) + " (" + Table::num(base_ms / ms, 2) + "x)";
@@ -431,7 +514,9 @@ int main(int argc, char** argv) {
                      cell(r.adv_ms, base.adv_ms), cell(r.pw_ms, base.pw_ms),
                      cell(r.sten_ms, base.sten_ms),
                      cell(r.daxpy_ms, base.daxpy_ms),
-                     cell(r.conv_ms, base.conv_ms)});
+                     cell(r.conv_ms, base.conv_ms),
+                     cell(r.longwave_ms, base.longwave_ms),
+                     cell(r.thomas_ms, base.thomas_ms)});
     }
     agcm::bench::emit_table(report, speed);
 

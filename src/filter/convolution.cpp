@@ -70,7 +70,7 @@ void ConvolutionFilter::ring(std::span<const LineKey> lines,
 
   // `held` starts as my own chunks; after r hops westward it holds the
   // chunks originally owned by column (mycol + r) mod ncols.
-  std::vector<double>& held = mine_;
+  Lines& held = mine_;
   for (int r = 0; r < ncols; ++r) {
     const int src_col = (mesh().coord().col + r) % ncols;
     const int src_i0 = lon.start(src_col);

@@ -152,29 +152,29 @@ BalancedFilterPlan::BalancedFilterPlan(const comm::Mesh2D& mesh,
   const int myrow = mesh.coord().row;
   ni_ = decomp.box(mesh.coord()).ni;
 
-  // Global redistribution order: all filtered lines sorted by source row,
-  // ties broken by the bank's canonical (var, j, k) order. Sorting by
+  // Global redistribution order: all filtered lines ordered by source row,
+  // ties broken by the bank's canonical (var, j, k) order. Ordering by
   // source row makes each row's lines a contiguous block, so the monotone
   // block assignment below preserves latitudinal locality (Figure 2: polar
-  // rows spill into their equatorward neighbours first).
+  // rows spill into their equatorward neighbours first). Bank positions
+  // already ascend, so one counting pass by source row places every line:
+  // O(lines + rows), the order of a stable sort by row.
   struct Tagged {
     LineKey key;
     int src_row;
-    std::size_t bank_pos;
   };
-  std::vector<Tagged> global;
-  global.reserve(bank.lines().size());
-  for (std::size_t pos = 0; pos < bank.lines().size(); ++pos) {
-    const LineKey& line = bank.lines()[pos];
-    global.push_back({line, decomp.lat_partition().owner(line.j), pos});
+  const std::vector<LineKey>& lines = bank.lines();
+  const std::size_t total = lines.size();
+  std::vector<std::size_t> next(static_cast<std::size_t>(nrows) + 1, 0);
+  for (const LineKey& line : lines)
+    ++next[static_cast<std::size_t>(decomp.lat_partition().owner(line.j)) + 1];
+  for (std::size_t r = 1; r < next.size(); ++r) next[r] += next[r - 1];
+  std::vector<Tagged> global(total);
+  for (const LineKey& line : lines) {
+    const int src = decomp.lat_partition().owner(line.j);
+    global[next[static_cast<std::size_t>(src)]++] = {line, src};
   }
-  std::stable_sort(global.begin(), global.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     return a.src_row != b.src_row ? a.src_row < b.src_row
-                                                   : a.bank_pos < b.bank_pos;
-                   });
 
-  const std::size_t total = global.size();
   auto dest_row = [&](std::size_t q) {
     return static_cast<int>(q * static_cast<std::size_t>(nrows) / total);
   };

@@ -14,6 +14,7 @@
 // global metadata — "the set-up involves substantial bookkeeping" (3.3).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "comm/mesh2d.hpp"
@@ -128,6 +129,12 @@ class BalancedFilterPlan {
 
   /// Max over rows of (lines held) / ideal — 1.0 means perfectly balanced.
   double post_balance_ratio() const { return post_balance_ratio_; }
+
+  /// Element offsets of each mesh row's block in the my_lines() chunks
+  /// (by destination row) and in the held_lines() chunks (by source row):
+  /// nrows + 1 prefix sums each.
+  std::span<const std::size_t> send_offsets() const { return send_offsets_; }
+  std::span<const std::size_t> recv_offsets() const { return recv_offsets_; }
 
  private:
   std::vector<LineKey> my_lines_;

@@ -8,6 +8,7 @@
 #include "fft/fft.hpp"
 #include "filter/parallel.hpp"
 #include "filter/plan.hpp"
+#include "util/aligned.hpp"
 
 namespace agcm::filter {
 
@@ -39,13 +40,16 @@ class ConvolutionFilter final : public PolarFilter {
   std::vector<LineKey> lines_;  ///< local filtered lines, canonical order
   // Growth-only scratch reused across apply() calls, one variable at a
   // time, so both algorithms' steady state is allocation-free
-  // (tests/test_comm_alloc.cpp).
-  std::vector<double> mine_;      ///< my chunks (ring: the circulating chunks)
-  std::vector<double> out_;       ///< my output chunks
-  std::vector<int> counts_;       ///< tree: per-column allgatherv counts
-  std::vector<double> gathered_;  ///< tree: the allgathered column blocks
-  std::vector<double> full_;      ///< tree: whole lines
-  std::vector<double> kext_;      ///< ring: one kernel, extended by ni - 1
+  // (tests/test_comm_alloc.cpp). The line buffers scale with the rank's
+  // share of the grid, so they come from the recycling aligned allocator
+  // like the fields (util/aligned.hpp).
+  using Lines = std::vector<double, util::AlignedAllocator<double, 64>>;
+  Lines mine_;                ///< my chunks (ring: the circulating chunks)
+  Lines out_;                 ///< my output chunks
+  std::vector<int> counts_;   ///< tree: per-column allgatherv counts
+  Lines gathered_;            ///< tree: the allgathered column blocks
+  Lines full_;                ///< tree: whole lines
+  std::vector<double> kext_;  ///< ring: one kernel, extended by ni - 1
 };
 
 /// The transpose-filter pipeline behind three algorithms: whole lines are

@@ -83,46 +83,6 @@ void clear_emissivity_cache() {
   for (auto& slot : cache.slots) slot.store(nullptr, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// acc += emis[|k1 - k2|] * (theta[k2] - t1) over a run of k2 with the
-/// emissivity index moving by `step` (-1 below the diagonal, +1 above);
-/// 4-wide unrolled, single sequential accumulator (bit-frozen order).
-inline double exchange_run(double acc, const double* __restrict theta,
-                           int k2_begin, int count,
-                           const double* __restrict emis, int e_begin,
-                           int step, double t1) {
-#define AGCM_EXCH(p)                                                     \
-  acc += emis[e_begin + (p) * step] * (theta[k2_begin + (p)] - t1)
-  int p = 0;
-  for (; p + 4 <= count; p += 4) {
-    AGCM_EXCH(p);
-    AGCM_EXCH(p + 1);
-    AGCM_EXCH(p + 2);
-    AGCM_EXCH(p + 3);
-  }
-  for (; p < count; ++p) AGCM_EXCH(p);
-#undef AGCM_EXCH
-  return acc;
-}
-
-}  // namespace
-
-void longwave_sweep(double* theta, int nlev, const double* emis,
-                    double dt_sec) {
-  double* __restrict th = theta;
-  const double* __restrict em = emis;
-  for (int k1 = 0; k1 < nlev; ++k1) {
-    const double t1 = th[k1];
-    // Splitting the seed's k2 loop at the k1 == k2 skip keeps the k2
-    // ascending order exactly: [0, k1) then (k1, nlev).
-    double exchange = exchange_run(0.0, th, 0, k1, em, k1, -1, t1);
-    exchange =
-        exchange_run(exchange, th, k1 + 1, nlev - 1 - k1, em, 1, +1, t1);
-    th[k1] += dt_sec * (exchange - 0.8) / 86400.0;
-  }
-}
-
 // Note on convection_sweep: it stays scalar by design. Each pass reads
 // th[k] and th[k+1] where th[k] may have been rewritten by the previous
 // iteration (a loop-carried dependence), so there is no per-point

@@ -1,17 +1,17 @@
-// Flat-pointer sweeps of the physics column emulator — the kernel-engine
-// versions of the longwave O(K^2) pair exchange and the cumulus-convection
-// adjustment loop in src/physics/column.cpp.
+// Scalar pieces of the physics column engine (src/physics/column.cpp): the
+// longwave emissivity table and the cumulus-convection adjustment loop.
+// The longwave exchange and the implicit-diffusion solve run across
+// columns in the SIMD dispatch table (kernels/simd/dispatch.hpp,
+// longwave_lanes and thomas_lanes).
 //
 // Both are BITWISE IDENTICAL to the seed loops (preserved as
-// physics::step_column_seed_ref): per-point expression trees and the
-// sequential accumulation/update orders are the seed's. What changes:
+// physics::step_column_seed_ref):
 //   * the longwave emissivity 0.015 / (1 + |k1 - k2|) is precomputed once
-//     per call into a distance-indexed table (the identical expression, so
-//     identical bits) — the inner loop loses its division, abs() and the
-//     k1 == k2 branch by splitting at the diagonal,
-//   * the pair loop is 4-wide unrolled with ONE sequential accumulator
-//     (lane-splitting would reassociate the sum and change bits),
-//   * all pointers are `__restrict`-qualified walks (docs/kernels.md).
+//     per distance into a table (the identical expression, so identical
+//     bits), so the exchange kernels need no division, abs() or k1 == k2
+//     branch,
+//   * the convection sweep keeps the seed's update sequence, with
+//     `__restrict`-qualified pointer walks (docs/kernels.md).
 #pragma once
 
 namespace agcm::kernels {
@@ -37,13 +37,6 @@ const double* shared_longwave_emissivity(int nlev);
 /// alive — see shared_longwave_emissivity). Wired into
 /// util::SharedCaches::clear_all().
 void clear_emissivity_cache();
-
-/// The longwave exchange sweep: for every layer k1 (in order), accumulate
-/// sum_{k2 != k1} emis[|k1-k2|] * (theta[k2] - theta[k1]) with k2
-/// ascending, then theta[k1] += dt_sec * (exchange - 0.8) / 86400.
-/// Sequential in k1 (later layers see earlier updates, as in the seed).
-void longwave_sweep(double* theta, int nlev, const double* emis,
-                    double dt_sec);
 
 /// The cumulus-convection adjustment: iteratively mixes unstable adjacent
 /// layers, condensing moisture into latent heat and precipitation.

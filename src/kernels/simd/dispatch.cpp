@@ -17,7 +17,8 @@ constexpr const char* kTierNames[] = {"scalar", "avx2", "avx512"};
 
 constexpr const char* kFamilyNames[] = {"flux_row", "advect_update_row",
                                         "stencil7_interior", "pointwise_panel",
-                                        "daxpy", "conv_chunk"};
+                                        "daxpy", "conv_chunk",
+                                        "longwave_lanes", "thomas_lanes"};
 static_assert(std::size(kFamilyNames) == kFamilyCount);
 
 const KernelOps* tier_table(Tier t) {
@@ -97,6 +98,12 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   double a[kBuf], b[kBuf], c[kBuf], d[kBuf], e[kBuf], g[kBuf], h[kBuf];
   double o1[kBuf], o2[kBuf];
   double kext[2 * kMax];  // g[0 .. kMax) / 3, extended periodically
+  // Level-major column panels: up to kLev levels of n lanes, each level
+  // row padded by kPad lanes that the kernels must leave alone.
+  constexpr int kLev = 12;
+  constexpr int kPanel = kLev * (kMax + kPad);
+  double p1[kPanel], p2[kPanel];
+  double emis[kLev], sub[kLev], cp[kLev], denom[kLev];
   fill_det(a, kBuf, 1, 0.0);
   fill_det(b, kBuf, 2, 0.0);
   fill_det(c, kBuf, 3, 0.0);
@@ -108,9 +115,28 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
   // exact and outgrow dst's entries: a change in the order of
   // conv_chunk's adds shows in the bits.
   for (int i = 0; i < 2 * kMax; ++i) kext[i] = g[i % kMax] / 3.0;
+  // Non-dyadic coefficients again, so every product and quotient rounds.
+  for (int k = 0; k < kLev; ++k) {
+    emis[k] = 0.015 / (1.0 + k);
+    sub[k] = -a[k] / 3.0;
+    cp[k] = b[k] / 3.0;
+    denom[k] = g[k] + 0.5;
+  }
   for (int n : {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 24, 31, kMax}) {
     fill_det(o1, kBuf, 8, 0.25);
     std::memcpy(o2, o1, sizeof(o1));
+    // Temperatures spread over ±85, non-dyadic, and a time step of
+    // 1024 days: the exchange sums round, and each layer's heating
+    // outgrows its temperature, so a change in the order of the sum's adds
+    // survives into the bits (with theta near 1 and a 450 s step it would
+    // be absorbed by the - 0.8 and the += almost always).
+    fill_det(p1, kPanel, 9, 0.0);
+    for (double& t : p1) t *= 4096.0 / 3.0;
+    std::memcpy(p2, p1, sizeof(p1));
+    // Lane checks: n columns of 1 .. kLev levels (nlev 1 at n = 24).
+    const int nlev = 1 + 5 * n % kLev;
+    const auto lanes = static_cast<std::size_t>(n);
+    const std::size_t stride = lanes + kPad;
     switch (f) {
       case Family::kFluxRow:
         ref.flux_row(n, 0.75, a + kPad, b + kPad, b + kPad + 1, o1 + kPad);
@@ -150,8 +176,17 @@ bool check_family(Family f, const KernelOps& cand, const KernelOps& ref) {
         cand.conv_chunk(w, m, kMax, lag0, kext, h, o2 + kPad);
         break;
       }
+      case Family::kLongwaveLanes:
+        ref.longwave_lanes(nlev, lanes, stride, emis, 1024.0 * 86400.0, p1);
+        cand.longwave_lanes(nlev, lanes, stride, emis, 1024.0 * 86400.0, p2);
+        break;
+      case Family::kThomasLanes:
+        ref.thomas_lanes(nlev, lanes, stride, sub, cp, denom, p1);
+        cand.thomas_lanes(nlev, lanes, stride, sub, cp, denom, p2);
+        break;
     }
-    if (!bits_equal(o1, o2, kBuf)) return false;
+    if (!bits_equal(o1, o2, kBuf) || !bits_equal(p1, p2, kPanel))
+      return false;
   }
   return true;
 }
@@ -188,6 +223,8 @@ void apply_tier(State& st, Tier tier) {
   check(Family::kPointwisePanel, &KernelOps::pointwise_panel);
   check(Family::kDaxpy, &KernelOps::daxpy);
   check(Family::kConvChunk, &KernelOps::conv_chunk);
+  check(Family::kLongwaveLanes, &KernelOps::longwave_lanes);
+  check(Family::kThomasLanes, &KernelOps::thomas_lanes);
 }
 
 State resolve_auto() {

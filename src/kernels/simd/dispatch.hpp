@@ -10,19 +10,19 @@
 //
 // FP contract: every family — advection flux + upwind-update rows, the
 // 7-point stencil interior row, the §3.4 pointwise ⊗ panel, daxpy, the
-// ring convolution's chunk sums — is an independent per-point update whose
-// SIMD form performs exactly the seed's multiplies/adds per lane (no FMA:
-// the SIMD translation units are compiled with -ffp-contract=off, and the
-// baseline x86-64 scalar build has no FMA to contract into). Every tier's
-// output is therefore bitwise identical to the scalar engine, which is
-// itself bitwise identical to the preserved seed paths, and every family
-// runs dispatched in production. The convolution family vectorises across
-// outputs only: each output is still one sequential accumulator that adds
-// its products in ascending source order, so independent outputs run side
-// by side and no single sum is reassociated. Dot products (ddot,
-// ddot_strided), the longwave pair-exchange sum and the FFT stages have no
-// dispatched form: they stay sequential scalar code, so no sum that feeds
-// the frozen virtual-time artefacts is ever reassociated.
+// ring convolution's chunk sums, the column physics' longwave exchange and
+// Thomas solve — is an independent per-point update whose SIMD form
+// performs exactly the seed's multiplies/adds per lane (no FMA: the SIMD
+// translation units are compiled with -ffp-contract=off, and the baseline
+// x86-64 scalar build has no FMA to contract into). Every tier's output is
+// therefore bitwise identical to the scalar engine, which is itself
+// bitwise identical to the preserved seed paths, and every family runs
+// dispatched in production. The families that compute sums or recurrences
+// vectorise across independent problems only: a convolution lane is one
+// output, a column-physics lane is one column, and each lane runs the
+// scalar sequence of operations in the scalar order, so no single sum is
+// reassociated. Dot products (ddot, ddot_strided) and the FFT stages have
+// no dispatched form: they stay sequential scalar code.
 //
 // Robustness: after resolving a tier, the dispatcher runs a bitwise
 // self-check of every family against the scalar kernels on synthetic data.
@@ -61,8 +61,10 @@ enum class Family : int {
   kPointwisePanel,
   kDaxpy,
   kConvChunk,
+  kLongwaveLanes,
+  kThomasLanes,
 };
-inline constexpr int kFamilyCount = 6;
+inline constexpr int kFamilyCount = 8;
 
 const char* family_name(Family f);
 
@@ -102,6 +104,30 @@ struct KernelOps {
   void (*conv_chunk)(std::size_t width, std::size_t m, std::size_t n,
                      std::size_t lag0, const double* kext, const double* src,
                      double* dst);
+  /// The longwave exchange of `lanes` columns held level-major in `panel`:
+  /// column l's level k is t_l[k] = panel[k * stride + l], stride >= lanes.
+  /// For each lane, for k1 = 0 .. nlev-1 in order: acc = +0.0; then
+  ///   acc += emis[k1 - k2] * (t[k2] - t[k1])  for k2 = 0 .. k1-1,
+  ///   acc += emis[k2 - k1] * (t[k2] - t[k1])  for k2 = k1+1 .. nlev-1,
+  /// ascending; then t[k1] += dt_sec * (acc - 0.8) / 86400.0. Later layers
+  /// see earlier layers' updates. Entries past `lanes` in each level row
+  /// are never touched.
+  void (*longwave_lanes)(int nlev, std::size_t lanes, std::size_t stride,
+                         const double* emis, double dt_sec, double* panel);
+  /// Thomas solve of `lanes` tridiagonal systems that share one matrix,
+  /// in place on the same level-major panel, from the matrix's pivots
+  /// (denom[0] = b[0], denom[k] = b[k] - a[k] * cp[k-1], cp[k] = c[k] /
+  /// denom[k]). Per lane: x[0] = x[0] / denom[0]; x[k] = (x[k] - a[k] *
+  /// x[k-1]) / denom[k] for k ascending; then x[k] = x[k] - cp[k] * x[k+1]
+  /// for k descending: linsolve::thomas_solve_into's operations, with the
+  /// data-independent ones done once by the caller.
+  void (*thomas_lanes)(int nlev, std::size_t lanes, std::size_t stride,
+                       const double* a, const double* cp, const double* denom,
+                       double* panel);
+  /// Columns per batch of the column physics engine at this tier: enough
+  /// vectors of independent columns to hide the add latency of the two
+  /// column families above.
+  std::size_t column_lanes;
 };
 
 /// The resolved dispatch decision (exported into bench/trace metadata).

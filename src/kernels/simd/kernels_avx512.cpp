@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <type_traits>
 
 namespace agcm::simd::detail {
 
@@ -192,11 +193,147 @@ void conv_chunk(std::size_t width, std::size_t m, std::size_t n,
   }
 }
 
+// ---- column physics across lanes -----------------------------------------
+//
+// A lane is one column: the scalar tier's lane loops (kernels_scalar.cpp)
+// with 8 columns per vector, in blocks of at most kColumnVectors vectors,
+// as equal as they can be. The last vector of a block masks its dead lanes
+// off on every load and store, so the panel is touched only at `lanes`
+// columns per level, and dead lanes compute on zeros.
+
+constexpr std::size_t kColumnVectors = 4;
+
+/// Vector v of a level row: the last one of the block masked to `tail`.
+template <int V>
+inline __m512d load_lanes(const double* row, int v, __mmask8 tail) {
+  return v + 1 < V ? _mm512_loadu_pd(row + 8 * v)
+                   : _mm512_maskz_loadu_pd(tail, row + 8 * v);
+}
+
+template <int V>
+inline void store_lanes(double* row, int v, __mmask8 tail, __m512d x) {
+  if (v + 1 < V) {
+    _mm512_storeu_pd(row + 8 * v, x);
+  } else {
+    _mm512_mask_storeu_pd(row + 8 * v, tail, x);
+  }
+}
+
+template <int V>
+void longwave_block(int nlev, std::size_t live, std::size_t stride,
+                    const double* emis, double dt_sec, double* p) {
+  const auto tail =
+      static_cast<__mmask8>((1u << (live - 8 * (V - 1))) - 1u);
+  const __m512d dt = _mm512_set1_pd(dt_sec);
+  const __m512d cooling = _mm512_set1_pd(0.8);
+  const __m512d day = _mm512_set1_pd(86400.0);
+  for (int k1 = 0; k1 < nlev; ++k1) {
+    double* r1 = p + static_cast<std::size_t>(k1) * stride;
+    __m512d t1[V], acc[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      t1[v] = load_lanes<V>(r1, v, tail);
+      acc[v] = _mm512_setzero_pd();
+    }
+    const auto exchange = [&](int k2, double e_k) {
+      const double* r2 = p + static_cast<std::size_t>(k2) * stride;
+      const __m512d e = _mm512_set1_pd(e_k);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        const __m512d diff = _mm512_sub_pd(load_lanes<V>(r2, v, tail), t1[v]);
+        acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(e, diff));
+      }
+    };
+    for (int k2 = 0; k2 < k1; ++k2) exchange(k2, emis[k1 - k2]);
+    for (int k2 = k1 + 1; k2 < nlev; ++k2) exchange(k2, emis[k2 - k1]);
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      const __m512d heat =
+          _mm512_div_pd(_mm512_mul_pd(dt, _mm512_sub_pd(acc[v], cooling)), day);
+      store_lanes<V>(r1, v, tail, _mm512_add_pd(t1[v], heat));
+    }
+  }
+}
+
+template <int V>
+void thomas_block(int nlev, std::size_t live, std::size_t stride,
+                  const double* a, const double* cp, const double* denom,
+                  double* p) {
+  const auto tail =
+      static_cast<__mmask8>((1u << (live - 8 * (V - 1))) - 1u);
+  __m512d x[V];  // level k's solution, carried to level k +- 1
+  const __m512d d0 = _mm512_set1_pd(denom[0]);
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) {
+    x[v] = _mm512_div_pd(load_lanes<V>(p, v, tail), d0);
+    store_lanes<V>(p, v, tail, x[v]);
+  }
+  for (int k = 1; k < nlev; ++k) {
+    double* r = p + static_cast<std::size_t>(k) * stride;
+    const __m512d ak = _mm512_set1_pd(a[k]);
+    const __m512d dk = _mm512_set1_pd(denom[k]);
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      x[v] = _mm512_div_pd(
+          _mm512_sub_pd(load_lanes<V>(r, v, tail), _mm512_mul_pd(ak, x[v])),
+          dk);
+      store_lanes<V>(r, v, tail, x[v]);
+    }
+  }
+  for (int k = nlev - 1; k-- > 0;) {
+    double* r = p + static_cast<std::size_t>(k) * stride;
+    const __m512d ck = _mm512_set1_pd(cp[k]);
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      x[v] = _mm512_sub_pd(load_lanes<V>(r, v, tail), _mm512_mul_pd(ck, x[v]));
+      store_lanes<V>(r, v, tail, x[v]);
+    }
+  }
+}
+
+/// Splits `lanes` into blocks of at most kColumnVectors vectors and runs
+/// `block<V>(live, p + first lane)` on each.
+template <class Block>
+void for_each_lane_block(std::size_t lanes, double* panel, Block block) {
+  std::size_t vectors = (lanes + 7) / 8;
+  for (std::size_t c = 0; vectors > 0;) {
+    const std::size_t blocks = (vectors + kColumnVectors - 1) / kColumnVectors;
+    const std::size_t nv = (vectors + blocks - 1) / blocks;
+    const std::size_t live = std::min(lanes - c, 8 * nv);
+    switch (nv) {
+      case 1: block(std::integral_constant<int, 1>{}, live, panel + c); break;
+      case 2: block(std::integral_constant<int, 2>{}, live, panel + c); break;
+      case 3: block(std::integral_constant<int, 3>{}, live, panel + c); break;
+      default: block(std::integral_constant<int, 4>{}, live, panel + c); break;
+    }
+    c += live;
+    vectors -= nv;
+  }
+}
+
+void longwave_lanes(int nlev, std::size_t lanes, std::size_t stride,
+                    const double* emis, double dt_sec, double* panel) {
+  for_each_lane_block(lanes, panel, [&](auto v, std::size_t live, double* p) {
+    longwave_block<decltype(v)::value>(nlev, live, stride, emis, dt_sec, p);
+  });
+}
+
+void thomas_lanes(int nlev, std::size_t lanes, std::size_t stride,
+                  const double* a, const double* cp, const double* denom,
+                  double* panel) {
+  for_each_lane_block(lanes, panel, [&](auto v, std::size_t live, double* p) {
+    thomas_block<decltype(v)::value>(nlev, live, stride, a, cp, denom, p);
+  });
+}
+
 }  // namespace
 
 const KernelOps* avx512_ops() {
-  static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
-                             pointwise_panel, daxpy, conv_chunk};
+  static const KernelOps ops{flux_row,        advect_update_row,
+                             stencil7_interior, pointwise_panel,
+                             daxpy,           conv_chunk,
+                             longwave_lanes,  thomas_lanes,
+                             8 * kColumnVectors};
   return &ops;
 }
 

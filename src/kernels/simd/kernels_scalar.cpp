@@ -142,11 +142,91 @@ void conv_chunk(std::size_t width, std::size_t m, std::size_t n,
   }
 }
 
+// ---- column physics across lanes -----------------------------------------
+//
+// A lane is one column; each lane runs the one-column sequence of
+// operations in the one-column order (the compiler may pack lanes into
+// baseline SSE2 pairs: they are independent, so that changes no bit). The
+// longwave exchange keeps its sums in a block of kBlock accumulators, so
+// kBlock independent chains are in flight; N > 0 fixes the lane count at
+// compile time for full blocks, N == 0 takes it from `nl` for the tail,
+// so one column does one column's work.
+
+constexpr std::size_t kBlock = 8;
+
+/// acc[l] += e * (t2[l] - t1[l]) for l in [0, n).
+inline void exchange_row(std::size_t n, double e,
+                         const double* __restrict t2,
+                         const double* __restrict t1,
+                         double* __restrict acc) {
+  for (std::size_t l = 0; l < n; ++l) acc[l] += e * (t2[l] - t1[l]);
+}
+
+template <std::size_t N>
+void longwave_block(int nlev, std::size_t nl, std::size_t stride,
+                    const double* emis, double dt_sec, double* p) {
+  const std::size_t n = N != 0 ? N : nl;
+  for (int k1 = 0; k1 < nlev; ++k1) {
+    double* t1 = p + static_cast<std::size_t>(k1) * stride;
+    double acc[kBlock];
+    for (std::size_t l = 0; l < n; ++l) acc[l] = 0.0;
+    // The one-column sum split at the k1 == k2 skip: [0, k1), (k1, nlev).
+    for (int k2 = 0; k2 < k1; ++k2)
+      exchange_row(n, emis[k1 - k2], p + static_cast<std::size_t>(k2) * stride,
+                   t1, acc);
+    for (int k2 = k1 + 1; k2 < nlev; ++k2)
+      exchange_row(n, emis[k2 - k1], p + static_cast<std::size_t>(k2) * stride,
+                   t1, acc);
+    for (std::size_t l = 0; l < n; ++l)
+      t1[l] += dt_sec * (acc[l] - 0.8) / 86400.0;
+  }
+}
+
+void longwave_lanes(int nlev, std::size_t lanes, std::size_t stride,
+                    const double* emis, double dt_sec, double* panel) {
+  std::size_t l0 = 0;
+  for (; l0 + kBlock <= lanes; l0 += kBlock)
+    longwave_block<kBlock>(nlev, kBlock, stride, emis, dt_sec, panel + l0);
+  if (l0 < lanes)
+    longwave_block<0>(nlev, lanes - l0, stride, emis, dt_sec, panel + l0);
+}
+
+/// x[l] = (x[l] - a * xp[l]) / denom for l in [0, n).
+inline void forward_row(std::size_t n, double a, double denom,
+                        const double* __restrict xp, double* __restrict x) {
+  for (std::size_t l = 0; l < n; ++l) x[l] = (x[l] - a * xp[l]) / denom;
+}
+
+/// x[l] = x[l] - cp * xn[l] for l in [0, n).
+inline void backward_row(std::size_t n, double cp, const double* __restrict xn,
+                         double* __restrict x) {
+  for (std::size_t l = 0; l < n; ++l) x[l] = x[l] - cp * xn[l];
+}
+
+/// The rows already live in the panel, so one pass over all lanes per
+/// level keeps every lane's divisions independent without blocking.
+void thomas_lanes(int nlev, std::size_t lanes, std::size_t stride,
+                  const double* a, const double* cp, const double* denom,
+                  double* panel) {
+  for (std::size_t l = 0; l < lanes; ++l) panel[l] = panel[l] / denom[0];
+  for (int k = 1; k < nlev; ++k) {
+    double* x = panel + static_cast<std::size_t>(k) * stride;
+    forward_row(lanes, a[k], denom[k], x - stride, x);
+  }
+  for (int k = nlev - 1; k-- > 0;) {
+    double* x = panel + static_cast<std::size_t>(k) * stride;
+    backward_row(lanes, cp[k], x + stride, x);
+  }
+}
+
 }  // namespace
 
 const KernelOps& scalar_ops() {
-  static const KernelOps ops{flux_row, advect_update_row, stencil7_interior,
-                             pointwise_panel, daxpy, conv_chunk};
+  static const KernelOps ops{flux_row,        advect_update_row,
+                             stencil7_interior, pointwise_panel,
+                             daxpy,           conv_chunk,
+                             longwave_lanes,  thomas_lanes,
+                             kBlock};
   return ops;
 }
 

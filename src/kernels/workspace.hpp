@@ -10,8 +10,10 @@
 //     row by row, so one borrow per engine call covers one fx row, two fy
 //     rows and two update rows per tracer. Nothing in it outlives the call.
 //   * `column` admits one live borrow per rank: the column engine takes
-//     one borrow per column and carves its emissivity table and
-//     tridiagonal bands out of it.
+//     one borrow per call of physics::step_columns and carves its lane
+//     panel (one profile of one batch of columns, level-major), emissivity
+//     table and tridiagonal pivots out of it. Each batch reuses the panel;
+//     nothing in it outlives the call.
 #pragma once
 
 #include "util/aligned.hpp"
@@ -23,8 +25,8 @@ struct KernelWorkspace {
   /// Row scratch of the advection engine (kernels/advection_kernels.cpp).
   util::GrowBuffer<double, util::AlignedAllocator<double, 64>> advection;
 
-  /// Tridiagonal bands, pivot scratch and emissivity tables.
-  util::GrowBuffer<double> column;
+  /// The column engine's lane panel, emissivity table and Thomas pivots.
+  util::GrowBuffer<double, util::AlignedAllocator<double, 64>> column;
 };
 
 }  // namespace agcm::kernels

@@ -81,8 +81,30 @@ struct ColumnResult {
   double precipitation = 0.0;  ///< column moisture removed (kg/kg summed)
 };
 
-/// `column_id` must be the *global* id (gj * nlon + gi) so results are
-/// decomposition-independent; `lat`/`lon` in radians; `time_sec` since t0.
+/// One column handed to the column engine: where it is and where its
+/// profiles live. `id` must be the *global* id (gj * nlon + gi) so results
+/// are decomposition-independent; `lat`/`lon` in radians; `theta` and `q`
+/// each point at params.nlev levels (bottom to top), updated in place.
+struct ColumnSite {
+  std::uint64_t id = 0;
+  double lat = 0.0;
+  double lon = 0.0;
+  double* theta = nullptr;
+  double* q = nullptr;
+};
+
+/// The column engine: steps every column of `columns` and writes its
+/// result to the same index of `results` (same size). The columns run in
+/// batches of simd::ops().column_lanes, each column in a SIMD lane through
+/// the longwave exchange and the implicit diffusion; every column's bits
+/// and flops are those of the one-column sequence (step_column_seed_ref),
+/// on every dispatch tier. Scratch comes from the rank's KernelWorkspace.
+void step_columns(const ColumnParams& params, std::int64_t step,
+                  double time_sec, std::span<const ColumnSite> columns,
+                  std::span<ColumnResult> results);
+
+/// One column through step_columns (tests and benches); `time_sec` since
+/// t0.
 ColumnResult step_column(const ColumnParams& params, std::uint64_t column_id,
                          std::int64_t step, double lat, double lon,
                          double time_sec, std::span<double> theta,

@@ -20,6 +20,8 @@ Physics::Physics(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
   // Gather scratch sized once here: the steady-state step reuses it.
   items_.resize(ncols);
   payloads_.resize(ncols * 2 * static_cast<std::size_t>(grid.nlev()));
+  sites_.reserve(ncols);
+  column_results_.reserve(ncols);
 }
 
 void Physics::run_columns(std::span<const lb::Item> items,
@@ -30,17 +32,21 @@ void Physics::run_columns(std::span<const lb::Item> items,
   const double t0 = clock.now();
   const auto nlev = static_cast<std::size_t>(grid_->nlev());
   const auto nlon = static_cast<std::uint64_t>(grid_->nlon());
-  double local_flops = 0.0;
+  sites_.resize(items.size());
+  column_results_.resize(items.size());
   for (std::size_t c = 0; c < items.size(); ++c) {
     const std::uint64_t id = items[c].id;
     const auto gi = static_cast<int>(id % nlon);
     const auto gj = static_cast<int>(id / nlon);
     double* p = payloads.data() + c * 2 * nlev;
-    flops[c] = step_column(config_.column, id, state.step,
-                           grid_->lat_center(gj), grid_->lon_center(gi),
-                           state.time_sec, std::span<double>(p, nlev),
-                           std::span<double>(p + nlev, nlev))
-                   .flops;
+    sites_[c] = {id, grid_->lat_center(gj), grid_->lon_center(gi), p,
+                 p + nlev};
+  }
+  step_columns(config_.column, state.step, state.time_sec, sites_,
+               column_results_);
+  double local_flops = 0.0;
+  for (std::size_t c = 0; c < items.size(); ++c) {
+    flops[c] = column_results_[c].flops;
     local_flops += flops[c];
   }
   clock.compute(local_flops);
@@ -62,7 +68,7 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
   // Gather column payloads and load estimates (previous-pass costs) into
   // the member scratch (sized in the constructor — no per-step allocation).
   std::vector<lb::Item>& items = items_;
-  std::vector<double>& payloads = payloads_;
+  auto& payloads = payloads_;
   AGCM_ASSERT(items.size() == ncols);
   AGCM_ASSERT(payloads.size() == ncols * static_cast<std::size_t>(per_item));
   {
@@ -120,16 +126,16 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
   // Process the held columns; results carry the updated profiles plus the
   // measured cost (which becomes the owner's next estimate).
   const std::size_t held = balanced.held_items.size();
-  std::vector<double> flops(held);
-  run_columns(balanced.held_items, balanced.held_payloads, flops, state);
+  held_flops_.resize(held);
+  run_columns(balanced.held_items, balanced.held_payloads, held_flops_, state);
   const int per_result = per_item + 1;
-  std::vector<double> results(held * static_cast<std::size_t>(per_result));
+  held_results_.resize(held * static_cast<std::size_t>(per_result));
   for (std::size_t c = 0; c < held; ++c) {
-    double* r = results.data() + c * static_cast<std::size_t>(per_result);
+    double* r = held_results_.data() + c * static_cast<std::size_t>(per_result);
     std::copy_n(balanced.held_payloads.data() +
                     c * static_cast<std::size_t>(per_item),
                 per_item, r);
-    r[per_item] = flops[c];
+    r[per_item] = held_flops_[c];
   }
 
   // Route results home and write them back.
@@ -137,8 +143,8 @@ PhysicsStepStats Physics::step(dynamics::State& state) {
   std::vector<double> mine;
   {
     AGCM_TRACE_SPAN("physics.balance", ctx);
-    mine = lb::return_to_owners(mesh_->world(), balanced, results, per_result,
-                                static_cast<int>(ncols));
+    mine = lb::return_to_owners(mesh_->world(), balanced, held_results_,
+                                per_result, static_cast<int>(ncols));
   }
   {
     std::size_t c = 0;

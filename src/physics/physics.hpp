@@ -12,6 +12,7 @@
 #include "dynamics/state.hpp"
 #include "loadbalance/planner.hpp"
 #include "physics/column.hpp"
+#include "util/aligned.hpp"
 
 namespace agcm::physics {
 
@@ -58,8 +59,9 @@ class Physics {
 
  private:
   /// Runs every column of `items` in place on its theta/q profiles in
-  /// `payloads`, stores each column's measured flops in `flops` and charges
-  /// their sum as this rank's compute. The one column loop of both paths.
+  /// `payloads` through physics::step_columns, stores each column's
+  /// measured flops in `flops` and charges their sum as this rank's
+  /// compute. The one column loop of both paths.
   void run_columns(std::span<const lb::Item> items, std::span<double> payloads,
                    std::span<double> flops, const dynamics::State& state);
 
@@ -71,9 +73,17 @@ class Physics {
   std::vector<double> prev_cost_;  ///< per local column, flops
   /// Per-step gather scratch (items + packed theta/q payloads), sized once
   /// in the constructor so the warm non-balanced step allocates nothing
-  /// (tests/test_kernel_alloc.cpp; docs/kernels.md).
+  /// (tests/test_kernel_alloc.cpp; docs/kernels.md). The payloads, the
+  /// largest per-rank block of physics, come from the recycling aligned
+  /// allocator like the fields (util/aligned.hpp).
   std::vector<lb::Item> items_;
-  std::vector<double> payloads_;
+  std::vector<double, util::AlignedAllocator<double, 64>> payloads_;
+  /// run_columns' engine arguments, and the balanced path's per-held-column
+  /// flops and result records: growth-only (resize never shrinks them).
+  std::vector<ColumnSite> sites_;
+  std::vector<ColumnResult> column_results_;
+  std::vector<double> held_flops_;
+  std::vector<double> held_results_;
   PhysicsTimings timings_;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model.hpp"
+#include "util/aligned.hpp"
 #include "util/stats.hpp"
 
 namespace agcm::core {
@@ -36,6 +37,29 @@ TEST(RunModel, ReportIsPopulatedAndConsistent) {
   EXPECT_GT(report.total_messages, 0u);
   // The model conserves mass through a full dynamics+physics run.
   EXPECT_LT(report.mass_drift_rel, 1e-12);
+}
+
+TEST(RunModel, RepeatedRunsTakeBackTheirLargeBlocks) {
+  // 144 x 90 x 15 on 2 x 2 ranks over 4 workers: each rank's fields are
+  // above the recycler's threshold (util/aligned.hpp), and which worker
+  // builds which rank differs from run to run.
+  ModelConfig cfg = small_config();
+  cfg.nlon = 144;
+  cfg.nlat = 90;
+  cfg.nlev = 15;
+  cfg.simnet_workers = 4;
+  const RunReport first_report = run_model(cfg, 1, 0);
+  const auto first = util::large_block_stats();
+  if (first.cached_blocks == 0) GTEST_SKIP() << "recycling is off in ASan builds";
+  const RunReport second_report = run_model(cfg, 1, 0);
+  const auto second = util::large_block_stats();
+  EXPECT_EQ(second.misses, first.misses)
+      << "the second run allocated large blocks the first had returned";
+  EXPECT_GT(second.reuses, first.reuses);
+  EXPECT_EQ(second.live_bytes, first.live_bytes);
+  EXPECT_EQ(second.cached_bytes, first.cached_bytes);
+  EXPECT_EQ(second_report.total_messages, first_report.total_messages);
+  EXPECT_EQ(second_report.mass_drift_rel, first_report.mass_drift_rel);
 }
 
 TEST(RunModel, SingleNodeHasNoFilterImbalanceWait) {

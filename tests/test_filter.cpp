@@ -3,6 +3,7 @@
 // four parallel variants against the serial reference across node meshes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -474,6 +475,79 @@ TEST(BalancedPlan, EveryRowHoldsNearIdealShare) {
           static_cast<double>(bank.lines().size()) / rows;
       EXPECT_LE(std::abs(static_cast<double>(plan.held_lines().size()) - ideal),
                 1.0);
+    });
+  }
+}
+
+/// The plan's line order (one counting pass by source row) against the
+/// stable sort by (source row, bank position) it replaces: the same
+/// my_lines, held_lines and block offsets on every rank, for 1, 3 and 8
+/// mesh rows and for latitude counts the rows do and do not divide.
+TEST(BalancedPlan, CountingOrderMatchesStableSortReference) {
+  const int nlon = 24, nlev = 2, ncols = 2;
+  for (auto [rows, nlat] : {std::pair{1, 24}, std::pair{3, 24},
+                            std::pair{8, 24}, std::pair{3, 20},
+                            std::pair{8, 30}}) {
+    SCOPED_TRACE(::testing::Message() << "rows=" << rows << " nlat=" << nlat);
+    const LatLonGrid grid(nlon, nlat, nlev);
+    const FilterBank bank(grid, {{"a", FilterKind::kStrong},
+                                 {"b", FilterKind::kWeak}});
+    Machine machine(MachineProfile::ideal());
+    machine.set_recv_timeout_ms(10'000);
+    machine.run(rows * ncols, [&, rows = rows, nlat = nlat](RankContext& ctx) {
+      Communicator world(ctx);
+      Mesh2D mesh(world, rows, ncols);
+      const Decomp2D decomp(nlon, nlat, rows, ncols);
+      const BalancedFilterPlan plan(mesh, decomp, bank);
+
+      struct Tagged {
+        LineKey key;
+        int src;
+        std::size_t pos;
+      };
+      std::vector<Tagged> order;
+      for (std::size_t pos = 0; pos < bank.lines().size(); ++pos) {
+        const LineKey& line = bank.lines()[pos];
+        order.push_back({line, decomp.lat_partition().owner(line.j), pos});
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [](const Tagged& a, const Tagged& b) {
+                         return a.src < b.src;
+                       });
+      const std::size_t total = order.size();
+      const int myrow = mesh.coord().row;
+      const auto ni = static_cast<std::size_t>(decomp.box(mesh.coord()).ni);
+      std::vector<LineKey> mine, held;
+      std::vector<std::size_t> send(static_cast<std::size_t>(rows) + 1, 0),
+          recv(static_cast<std::size_t>(rows) + 1, 0);
+      for (std::size_t q = 0; q < total; ++q) {
+        const auto dst = static_cast<int>(q * static_cast<std::size_t>(rows) /
+                                          total);
+        if (order[q].src == myrow) {
+          mine.push_back(order[q].key);
+          send[static_cast<std::size_t>(dst) + 1] += ni;
+        }
+        if (dst == myrow) {
+          held.push_back(order[q].key);
+          recv[static_cast<std::size_t>(order[q].src) + 1] += ni;
+        }
+      }
+      for (std::size_t r = 1; r < send.size(); ++r) {
+        send[r] += send[r - 1];
+        recv[r] += recv[r - 1];
+      }
+      auto same_keys = [](const std::vector<LineKey>& a,
+                          const std::vector<LineKey>& b) {
+        return a.size() == b.size() &&
+               std::equal(a.begin(), a.end(), b.begin(),
+                          [](const LineKey& x, const LineKey& y) {
+                            return x.var == y.var && x.j == y.j && x.k == y.k;
+                          });
+      };
+      EXPECT_TRUE(same_keys(plan.my_lines(), mine));
+      EXPECT_TRUE(same_keys(plan.held_lines(), held));
+      EXPECT_TRUE(std::ranges::equal(plan.send_offsets(), send));
+      EXPECT_TRUE(std::ranges::equal(plan.recv_offsets(), recv));
     });
   }
 }

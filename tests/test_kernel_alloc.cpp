@@ -150,17 +150,37 @@ TEST(KernelAllocFree, AdvectionEngineAfterWarmup) {
 
 TEST(KernelAllocFree, ColumnPhysicsAfterWarmup) {
   physics::ColumnParams params;  // nlev 9, implicit diffusion on
-  std::vector<double> theta(9), q(9);
-  for (int k = 0; k < 9; ++k) {
-    theta[static_cast<std::size_t>(k)] = 285.0 + 0.7 * k - (k % 3 == 1);
-    q[static_cast<std::size_t>(k)] = 0.01 / (1 + k);
+  constexpr std::size_t kColumns = 37;  // full batches and a tail
+  std::vector<double> profiles(kColumns * 18);
+  std::vector<physics::ColumnSite> sites(kColumns);
+  std::vector<physics::ColumnResult> results(kColumns);
+  for (std::size_t c = 0; c < kColumns; ++c) {
+    double* theta = profiles.data() + c * 18;
+    for (int k = 0; k < 9; ++k) {
+      theta[k] = 285.0 + 0.7 * k - (k % 3 == 1);
+      theta[9 + k] = 0.01 / (1 + k);
+    }
+    sites[c] = {11 + c, 0.4, 0.1 * static_cast<double>(c), theta, theta + 9};
   }
-  (void)physics::step_column(params, 11, 0, 0.4, 1.2, 0.0, theta, q);  // warm
-  const std::size_t before = allocs();
-  for (int s = 1; s <= 4; ++s)
-    (void)physics::step_column(params, 11, s, 0.4, 1.2, 450.0 * s, theta, q);
-  EXPECT_EQ(allocs() - before, 0u)
-      << "warm column physics touched the heap";
+  const std::span<double> theta(profiles.data(), 9);
+  const std::span<double> q(profiles.data() + 9, 9);
+  // Each tier batches a different number of columns, so each warms first.
+  for (simd::Tier tier : {simd::Tier::kScalar, simd::Tier::kAvx2,
+                          simd::Tier::kAvx512}) {
+    if (!simd::tier_supported(tier)) continue;
+    SCOPED_TRACE(simd::tier_name(tier));
+    ASSERT_TRUE(simd::force_tier(tier));  // outside the counted window
+    physics::step_columns(params, 0, 0.0, sites, results);  // warm
+    const std::size_t before = allocs();
+    for (int s = 1; s <= 4; ++s) {
+      physics::step_columns(params, s, 450.0 * s, sites, results);
+      (void)physics::step_column(params, 11, s, 0.4, 1.2, 450.0 * s, theta,
+                                 q);
+    }
+    EXPECT_EQ(allocs() - before, 0u)
+        << "warm column physics touched the heap";
+  }
+  simd::reset_tier();
 }
 
 /// (time scheme, optimized_advection). Both advection settings run the

@@ -9,7 +9,9 @@
 // kernels on every tier, at awkward sizes (remainder lanes n%8 in 1..7),
 // unaligned interior offsets, and through the full advection engine on the
 // test_dynamics awkward-shape sweep (ghost 1-2, 0/1/5 tracers); the
-// convolution chunk also matches a per-element `mod n` reference.
+// convolution chunk also matches a per-element `mod n` reference, and the
+// column families (longwave exchange, Thomas solve across lanes) match the
+// one-column seed loops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "dynamics/advection_seed_ref.hpp"
 #include "grid/array3d.hpp"
 #include "kernels/simd/dispatch.hpp"
+#include "linsolve/tridiag.hpp"
 #include "singlenode/miniblas.hpp"
 #include "singlenode/pointwise.hpp"
 #include "util/aligned.hpp"
@@ -275,6 +278,95 @@ TEST(SimdKernels, ConvChunkStartsEachSumAtPositiveZero) {
     simd::ops().conv_chunk(kWidth, kM, kN, 5, kext.data(), src.data(),
                            dst.data());
     for (double d : dst) EXPECT_FALSE(std::signbit(d));
+  }
+}
+
+// --- column physics across lanes --------------------------------------------
+
+/// One column's longwave exchange exactly as the seed wrote it
+/// (physics/column_seed_ref.cpp): per-pair emissivity, one accumulator.
+void longwave_reference(std::span<double> theta, double dt_sec) {
+  const int nlev = static_cast<int>(theta.size());
+  for (int k1 = 0; k1 < nlev; ++k1) {
+    double exchange = 0.0;
+    for (int k2 = 0; k2 < nlev; ++k2) {
+      if (k1 == k2) continue;
+      const double t1 = theta[static_cast<std::size_t>(k1)];
+      const double t2 = theta[static_cast<std::size_t>(k2)];
+      exchange += 0.015 / (1.0 + std::abs(k1 - k2)) * (t2 - t1);
+    }
+    theta[static_cast<std::size_t>(k1)] += dt_sec * (exchange - 0.8) / 86400.0;
+  }
+}
+
+/// Lane counts across every vector remainder and block split, level counts
+/// from 1 up, level rows packed (stride = lanes) and padded with guard
+/// entries the kernels must leave alone. Each lane must equal its column
+/// run alone through the seed loop (longwave) or through
+/// linsolve::thomas_solve_into on the full bands (Thomas), on every tier.
+/// A tier whose kernel failed the dispatcher's self-check would be served
+/// by the scalar kernel, so the test also fails on a demotion. The
+/// longwave data are temperatures spread over ±85 with a 1024-day
+/// step, so each layer's heating outgrows its temperature and a change in
+/// the order of the exchange sum's adds shows in the bits.
+TEST(SimdKernels, ColumnLanesBitwiseOnEveryTierAtAwkwardShapes) {
+  for (simd::Tier tier : supported_tiers()) {
+    const ForcedTier forced(tier);
+    const auto& demoted = simd::info().demoted_families;
+    for (const char* family : {"longwave_lanes", "thomas_lanes"})
+      EXPECT_EQ(std::count(demoted.begin(), demoted.end(), family), 0)
+          << family << " demoted at tier=" << simd::tier_name(tier);
+  }
+  constexpr double kDiff = 0.08, kDt = 1024.0 * 86400.0;
+  for (int nlev : {1, 2, 3, 5, 9, 15, 33}) {
+    const auto n = static_cast<std::size_t>(nlev);
+    std::vector<double> emis(n), a(n, -kDiff), b(n, 1.0 + 2.0 * kDiff),
+        c(n, -kDiff), cp(n), denom(n);
+    for (std::size_t d = 0; d < n; ++d) emis[d] = 0.015 / (1.0 + d);
+    b.front() = 1.0 + kDiff;
+    b.back() = 1.0 + kDiff;
+    denom[0] = b[0];
+    cp[0] = c[0] / b[0];
+    for (std::size_t k = 1; k < n; ++k) {
+      denom[k] = b[k] - a[k] * cp[k - 1];
+      cp[k] = c[k] / denom[k];
+    }
+    for (std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u,
+                              31u, 32u, 33u, 54u, 65u}) {
+      for (std::size_t pad : {std::size_t{0}, std::size_t{5}}) {
+        SCOPED_TRACE(::testing::Message() << "nlev=" << nlev << " lanes="
+                                          << lanes << " pad=" << pad);
+        const std::size_t stride = lanes + pad;
+        std::vector<double> panel0(n * stride);
+        fill_det(panel0, 73u, 0.0);
+        for (double& t : panel0) t *= 4096.0 / 3.0;
+        // Column references, one lane at a time.
+        std::vector<double> lw_ref = panel0, th_ref = panel0;
+        std::vector<double> col(n), x(n), scratch(n);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          for (std::size_t k = 0; k < n; ++k) col[k] = panel0[k * stride + l];
+          longwave_reference(col, kDt);
+          for (std::size_t k = 0; k < n; ++k) lw_ref[k * stride + l] = col[k];
+          for (std::size_t k = 0; k < n; ++k) col[k] = panel0[k * stride + l];
+          agcm::linsolve::thomas_solve_into(a, b, c, col, x, scratch);
+          for (std::size_t k = 0; k < n; ++k) th_ref[k * stride + l] = x[k];
+        }
+        for (simd::Tier tier : supported_tiers()) {
+          const ForcedTier forced(tier);
+          std::vector<double> lw = panel0, th = panel0;
+          simd::ops().longwave_lanes(nlev, lanes, stride, emis.data(), kDt,
+                                     lw.data());
+          simd::ops().thomas_lanes(nlev, lanes, stride, a.data(), cp.data(),
+                                   denom.data(), th.data());
+          if (!bits_equal(lw_ref, lw) || !bits_equal(th_ref, th)) {
+            ADD_FAILURE() << "tier=" << simd::tier_name(tier)
+                          << (bits_equal(lw_ref, lw) ? " thomas_lanes"
+                                                     : " longwave_lanes");
+            return;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "comm/mesh2d.hpp"
 #include "dynamics/state.hpp"
+#include "kernels/simd/dispatch.hpp"
 #include "physics/column_seed_ref.hpp"
 #include "physics/physics.hpp"
 #include "simnet/machine.hpp"
@@ -137,10 +138,9 @@ TEST(Column, CostScalesQuadraticallyWithLayersForLongwave) {
 }
 
 TEST(Column, EngineBitIdenticalToSeedReferenceAcrossShapes) {
-  // The unrolled column kernels (kernels::longwave_sweep / convection_sweep
-  // plus the in-place Thomas diffusion) must reproduce the preserved seed
-  // path bit for bit: degenerate single-level columns, levels that are not
-  // multiples of the 4-wide unroll, day and night sides, stable and
+  // The one-column call of the column engine must reproduce the preserved
+  // seed path bit for bit: degenerate single-level columns, levels that
+  // are not multiples of a vector width, day and night sides, stable and
   // convectively unstable profiles, over several steps.
   for (int nlev : {1, 2, 5, 6, 9, 13}) {
     for (double lon : {0.0, kPi}) {
@@ -177,6 +177,94 @@ TEST(Column, EngineBitIdenticalToSeedReferenceAcrossShapes) {
           << "q diverged bitwise";
     }
   }
+}
+
+/// The batched engine against the seed, column by column, on every tier
+/// the host runs. Batches of 1, W - 1, W, W + 1 and 54 columns (W the
+/// tier's column_lanes); rows of seven columns share a latitude (rows +0.0
+/// and -0.0 next to each other), so the row-hoisted zenith terms are
+/// reused and recomputed; longitudes put columns on both sides of the
+/// terminator; every third column is kinked so convection fires while the
+/// rest stay stable; implicit diffusion on and off; equinox and solstice.
+TEST(Column, BatchedEngineBitIdenticalToSeedOnEveryTier) {
+  std::vector<simd::Tier> tiers{simd::Tier::kScalar};
+  for (simd::Tier t : {simd::Tier::kAvx2, simd::Tier::kAvx512})
+    if (simd::tier_supported(t)) tiers.push_back(t);
+  constexpr double kRowLats[] = {0.0, -0.0, 0.6, -1.2, 1.5};
+  for (simd::Tier tier : tiers) {
+    ASSERT_TRUE(simd::force_tier(tier));
+    const std::size_t w = simd::ops().column_lanes;
+    for (int nlev : {1, 2, 5, 9, 15, 33}) {
+      for (std::size_t count : {std::size_t{1}, w - 1, w, w + 1,
+                                std::size_t{54}}) {
+        for (double kdiff : {0.0, 0.08}) {
+          for (PhysicsRegime regime :
+               {PhysicsRegime::kEquinox, PhysicsRegime::kJuneSolstice}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "tier=" << simd::tier_name(tier) << " nlev="
+                         << nlev << " columns=" << count << " kdiff="
+                         << kdiff << " regime="
+                         << physics_regime_name(regime));
+            ColumnParams p = params(nlev);
+            p.implicit_diffusion = kdiff;
+            p.solar_declination_rad = regime_declination_rad(regime);
+            const auto n = static_cast<std::size_t>(nlev);
+            std::vector<double> eng(count * 2 * n);
+            std::vector<ColumnSite> sites(count);
+            for (std::size_t c = 0; c < count; ++c) {
+              double* th = eng.data() + c * 2 * n;
+              const std::vector<double> theta = test_theta(nlev);
+              const std::vector<double> q = test_q(nlev);
+              std::copy(theta.begin(), theta.end(), th);
+              std::copy(q.begin(), q.end(), th + n);
+              if (nlev >= 3 && c % 3 == 0) {
+                th[1] = th[2] + 4.0;  // unstable: convection iterates
+                th[n] = 0.02;
+              }
+              sites[c] = {1000 + 17 * c, kRowLats[c / 7 % 5],
+                          0.9 * static_cast<double>(c), th, th + n};
+            }
+            std::vector<double> seed = eng;
+            std::vector<ColumnResult> results(count);
+            bool day = false, night = false, fired = false, calm = false;
+            for (int s = 0; s < 2; ++s) {
+              const double time_sec = 300.0 * s;
+              step_columns(p, s, time_sec, sites, results);
+              for (std::size_t c = 0; c < count; ++c) {
+                double* th = seed.data() + c * 2 * n;
+                const ColumnResult rs = step_column_seed_ref(
+                    p, sites[c].id, s, sites[c].lat, sites[c].lon, time_sec,
+                    {th, n}, {th + n, n});
+                const ColumnResult& re = results[c];
+                EXPECT_EQ(std::memcmp(&re.flops, &rs.flops, sizeof(double)),
+                          0);
+                EXPECT_EQ(re.daytime, rs.daytime);
+                EXPECT_EQ(re.convection_iters, rs.convection_iters);
+                EXPECT_EQ(std::memcmp(&re.cloud_fraction, &rs.cloud_fraction,
+                                      sizeof(double)),
+                          0);
+                EXPECT_EQ(std::memcmp(&re.precipitation, &rs.precipitation,
+                                      sizeof(double)),
+                          0);
+                (rs.daytime ? day : night) = true;
+                (rs.convection_iters > 1 ? fired : calm) = true;
+              }
+            }
+            EXPECT_EQ(std::memcmp(eng.data(), seed.data(),
+                                  eng.size() * sizeof(double)),
+                      0)
+                << "theta/q diverged bitwise";
+            if (count == 54) {
+              EXPECT_TRUE(day && night);
+              EXPECT_EQ(fired, nlev >= 3);
+              EXPECT_TRUE(calm);
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::reset_tier();
 }
 
 TEST(Column, HumidityStaysBounded) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
+#include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -205,6 +207,101 @@ TEST(Table, HelperFormatters) {
   EXPECT_EQ(Table::num(1.234, 2), "1.23");
   EXPECT_EQ(Table::paper_vs(10.0, 9.5, 1), "10.0 / 9.5");
   EXPECT_EQ(Table::pct(0.37), "37%");
+}
+
+// --- The large-block recycler (util/aligned.hpp). The allocator is called
+// directly, so no test touches more than the header page of its blocks.
+
+using Doubles64 = util::AlignedAllocator<double, 64>;
+constexpr std::size_t kLarge = util::detail::kRecycleMinBytes / sizeof(double);
+
+/// False in AddressSanitizer builds, which free large blocks at once.
+bool recycling() {
+  Doubles64 a;
+  a.deallocate(a.allocate(kLarge), kLarge);
+  const bool on = util::large_block_stats().cached_blocks > 0;
+  util::release_cached_large_blocks();
+  return on;
+}
+
+TEST(LargeBlocks, ReturnedBlockServesTheNextRequestOfItsShape) {
+  if (!recycling()) GTEST_SKIP() << "recycling is off in ASan builds";
+  Doubles64 a;
+  double* first = a.allocate(kLarge + 3);
+  const auto before = util::large_block_stats();
+  a.deallocate(first, kLarge + 3);
+  EXPECT_EQ(util::large_block_stats().cached_blocks, 1u);
+  double* second = a.allocate(kLarge + 3);
+  const auto after = util::large_block_stats();
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(after.reuses, before.reuses + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.cached_blocks, 0u);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  a.deallocate(second, kLarge + 3);
+  util::release_cached_large_blocks();
+}
+
+TEST(LargeBlocks, SmallBlocksBypassTheCache) {
+  const auto before = util::large_block_stats();
+  Doubles64 a;
+  double* p = a.allocate(kLarge - 1);
+  a.deallocate(p, kLarge - 1);
+  const auto after = util::large_block_stats();
+  EXPECT_EQ(after.reuses, before.reuses);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.cached_blocks, before.cached_blocks);
+}
+
+TEST(LargeBlocks, OtherSizesAndAlignmentsMiss) {
+  if (!recycling()) GTEST_SKIP() << "recycling is off in ASan builds";
+  Doubles64 a;
+  util::AlignedAllocator<double, 128> wide;
+  a.deallocate(a.allocate(kLarge), kLarge);
+  const auto before = util::large_block_stats();
+  double* bigger = a.allocate(kLarge + 1);
+  double* aligned = wide.allocate(kLarge);
+  const auto after = util::large_block_stats();
+  EXPECT_EQ(after.misses, before.misses + 2);
+  EXPECT_EQ(after.reuses, before.reuses);
+  EXPECT_EQ(after.cached_blocks, 1u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 128, 0u);
+  a.deallocate(bigger, kLarge + 1);
+  wide.deallocate(aligned, kLarge);
+  util::release_cached_large_blocks();
+}
+
+TEST(LargeBlocks, CacheHoldsAtMostThePeakLiveAndEvictsTheOldest) {
+  if (!recycling()) GTEST_SKIP() << "recycling is off in ASan builds";
+  // Blocks far larger than any other test's, so that this test sets the
+  // process's live high-water mark: three blocks of n.
+  const std::size_t n = std::size_t{1} << 21;
+  Doubles64 a;
+  double* held[3] = {};
+  for (double*& p : held) p = a.allocate(n);
+  const std::size_t peak = util::large_block_stats().peak_live_bytes;
+  ASSERT_EQ(peak, 3 * n * sizeof(double));
+  for (double* p : held) a.deallocate(p, n);
+  EXPECT_EQ(util::large_block_stats().cached_bytes, peak);
+
+  // One block of another size, alone live: returning it pushes the cache
+  // over the peak, so the oldest returned blocks go until it fits again
+  // (held[0], then held[1]).
+  double* other = a.allocate(n + 8);
+  a.deallocate(other, n + 8);
+  auto stats = util::large_block_stats();
+  EXPECT_EQ(stats.peak_live_bytes, peak);
+  EXPECT_EQ(stats.cached_blocks, 2u);
+  EXPECT_EQ(stats.cached_bytes, (n + n + 8) * sizeof(double));
+  EXPECT_LE(stats.cached_bytes, stats.peak_live_bytes);
+  // The survivors are the newest: the other-sized block and held[2].
+  EXPECT_EQ(a.allocate(n + 8), other);
+  double* newest = a.allocate(n);
+  EXPECT_EQ(newest, held[2]);
+  a.deallocate(other, n + 8);
+  a.deallocate(newest, n);
+  util::release_cached_large_blocks();
+  EXPECT_EQ(util::large_block_stats().cached_bytes, 0u);
 }
 
 }  // namespace

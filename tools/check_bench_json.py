@@ -66,6 +66,8 @@ REQUIRED_FIELDS = {
         "stencil_bitwise_identical": bool,
         "daxpy_bitwise_identical": bool,
         "conv_chunk_bitwise_identical": bool,
+        "longwave_lanes_bitwise_identical": bool,
+        "thomas_lanes_bitwise_identical": bool,
         "gate_speedup_min": float,
         "gates_passed": bool,
     },
