@@ -59,9 +59,10 @@ class Physics {
 
  private:
   /// Runs every column of `items` in place on its theta/q profiles in
-  /// `payloads` through physics::step_columns, stores each column's
-  /// measured flops in `flops` and charges their sum as this rank's
-  /// compute. The one column loop of both paths.
+  /// `payloads` through physics::step_columns, a fixed chunk of columns per
+  /// call, stores each column's measured flops in `flops` and charges their
+  /// sum, in column order, as this rank's compute. The one column loop of
+  /// both paths.
   void run_columns(std::span<const lb::Item> items, std::span<double> payloads,
                    std::span<double> flops, const dynamics::State& state);
 
@@ -78,8 +79,9 @@ class Physics {
   /// allocator like the fields (util/aligned.hpp).
   std::vector<lb::Item> items_;
   std::vector<double, util::AlignedAllocator<double, 64>> payloads_;
-  /// run_columns' engine arguments, and the balanced path's per-held-column
-  /// flops and result records: growth-only (resize never shrinks them).
+  /// run_columns' engine arguments for at most one chunk of columns, and
+  /// the balanced path's per-held-column flops and result records:
+  /// growth-only (resize never shrinks them).
   std::vector<ColumnSite> sites_;
   std::vector<ColumnResult> column_results_;
   std::vector<double> held_flops_;
