@@ -226,8 +226,8 @@ void scheme_comparison() {
             base * rng.uniform(0.8, 1.2)};
       lb::PairwiseOptions options;
       options.max_iterations = 2;
-      const lb::BalanceResult r =
-          lb::balance(world, scheme, items, payloads, 18, options);
+      lb::BalanceResult r;
+      lb::balance(world, scheme, items, payloads, 18, r, options);
       int received = 0;
       for (const auto& origin : r.held_origins)
         if (origin.rank != world.rank()) ++received;

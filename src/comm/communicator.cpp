@@ -61,9 +61,9 @@ Communicator Communicator::split(int color, int key) const {
   };
   const int p = size();
   const Entry mine{color, key, rank_};
-  std::vector<int> ones(static_cast<std::size_t>(p), 1);
-  const std::vector<Entry> all = allgatherv<Entry>(
-      std::span<const Entry>(&mine, 1), std::span<const int>(ones));
+  const std::vector<int> ones(static_cast<std::size_t>(p), 1);
+  std::vector<Entry> all(static_cast<std::size_t>(p));
+  allgatherv_into<Entry>(std::span<const Entry>(&mine, 1), ones, all);
 
   std::vector<Entry> group;
   for (const Entry& e : all)

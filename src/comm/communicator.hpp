@@ -9,6 +9,10 @@
 // is a rendezvous (simnet::Rendezvous) that charges every rank exactly what
 // the pairwise exchange's P-1 rounds of messages would, with one host
 // synchronisation instead of the messages.
+//
+// Each collective has one implementation, which writes into storage the
+// caller owns (the `_into` forms), so a caller that keeps its buffers
+// reaches a steady state with no heap traffic (docs/transport.md).
 #pragma once
 
 #include <cstdint>
@@ -23,8 +27,22 @@
 #include "simnet/machine.hpp"
 #include "trace/tracer.hpp"
 #include "util/error.hpp"
+#include "util/exec_local.hpp"
 
 namespace agcm::comm {
+
+namespace detail {
+/// The parent of relative rank `rel` in a binomial tree rooted at 0: `rel`
+/// with its lowest set bit cleared.
+inline int tree_parent(int rel) { return rel & (rel - 1); }
+
+/// Elements in a gather of per-rank `counts`.
+inline std::size_t total_count(std::span<const int> counts) {
+  std::size_t total = 0;
+  for (int c : counts) total += static_cast<std::size_t>(c);
+  return total;
+}
+}  // namespace detail
 
 /// A communicator: a group of ranks able to exchange typed messages.
 /// The world communicator covers every rank of the machine; `split` creates
@@ -160,37 +178,53 @@ class Communicator {
   double allreduce_max(double value) const;
 
   /// Root gathers `counts[r]` elements from each rank r (counts known on all
-  /// ranks). Result valid on root only, concatenated in rank order.
+  /// ranks) into `all`, the sum of `counts` elements, concatenated in rank
+  /// order. `all` is not touched on other ranks.
   template <typename T>
-  std::vector<T> gatherv(int root, std::span<const T> mine,
-                         std::span<const int> counts) const;
+  void gatherv_into(int root, std::span<const T> mine,
+                    std::span<const int> counts, std::span<T> all) const;
 
-  /// Inverse of gatherv: root holds concatenated data, each rank gets its
-  /// slice.
+  /// Inverse of gatherv_into: root holds the concatenation in `all`, and
+  /// each rank receives its `counts[rank()]` elements into `mine`.
   template <typename T>
-  std::vector<T> scatterv(int root, std::span<const T> all,
-                          std::span<const int> counts) const;
+  void scatterv_into(int root, std::span<const T> all,
+                     std::span<const int> counts, std::span<T> mine) const;
 
-  /// Every rank ends up with the rank-order concatenation of all blocks.
-  template <typename T>
-  std::vector<T> allgatherv(std::span<const T> mine,
-                            std::span<const int> counts) const;
-
-  /// allgatherv into a caller's buffer of the sum of `counts` elements:
-  /// the same messages, with no allocation.
+  /// Every rank receives the rank-order concatenation of all blocks into
+  /// `all`, the sum of `counts` elements (gatherv_into, then broadcast).
   template <typename T>
   void allgatherv_into(std::span<const T> mine, std::span<const int> counts,
                        std::span<T> all) const;
 
   /// Personalised all-to-all with per-pair counts. `send_counts[r]` elements
-  /// go to rank r (taken from `send_data` in rank order); the result is the
-  /// concatenation of blocks received from ranks 0..P-1. A typed adapter
-  /// over `alltoallv_packed`: the same schedule, each block copied into and
-  /// out of its staged bytes.
+  /// go to rank r (taken from `send_data` in rank order); `recv_data`, the
+  /// sum of `recv_counts` elements, receives the concatenation of blocks
+  /// from ranks 0..P-1. A typed adapter over `alltoallv_packed`: the same
+  /// schedule, each block copied into and out of its staged bytes. Its
+  /// offsets and byte sizes live in this communicator's growth-only scratch.
+  template <typename T>
+  void alltoallv_into(std::span<const T> send_data,
+                      std::span<const int> send_counts,
+                      std::span<const int> recv_counts,
+                      std::span<T> recv_data) const;
+
+  /// Vector-returning forms of the two collectives above, for callers
+  /// outside src/ (perfbench's probes); a CI lint keeps src/ on `_into`.
+  template <typename T>
+  std::vector<T> allgatherv(std::span<const T> mine,
+                            std::span<const int> counts) const {
+    std::vector<T> all(detail::total_count(counts));
+    allgatherv_into<T>(mine, counts, all);
+    return all;
+  }
   template <typename T>
   std::vector<T> alltoallv(std::span<const T> send_data,
                            std::span<const int> send_counts,
-                           std::span<const int> recv_counts) const;
+                           std::span<const int> recv_counts) const {
+    std::vector<T> recv_data(detail::total_count(recv_counts));
+    alltoallv_into<T>(send_data, send_counts, recv_counts, recv_data);
+    return recv_data;
+  }
 
   /// Zero-copy personalised all-to-all, priced as the self block without a
   /// message plus P-1 rounds of pairwise exchange: in round s this rank
@@ -219,12 +253,6 @@ class Communicator {
  private:
   Communicator(simnet::RankContext& ctx, std::vector<int> members, int rank,
                std::int64_t context_id);
-
-  /// gatherv into a caller's buffer: on root, `all` (the sum of `counts`
-  /// elements) receives the blocks; elsewhere it is not touched.
-  template <typename T>
-  void gatherv_into(int root, std::span<const T> mine,
-                    std::span<const int> counts, std::span<T> all) const;
 
   int global(int local_rank) const {
     if (local_rank < 0 || local_rank >= size()) {
@@ -260,25 +288,11 @@ class Communicator {
   std::int64_t context_id_;   ///< isolates traffic between communicators
   mutable int next_context_ = 1;  ///< allocator for child context ids
   mutable simnet::Rendezvous* rendezvous_ = nullptr;
+  /// alltoallv_into's block offsets and byte sizes (growth-only).
+  mutable util::GrowBuffer<std::size_t> alltoallv_scratch_;
 };
 
 // --- template implementations ----------------------------------------------
-
-namespace detail {
-/// Rounds of a binomial tree rooted at 0 over `size` ranks, for the rank
-/// whose *relative* id is `rel`. Parent/children helper.
-inline int tree_parent(int rel) {
-  // Clear the lowest set bit.
-  return rel & (rel - 1);
-}
-
-/// Elements in a gather of per-rank `counts`.
-inline std::size_t total_count(std::span<const int> counts) {
-  std::size_t total = 0;
-  for (int c : counts) total += static_cast<std::size_t>(c);
-  return total;
-}
-}  // namespace detail
 
 template <typename T>
 void Communicator::broadcast(int root, std::span<T> data) const {
@@ -364,14 +378,6 @@ void Communicator::allreduce(std::span<const T> in, std::span<T> out,
 }
 
 template <typename T>
-std::vector<T> Communicator::gatherv(int root, std::span<const T> mine,
-                                     std::span<const int> counts) const {
-  std::vector<T> all(rank_ == root ? detail::total_count(counts) : 0);
-  gatherv_into<T>(root, mine, counts, all);
-  return all;
-}
-
-template <typename T>
 void Communicator::gatherv_into(int root, std::span<const T> mine,
                                 std::span<const int> counts,
                                 std::span<T> all) const {
@@ -382,9 +388,7 @@ void Communicator::gatherv_into(int root, std::span<const T> mine,
   AGCM_ASSERT(static_cast<int>(mine.size()) ==
               counts[static_cast<std::size_t>(rank_)]);
   constexpr int kTag = kMaxUserTag - 3;
-  // Binomial gather: each round, ranks holding contiguous segments merge.
-  // For simplicity and identical message counts to MPI_Gatherv's flat
-  // implementation of the era, use direct sends to root.
+  // Flat, like the era's MPI_Gatherv: every rank sends straight to root.
   if (rank_ == root) {
     AGCM_ASSERT(all.size() == detail::total_count(counts));
     std::size_t offset = 0;
@@ -403,41 +407,32 @@ void Communicator::gatherv_into(int root, std::span<const T> mine,
 }
 
 template <typename T>
-std::vector<T> Communicator::scatterv(int root, std::span<const T> all,
-                                      std::span<const int> counts) const {
+void Communicator::scatterv_into(int root, std::span<const T> all,
+                                 std::span<const int> counts,
+                                 std::span<T> mine) const {
   static_assert(std::is_trivially_copyable_v<T>);
   AGCM_TRACE_SPAN("comm.scatterv", *ctx_);
   const int p = size();
   AGCM_ASSERT(static_cast<int>(counts.size()) == p);
+  AGCM_ASSERT(static_cast<int>(mine.size()) ==
+              counts[static_cast<std::size_t>(rank_)]);
   constexpr int kTag = kMaxUserTag - 4;
-  const auto my_count =
-      static_cast<std::size_t>(counts[static_cast<std::size_t>(rank_)]);
-  std::vector<T> mine(my_count);
   if (rank_ == root) {
+    AGCM_ASSERT(all.size() == detail::total_count(counts));
     std::size_t offset = 0;
     for (int r = 0; r < p; ++r) {
       const auto n = static_cast<std::size_t>(counts[static_cast<std::size_t>(r)]);
       if (r == rank_) {
-        std::copy(all.begin() + static_cast<std::ptrdiff_t>(offset),
-                  all.begin() + static_cast<std::ptrdiff_t>(offset + n),
-                  mine.begin());
+        std::copy_n(all.begin() + static_cast<std::ptrdiff_t>(offset), n,
+                    mine.begin());
       } else if (n > 0) {
-        send<T>(r, kTag, std::span<const T>(all.data() + offset, n));
+        send<T>(r, kTag, all.subspan(offset, n));
       }
       offset += n;
     }
-  } else if (my_count > 0) {
-    recv<T>(root, kTag, std::span<T>(mine.data(), mine.size()));
+  } else if (!mine.empty()) {
+    recv<T>(root, kTag, mine);
   }
-  return mine;
-}
-
-template <typename T>
-std::vector<T> Communicator::allgatherv(std::span<const T> mine,
-                                        std::span<const int> counts) const {
-  std::vector<T> all(detail::total_count(counts));
-  allgatherv_into<T>(mine, counts, all);
-  return all;
 }
 
 template <typename T>
@@ -451,24 +446,29 @@ void Communicator::allgatherv_into(std::span<const T> mine,
 }
 
 template <typename T>
-std::vector<T> Communicator::alltoallv(std::span<const T> send_data,
-                                       std::span<const int> send_counts,
-                                       std::span<const int> recv_counts) const {
+void Communicator::alltoallv_into(std::span<const T> send_data,
+                                  std::span<const int> send_counts,
+                                  std::span<const int> recv_counts,
+                                  std::span<T> recv_data) const {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto p = static_cast<std::size_t>(size());
   AGCM_ASSERT(send_counts.size() == p);
   AGCM_ASSERT(recv_counts.size() == p);
   // Element offsets of each rank's block, and its size in wire bytes.
-  std::vector<std::size_t> send_offsets(p + 1, 0), recv_offsets(p + 1, 0);
-  std::vector<std::size_t> send_bytes(p), recv_bytes(p);
+  const std::span<std::size_t> scratch = alltoallv_scratch_.take(4 * p + 2);
+  const auto send_offsets = scratch.first(p + 1);
+  const auto recv_offsets = scratch.subspan(p + 1, p + 1);
+  const auto send_bytes = scratch.subspan(2 * p + 2, p);
+  const auto recv_bytes = scratch.subspan(3 * p + 2, p);
+  send_offsets[0] = recv_offsets[0] = 0;
   for (std::size_t r = 0; r < p; ++r) {
     send_offsets[r + 1] = send_offsets[r] + static_cast<std::size_t>(send_counts[r]);
     recv_offsets[r + 1] = recv_offsets[r] + static_cast<std::size_t>(recv_counts[r]);
     send_bytes[r] = static_cast<std::size_t>(send_counts[r]) * sizeof(T);
     recv_bytes[r] = static_cast<std::size_t>(recv_counts[r]) * sizeof(T);
   }
-  AGCM_ASSERT(send_offsets.back() == send_data.size());
-  std::vector<T> recv_data(recv_offsets.back());
+  AGCM_ASSERT(send_offsets[p] == send_data.size());
+  AGCM_ASSERT(recv_offsets[p] == recv_data.size());
   alltoallv_packed(
       send_bytes, recv_bytes,
       [&](int dst, PackedWriter& writer) {
@@ -478,10 +478,9 @@ std::vector<T> Communicator::alltoallv(std::span<const T> send_data,
       },
       [&](int src, PackedReader& reader) {
         const auto s = static_cast<std::size_t>(src);
-        reader.read<T>(std::span<T>(recv_data).subspan(
-            recv_offsets[s], recv_bytes[s] / sizeof(T)));
+        reader.read<T>(
+            recv_data.subspan(recv_offsets[s], recv_bytes[s] / sizeof(T)));
       });
-  return recv_data;
 }
 
 template <typename PackFn, typename UnpackFn>

@@ -173,11 +173,17 @@ HistoryFile gather_state(const comm::Mesh2D& mesh,
     out.time_sec = state.time_sec;
     out.step = state.step;
   }
+  // Root receives every rank's block of one component at a time.
+  std::vector<double> gathered(
+      world.rank() == 0 ? static_cast<std::size_t>(grid.nlon()) *
+                              static_cast<std::size_t>(grid.nlat()) *
+                              static_cast<std::size_t>(nlev)
+                        : 0);
   for (const auto& comp : components) {
     const std::vector<double> local = pack_local(*comp.data);
     AGCM_ASSERT(static_cast<int>(local.size()) ==
                 counts[static_cast<std::size_t>(world.rank())]);
-    const std::vector<double> gathered = world.gatherv<double>(0, local, counts);
+    world.gatherv_into<double>(0, local, counts, gathered);
     if (world.rank() != 0) continue;
     HistoryField field;
     field.name = comp.name;
@@ -257,7 +263,9 @@ void scatter_state(const comm::Mesh2D& mesh, const grid::Decomp2D& decomp,
             }
       }
     }
-    const std::vector<double> mine = world.scatterv<double>(0, all, counts);
+    std::vector<double> mine(
+        static_cast<std::size_t>(counts[static_cast<std::size_t>(world.rank())]));
+    world.scatterv_into<double>(0, all, counts, mine);
     comp.data->unpack_interior(mine);
   }
 

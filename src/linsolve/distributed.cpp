@@ -120,7 +120,9 @@ std::vector<double> distributed_tridiagonal_solve_many(
                          static_cast<double>(n)});
   }
   std::vector<int> counts(static_cast<std::size_t>(p), 9 * m);
-  const std::vector<double> all = comm.gatherv<double>(0, contribution, counts);
+  std::vector<double> all(
+      me == 0 ? contribution.size() * static_cast<std::size_t>(p) : 0);
+  comm.gatherv_into<double>(0, contribution, counts, all);
 
   // Root: m independent reduced systems, each pentadiagonal with at most
   // 2P unknowns; returns per rank and system [x_first x_last x_left x_right].
@@ -181,8 +183,8 @@ std::vector<double> distributed_tridiagonal_solve_many(
     comm.charge_flops(25.0 * 2.0 * static_cast<double>(p) * m);
   }
   std::vector<int> fours(static_cast<std::size_t>(p), 4 * m);
-  const std::vector<double> mine =
-      comm.scatterv<double>(0, interface_info, fours);
+  std::vector<double> mine(static_cast<std::size_t>(m) * 4);
+  comm.scatterv_into<double>(0, interface_info, fours, mine);
 
   // Local back substitution for every system.
   std::vector<double> x(b.size());

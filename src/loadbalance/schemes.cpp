@@ -18,26 +18,29 @@ const char* scheme_name(Scheme scheme) {
   return "none";
 }
 
-std::vector<std::size_t> pick_heaviest(std::span<const double> weights,
-                                       double target) {
-  std::vector<std::size_t> order(weights.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return weights[a] != weights[b] ? weights[a] > weights[b] : a < b;
+void pick_heaviest(std::span<const Item> items, double target,
+                   std::vector<std::size_t>& picked) {
+  // Every position in weight order, then the picks compacted to the front
+  // (the n-th pick is read at or after position n).
+  picked.resize(items.size());
+  std::iota(picked.begin(), picked.end(), 0);
+  std::sort(picked.begin(), picked.end(), [&](std::size_t a, std::size_t b) {
+    const double wa = items[a].weight, wb = items[b].weight;
+    return wa != wb ? wa > wb : a < b;
   });
-  std::vector<std::size_t> picked;
+  std::size_t n = 0;
   double shipped = 0.0;
-  for (std::size_t q : order) {
-    if (shipped + weights[q] <= target) {
-      picked.push_back(q);
-      shipped += weights[q];
-    } else if (shipped + weights[q] - target < target - shipped) {
+  for (const std::size_t q : std::span(picked)) {
+    if (shipped + items[q].weight <= target) {
+      picked[n++] = q;
+      shipped += items[q].weight;
+    } else if (shipped + items[q].weight - target < target - shipped) {
       // Overshooting by less than the remaining gap: take it and stop.
-      picked.push_back(q);
+      picked[n++] = q;
       break;
     }
   }
-  return picked;
+  picked.resize(n);
 }
 
 std::vector<double> loads_of(const ItemLists& items) {
@@ -62,32 +65,30 @@ std::vector<double> loads_after(const ItemLists& items,
   return loads;
 }
 
-std::vector<int> ranks_by_load(std::span<const double> loads) {
-  std::vector<int> order(loads.size());
+void ranks_by_load(std::span<const double> loads, std::vector<int>& order) {
+  order.resize(loads.size());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return loads[a] != loads[b] ? loads[a] > loads[b] : a < b;
   });
-  return order;
 }
 
-std::vector<RankPair> sorted_pairs(std::span<const double> loads) {
-  const std::vector<int> order = ranks_by_load(loads);
-  std::vector<RankPair> pairs;
-  for (std::size_t i = 0; i < order.size() / 2; ++i)
-    pairs.push_back({order[i], order[order.size() - 1 - i]});
-  return pairs;
+void sorted_pairs(std::span<const double> loads, std::vector<int>& order,
+                  std::vector<RankPair>& pairs) {
+  ranks_by_load(loads, order);
+  pairs.resize(order.size() / 2);
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    pairs[i] = {order[i], order[order.size() - 1 - i]};
 }
 
-std::vector<std::size_t> pick_pair_share(std::span<const Item> held,
-                                         std::span<const double> loads,
-                                         RankPair pair, double tolerance) {
+void pick_pair_share(std::span<const Item> held, std::span<const double> loads,
+                     RankPair pair, double tolerance,
+                     std::vector<std::size_t>& picked) {
   const double mine = loads[static_cast<std::size_t>(pair.heavy)];
   const double gap = mine - loads[static_cast<std::size_t>(pair.light)];
-  if (gap <= tolerance * std::max(1.0e-300, mine)) return {};
-  std::vector<double> weights;
-  for (const Item& item : held) weights.push_back(item.weight);
-  return pick_heaviest(weights, gap / 2.0);
+  picked.clear();
+  if (gap > tolerance * std::max(1.0e-300, mine))
+    pick_heaviest(held, gap / 2.0, picked);
 }
 
 DestLists plan_cyclic(const ItemLists& items) {
@@ -116,11 +117,15 @@ DestLists plan_sorted_greedy(const ItemLists& items) {
   // local loads" (Figure 5B). Surpluses flow from the most overloaded rank
   // to the most underloaded ones, each transfer sized to fill the
   // receiver's deficit (or exhaust the sender's surplus).
-  const std::vector<int> order = ranks_by_load(current);
+  std::vector<int> order;
+  ranks_by_load(current, order);
 
   int hi = 0;
   int lo = static_cast<int>(items.size()) - 1;
   const double eps = 1.0e-12 * std::max(1.0, avg);
+  std::vector<std::pair<std::size_t, std::size_t>> held;
+  std::vector<Item> held_items;
+  std::vector<std::size_t> picked;
   while (hi < lo) {
     const auto heavy = static_cast<std::size_t>(order[static_cast<std::size_t>(hi)]);
     const auto light = static_cast<std::size_t>(order[static_cast<std::size_t>(lo)]);
@@ -136,16 +141,17 @@ DestLists plan_sorted_greedy(const ItemLists& items) {
     }
     const double amount = std::min(surplus, deficit);
     // pick_heaviest over what `heavy` now holds, in (src, q) order.
-    std::vector<std::pair<std::size_t, std::size_t>> held;
-    std::vector<double> weights;
+    held.clear();
+    held_items.clear();
     for (std::size_t r = 0; r < items.size(); ++r)
       for (std::size_t q = 0; q < items[r].size(); ++q)
         if (dest[r][q] == static_cast<int>(heavy)) {
           held.emplace_back(r, q);
-          weights.push_back(items[r][q].weight);
+          held_items.push_back(items[r][q]);
         }
+    pick_heaviest(held_items, amount, picked);
     double moved = 0.0;
-    for (std::size_t n : pick_heaviest(weights, amount)) {
+    for (std::size_t n : picked) {
       const auto [r, q] = held[n];
       dest[r][q] = static_cast<int>(light);
       moved += items[r][q].weight;

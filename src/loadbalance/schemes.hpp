@@ -48,21 +48,21 @@ using ItemLists = std::vector<std::vector<Item>>;
 using DestLists = std::vector<std::vector<int>>;
 
 /// Heaviest-first greedy pick approximating `target` total weight: the
-/// positions of `weights` in pick order, ties broken by lower position. An
-/// item is taken while the picked total stays at or below `target`, plus one
-/// closing item if it lands strictly closer to `target`. The one selection
-/// policy of Schemes 2 and 3, in the planners and in the executor.
-std::vector<std::size_t> pick_heaviest(std::span<const double> weights,
-                                       double target);
+/// positions of `items` in pick order, ties broken by lower position, into
+/// `picked`. An item is taken while the picked total stays at or below
+/// `target`, plus one closing item if it lands strictly closer to `target`.
+/// The one selection policy of Schemes 2 and 3, planners and executor.
+void pick_heaviest(std::span<const Item> items, double target,
+                   std::vector<std::size_t>& picked);
 
 /// Per-rank total loads of the original distribution, and implied by an
 /// assignment.
 std::vector<double> loads_of(const ItemLists& items);
 std::vector<double> loads_after(const ItemLists& items, const DestLists& dest);
 
-/// Ranks 0..N-1 heaviest first, ties to the lower rank: the one rank order
-/// of Schemes 2 and 3 ("the data load is sorted", Figures 5B and 6).
-std::vector<int> ranks_by_load(std::span<const double> loads);
+/// Ranks 0..N-1 heaviest first, ties to the lower rank, into `order`: the
+/// one rank order of Schemes 2 and 3 ("the data load is sorted", 5B, 6).
+void ranks_by_load(std::span<const double> loads, std::vector<int>& order);
 
 /// Scheme 1: cyclic shuffle. Item q of rank r goes to rank (r + q) mod N.
 DestLists plan_cyclic(const ItemLists& items);
@@ -85,19 +85,20 @@ struct PairwiseOptions {
   }
 };
 
-/// Scheme 3's pairs (Figure 6): position i of ranks_by_load with position
-/// N-1-i; the median of an odd count sits out.
+/// Scheme 3's pairs (Figure 6) into `pairs`: position i of ranks_by_load
+/// (into `order`) with position N-1-i; an odd count's median sits out.
 struct RankPair {
   int heavy = 0;
   int light = 0;
 };
-std::vector<RankPair> sorted_pairs(std::span<const double> loads);
+void sorted_pairs(std::span<const double> loads, std::vector<int>& order,
+                  std::vector<RankPair>& pairs);
 
-/// Scheme 3's pick on `pair`'s heavier side, which holds `held`:
-/// pick_heaviest over the held weights in held order toward half the pair's
-/// gap in `loads`; nothing when the gap is within tolerance × its load.
-std::vector<std::size_t> pick_pair_share(std::span<const Item> held,
-                                         std::span<const double> loads,
-                                         RankPair pair, double tolerance);
+/// Scheme 3's pick on `pair`'s heavier side, which holds `held`, into
+/// `picked`: pick_heaviest over the held items toward half the pair's gap
+/// in `loads`; nothing when the gap is within tolerance × its load.
+void pick_pair_share(std::span<const Item> held, std::span<const double> loads,
+                     RankPair pair, double tolerance,
+                     std::vector<std::size_t>& picked);
 
 }  // namespace agcm::lb

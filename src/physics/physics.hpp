@@ -53,39 +53,35 @@ class Physics {
 
   /// Previous-pass per-column cost estimates (flops), local block layout
   /// (i fastest). Exposed for the Tables 1-3 benchmark.
-  std::span<const double> column_cost_estimates() const {
-    return prev_cost_;
-  }
+  std::span<const double> column_cost_estimates() const { return prev_cost_; }
 
  private:
   /// Runs every column of `items` in place on its theta/q profiles in
   /// `payloads` through physics::step_columns, a fixed chunk of columns per
   /// call, stores each column's measured flops in `flops` and charges their
-  /// sum, in column order, as this rank's compute. The one column loop of
-  /// both paths.
+  /// sum, in column order, as this rank's compute (both paths' one loop).
   void run_columns(std::span<const lb::Item> items, std::span<double> payloads,
                    std::span<double> flops, const dynamics::State& state);
 
   const comm::Mesh2D* mesh_;
-  const grid::Decomp2D* decomp_;
   const grid::LatLonGrid* grid_;
   PhysicsConfig config_;
   grid::LocalBox box_;
   std::vector<double> prev_cost_;  ///< per local column, flops
   /// Per-step gather scratch (items + packed theta/q payloads), sized once
-  /// in the constructor so the warm non-balanced step allocates nothing
-  /// (tests/test_kernel_alloc.cpp; docs/kernels.md). The payloads, the
+  /// in the constructor (tests/test_kernel_alloc.cpp). The payloads, the
   /// largest per-rank block of physics, come from the recycling aligned
   /// allocator like the fields (util/aligned.hpp).
   std::vector<lb::Item> items_;
   std::vector<double, util::AlignedAllocator<double, 64>> payloads_;
-  /// run_columns' engine arguments for at most one chunk of columns, and
-  /// the balanced path's per-held-column flops and result records:
-  /// growth-only (resize never shrinks them).
+  /// Growth-only: run_columns' engine arguments for one chunk of columns,
+  /// and the balanced path's held set, flops, results and returned results.
   std::vector<ColumnSite> sites_;
   std::vector<ColumnResult> column_results_;
+  lb::BalanceResult held_;
   std::vector<double> held_flops_;
   std::vector<double> held_results_;
+  std::vector<double> mine_;
   PhysicsTimings timings_;
 };
 

@@ -35,10 +35,15 @@ Mailbox::Mailbox(int nsources) : first_(static_cast<std::size_t>(nsources)) {
 
 Mailbox::Channel& Mailbox::channel_locked(int src, std::int64_t tag) {
   AGCM_ASSERT(src >= 0 && static_cast<std::size_t>(src) < first_.size());
-  std::unique_ptr<Channel>* link = &first_[static_cast<std::size_t>(src)];
+  Channel** link = &first_[static_cast<std::size_t>(src)];
   while (*link != nullptr && (*link)->tag != tag) link = &(*link)->next;
   if (*link == nullptr) {
-    *link = std::make_unique<Channel>();
+    if (spare_ == spare_end_) {
+      const std::size_t n = std::max<std::size_t>(8, channels_);
+      spare_ = blocks_.emplace_back(std::make_unique<Channel[]>(n)).get();
+      spare_end_ = spare_ + n;
+    }
+    *link = spare_++;
     (*link)->tag = tag;
     ++channels_;
   }
@@ -128,8 +133,7 @@ std::vector<ChannelInfo> Mailbox::pending_channels() const {
   {
     std::lock_guard lock(mutex_);
     for (std::size_t src = 0; src < first_.size(); ++src)
-      for (const Channel* ch = first_[src].get(); ch != nullptr;
-           ch = ch->next.get())
+      for (const Channel* ch = first_[src]; ch != nullptr; ch = ch->next)
         if (!ch->queue.empty())
           out.push_back({static_cast<int>(src), ch->tag, ch->queue.size()});
   }

@@ -10,7 +10,8 @@
 // A mailbox is one lock over all of its channels. Channels are indexed
 // densely by source, since a flat gather still reaches its root from every
 // other rank; a source's few tags chain off its first channel. A channel is
-// created on first touch and lives as long as the mailbox.
+// created on first touch, from blocks the mailbox grows by doubling, and
+// lives as long as the mailbox.
 //
 // Only the mailbox's own rank receives from it, so at most one receive
 // waits at a time and the mailbox has a single waiter slot: the channel the
@@ -23,6 +24,8 @@
 // charges their messages' virtual cost without sending them (below).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -59,35 +62,47 @@ struct ChannelInfo {
 /// operations even at constant depth), a ring at steady depth never touches
 /// the heap — a requirement of the allocation-free transport contract
 /// (tests/test_comm_alloc.cpp). Capacity is a power of two and only grows.
+/// The first two slots are inline: most channels never queue more than
+/// two packets, so a run that keeps opening channels (Scheme 3's new
+/// pairings) does not allocate a ring for each.
 class PacketRing {
  public:
+  PacketRing() = default;
+  PacketRing(const PacketRing&) = delete;
+  PacketRing& operator=(const PacketRing&) = delete;
+
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
 
   void push(Packet&& packet) {
-    if (count_ == slots_.size()) grow();
-    slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(packet);
+    if (count_ == capacity_) grow();
+    slots_[(head_ + count_) & (capacity_ - 1)] = std::move(packet);
     ++count_;
   }
 
   Packet pop() {
     Packet packet = std::move(slots_[head_]);
-    head_ = (head_ + 1) & (slots_.size() - 1);
+    head_ = (head_ + 1) & (capacity_ - 1);
     --count_;
     return packet;
   }
 
  private:
   void grow() {
-    const std::size_t cap = slots_.empty() ? 8 : slots_.size() * 2;
-    std::vector<Packet> next(cap);
+    const std::size_t cap = std::max<std::size_t>(8, 2 * capacity_);
+    auto next = std::make_unique<Packet[]>(cap);
     for (std::size_t q = 0; q < count_; ++q)
-      next[q] = std::move(slots_[(head_ + q) & (slots_.size() - 1)]);
-    slots_ = std::move(next);
+      next[q] = std::move(slots_[(head_ + q) & (capacity_ - 1)]);
+    heap_ = std::move(next);
+    slots_ = heap_.get();
+    capacity_ = cap;
     head_ = 0;
   }
 
-  std::vector<Packet> slots_;  ///< power-of-two capacity
+  std::array<Packet, 2> inline_;
+  std::unique_ptr<Packet[]> heap_;
+  Packet* slots_ = inline_.data();
+  std::size_t capacity_ = inline_.size();  ///< a power of two
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
@@ -128,14 +143,20 @@ class Mailbox {
   struct Channel {
     std::int64_t tag = 0;
     PacketRing queue;
-    std::unique_ptr<Channel> next;  ///< the same source's next tag
+    Channel* next = nullptr;  ///< the same source's next tag
   };
 
   /// Pre: mutex_ held. Finds or creates the channel for (src, tag).
   Channel& channel_locked(int src, std::int64_t tag);
 
   mutable std::mutex mutex_;  ///< guards everything below
-  std::vector<std::unique_ptr<Channel>> first_;  ///< one chain per source
+  std::vector<Channel*> first_;  ///< one chain per source
+  /// Channel storage: blocks that double the total, so n channels cost
+  /// O(log n) allocations; a channel never moves. [spare_, spare_end_) is
+  /// the unused tail of the last block.
+  std::vector<std::unique_ptr<Channel[]>> blocks_;
+  Channel* spare_ = nullptr;
+  Channel* spare_end_ = nullptr;
   std::size_t channels_ = 0;
   std::uint64_t delivered_ = 0;
   // The waiter slot: the channel the blocked receive waits on, and its

@@ -154,15 +154,16 @@ TEST_P(CollectiveSweep, GatherScatterRoundTrip) {
     for (int r = 0; r < p; ++r) counts[static_cast<std::size_t>(r)] = r + 1;
     std::vector<double> mine(static_cast<std::size_t>(comm.rank() + 1),
                              100.0 + comm.rank());
-    const auto all = comm.gatherv<double>(0, mine, counts);
+    std::vector<double> all(
+        comm.rank() == 0 ? static_cast<std::size_t>(p * (p + 1) / 2) : 0);
+    comm.gatherv_into<double>(0, mine, counts, all);
     if (comm.rank() == 0) {
-      ASSERT_EQ(static_cast<int>(all.size()), p * (p + 1) / 2);
       std::size_t pos = 0;
       for (int r = 0; r < p; ++r)
         for (int c = 0; c <= r; ++c) EXPECT_DOUBLE_EQ(all[pos++], 100.0 + r);
     }
-    const auto back = comm.scatterv<double>(0, all, counts);
-    ASSERT_EQ(back.size(), mine.size());
+    std::vector<double> back(mine.size());
+    comm.scatterv_into<double>(0, all, counts, back);
     for (std::size_t i = 0; i < back.size(); ++i)
       EXPECT_DOUBLE_EQ(back[i], mine[i]);
   });
@@ -175,10 +176,12 @@ TEST_P(CollectiveSweep, AllgathervEveryoneSeesEverything) {
     Communicator comm(ctx);
     const std::vector<int> ones(static_cast<std::size_t>(p), 1);
     const std::vector<double> mine{static_cast<double>(comm.rank()) * 2.0};
-    const auto all = comm.allgatherv<double>(mine, ones);
-    ASSERT_EQ(static_cast<int>(all.size()), p);
+    std::vector<double> all(static_cast<std::size_t>(p));
+    comm.allgatherv_into<double>(mine, ones, all);
     for (int r = 0; r < p; ++r)
       EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(r)], 2.0 * r);
+    // The vector-returning form is the same collective.
+    EXPECT_EQ(comm.allgatherv<double>(mine, ones), all);
   });
 }
 
@@ -192,11 +195,13 @@ TEST_P(CollectiveSweep, AlltoallvPersonalisedExchange) {
     std::vector<double> send(static_cast<std::size_t>(p));
     for (int d = 0; d < p; ++d)
       send[static_cast<std::size_t>(d)] = 1000.0 * comm.rank() + d;
-    const auto recv = comm.alltoallv<double>(send, counts, counts);
-    ASSERT_EQ(static_cast<int>(recv.size()), p);
+    std::vector<double> recv(static_cast<std::size_t>(p));
+    comm.alltoallv_into<double>(send, counts, counts, recv);
     for (int s = 0; s < p; ++s)
       EXPECT_DOUBLE_EQ(recv[static_cast<std::size_t>(s)],
                        1000.0 * s + comm.rank());
+    // The vector-returning form is the same collective.
+    EXPECT_EQ(comm.alltoallv<double>(send, counts, counts), recv);
   });
 }
 
@@ -215,7 +220,10 @@ TEST_P(CollectiveSweep, AlltoallvWithZeroCounts) {
     std::vector<int> recv_counts(static_cast<std::size_t>(p), 0);
     if (comm.rank() == 0)
       for (int r = 0; r < p; r += 2) recv_counts[static_cast<std::size_t>(r)] = 2;
-    const auto recv = comm.alltoallv<double>(send, send_counts, recv_counts);
+    std::vector<double> recv(comm.rank() == 0
+                                 ? 2 * static_cast<std::size_t>((p + 1) / 2)
+                                 : 0);
+    comm.alltoallv_into<double>(send, send_counts, recv_counts, recv);
     if (comm.rank() == 0) {
       std::size_t pos = 0;
       for (int r = 0; r < p; r += 2) {
@@ -462,8 +470,8 @@ TEST_P(CollectiveSweep, AlltoallvPackedMatchesAlltoallv) {
       for (std::size_t x = 0; x < mine; ++x)
         send[static_cast<std::size_t>(d) * mine + x] =
             1000.0 * comm.rank() + 10.0 * d + static_cast<double>(x);
-    const auto reference = comm.alltoallv<double>(send, send_counts,
-                                                  recv_counts);
+    std::vector<double> reference(static_cast<std::size_t>(p * (p + 1) / 2));
+    comm.alltoallv_into<double>(send, send_counts, recv_counts, reference);
 
     std::vector<std::size_t> send_bytes(static_cast<std::size_t>(p)),
         recv_bytes(static_cast<std::size_t>(p));
@@ -728,7 +736,8 @@ TEST(AlltoallvRendezvous, RankThatThrowsBeforeArrivingFailsTheRunPromptly) {
         Communicator comm(ctx);
         if (comm.rank() == 2) throw std::runtime_error("rank 2 failed");
         const std::vector<int> ones(4, 1), mine(4, comm.rank());
-        (void)comm.alltoallv<int>(mine, ones, ones);
+        std::vector<int> got(4);
+        comm.alltoallv_into<int>(mine, ones, ones, got);
       });
       ADD_FAILURE() << "the run did not fail";
     } catch (const std::runtime_error& error) {
@@ -751,8 +760,9 @@ TEST(AlltoallvRendezvous, SendsNoHostMessages) {
   const auto result = machine.run(kRanks, [](RankContext& ctx) {
     Communicator comm(ctx);
     const std::vector<int> ones(kRanks, 1), mine(kRanks, comm.rank());
+    std::vector<int> got(kRanks);
     for (int call = 0; call < 3; ++call) {
-      const std::vector<int> got = comm.alltoallv<int>(mine, ones, ones);
+      comm.alltoallv_into<int>(mine, ones, ones, got);
       for (int r = 0; r < kRanks; ++r)
         EXPECT_EQ(got[static_cast<std::size_t>(r)], r);
     }

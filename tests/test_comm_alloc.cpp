@@ -1,8 +1,8 @@
 // Allocation-freedom test for the zero-copy pooled transport: after a
 // warm-up sweep, the steady-state communication hot paths — multi-field
-// halo exchange, every parallel filter and the rendezvous all-to-all —
-// must not touch the heap (docs/transport.md, "allocation-free steady
-// state").
+// halo exchange, every parallel filter, the rendezvous all-to-all and the
+// load balancer's balance/return step — must not touch the heap
+// (docs/transport.md, "allocation-free steady state").
 //
 // The check hooks the global operator new/delete with a counting wrapper,
 // like tests/test_fft_alloc.cpp; it lives in its own binary so the hooks
@@ -37,7 +37,10 @@
 #include "grid/decomp.hpp"
 #include "grid/halo.hpp"
 #include "grid/latlon.hpp"
+#include "loadbalance/planner.hpp"
 #include "simnet/machine.hpp"
+#include "simnet/network.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::size_t> g_new_calls{0};
@@ -70,17 +73,25 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// Every delete frees through one out-of-line helper. If GCC inlined a
+// bare std::free into a caller whose pointer came from the (opaque)
+// replacement operator new, it would report a false
+// -Wmismatched-new-delete (gtest's parameterised-test registry is such a
+// caller).
+namespace {
+[[gnu::noinline]] void hook_free(void* p) noexcept { std::free(p); }
+}  // namespace
+void operator delete(void* p) noexcept { hook_free(p); }
+void operator delete[](void* p) noexcept { hook_free(p); }
+void operator delete(void* p, std::size_t) noexcept { hook_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { hook_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { hook_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { hook_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  hook_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  hook_free(p);
 }
 
 namespace agcm {
@@ -122,6 +133,10 @@ void gated(const Communicator& comm, Fn&& measured, Sample&& sample) {
   }
 }
 
+/// One fixture for the suite, so that the load-balanced cases can be
+/// parameterised by scheme under the same suite name.
+class CommAllocFree : public ::testing::TestWithParam<lb::Scheme> {};
+
 TEST(AllocationHook, CountsHeapTraffic) {
   const std::size_t before = allocs();
   auto* v = new std::vector<double>(1000);
@@ -130,7 +145,7 @@ TEST(AllocationHook, CountsHeapTraffic) {
   EXPECT_GE(after - before, 2u);  // the vector object + its storage
 }
 
-TEST(CommAllocFree, HaloExchangeAfterWarmup) {
+TEST_F(CommAllocFree, HaloExchangeAfterWarmup) {
   const int rows = 2, cols = 2, nlon = 24, nlat = 16, nlev = 3;
   Machine machine(MachineProfile::ideal());
   machine.set_recv_timeout_ms(20'000);
@@ -170,7 +185,7 @@ TEST(CommAllocFree, HaloExchangeAfterWarmup) {
   });
 }
 
-TEST(CommAllocFree, FilterTransposeAfterWarmup) {
+TEST_F(CommAllocFree, FilterTransposeAfterWarmup) {
   const int rows = 2, cols = 2, nlon = 48, nlat = 24, nlev = 2;
   const grid::LatLonGrid grid(nlon, nlat, nlev);
   const filter::FilterBank bank(grid,
@@ -221,7 +236,7 @@ TEST(CommAllocFree, FilterTransposeAfterWarmup) {
   });
 }
 
-TEST(CommAllocFree, WorldAlltoallvAfterWarmup) {
+TEST_F(CommAllocFree, WorldAlltoallvAfterWarmup) {
   // The rendezvous all-to-all: staging areas grow on the first calls of
   // each parity, then every call packs, replays and unpacks in place.
   constexpr int kRanks = 6;
@@ -263,6 +278,102 @@ TEST(CommAllocFree, WorldAlltoallvAfterWarmup) {
     EXPECT_EQ(checksum, 0.0);
   });
 }
+
+TEST_F(CommAllocFree, NewMailboxChannelsCostLogarithmicAllocations) {
+  // Scheme 3 meets new partners on most steps, so mailboxes keep opening
+  // (src, tag) channels. Channels come from blocks that double the
+  // mailbox's total and a ring's first two slots are inline, so 512 new
+  // channels cost a handful of allocations, not two each.
+  constexpr int kSources = 256;
+  simnet::Mailbox box(kSources);
+  const std::size_t before = allocs();
+  for (int tag = 0; tag < 2; ++tag)
+    for (int src = 0; src < kSources; ++src) {
+      simnet::Packet packet;
+      packet.src = src;
+      packet.tag = tag;
+      box.push(std::move(packet));
+      (void)box.pop(src, tag, 1000);
+    }
+  EXPECT_LE(allocs() - before, 16u);
+  EXPECT_EQ(box.live_channels(), 2u * kSources);
+}
+
+/// Rank r's 40 items of distinct weights, the first half of the ranks ~3x
+/// heavier; every rank's list can be rebuilt anywhere.
+std::vector<lb::Item> uneven_items(int p, int r) {
+  Rng rng(static_cast<std::uint64_t>(r) * 7 + 3);
+  const double base = r < p / 2 ? 3.0 : 1.0;
+  std::vector<lb::Item> items(40);
+  for (std::size_t q = 0; q < items.size(); ++q)
+    items[q] = {static_cast<std::uint64_t>(r) * 1000 + q,
+                base * rng.uniform(0.8, 1.2)};
+  return items;
+}
+
+TEST_P(CommAllocFree, LoadBalancedStepAfterWarmup) {
+  // The LB-on physics step's pattern: balance, work on the held items,
+  // return the results. The caller keeps its held set and result span and
+  // the executors keep rank-local scratch, so Schemes 1 and 3 allocate
+  // nothing. Scheme 2 rebuilds the global plan on every rank
+  // (plan_sorted_greedy, the bookkeeping the paper criticises) and may
+  // allocate what that planner does, once per rank.
+  constexpr int kRanks = 16;
+  constexpr int kDoubles = 4;
+  const lb::Scheme scheme = GetParam();
+  lb::ItemLists lists;
+  for (int r = 0; r < kRanks; ++r) lists.push_back(uneven_items(kRanks, r));
+  std::size_t planner_allocs = 0;
+  if (scheme == lb::Scheme::kSortedGreedy) {
+    const std::size_t before = allocs();
+    (void)lb::plan_sorted_greedy(lists);
+    planner_allocs = allocs() - before;
+    EXPECT_GT(planner_allocs, 0u);
+  }
+  Machine machine(MachineProfile::intel_paragon());
+  machine.set_recv_timeout_ms(20'000);
+  machine.run(kRanks, [&](RankContext& ctx) {
+    Communicator world(ctx);
+    if (world.rank() == 0) ctx.network().pool().prewarm(128, 1 << 16);
+    const std::vector<lb::Item>& items =
+        lists[static_cast<std::size_t>(world.rank())];
+    std::vector<double> payloads(items.size() * kDoubles);
+    for (std::size_t x = 0; x < payloads.size(); ++x)
+      payloads[x] = 100.0 * world.rank() + static_cast<double>(x);
+    lb::BalanceResult held;
+    std::vector<double> results;
+    std::vector<double> mine(payloads.size());
+    auto step = [&] {
+      lb::balance(world, scheme, items, payloads, kDoubles, held);
+      results.resize(held.held_payloads.size());
+      for (std::size_t x = 0; x < results.size(); ++x)
+        results[x] = 2.0 * held.held_payloads[x];
+      lb::return_to_owners(world, held, results, kDoubles, mine);
+    };
+
+    for (int it = 0; it < 3; ++it) step();
+    gated(world, [] {}, [](std::size_t, std::size_t) {});
+
+    gated(world, step, [&](std::size_t before, std::size_t after) {
+      EXPECT_LE(after - before, kRanks * planner_allocs)
+          << (after - before) << " heap allocations in the steady-state "
+          << lb::scheme_name(scheme) << " balance/return step ("
+          << planner_allocs << " per plan_sorted_greedy call)";
+    });
+    for (std::size_t x = 0; x < mine.size(); ++x)
+      ASSERT_EQ(mine[x], 2.0 * payloads[x]);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(, CommAllocFree,
+                         ::testing::Values(lb::Scheme::kCyclic,
+                                           lb::Scheme::kSortedGreedy,
+                                           lb::Scheme::kPairwise),
+                         [](const auto& info) {
+                           std::string name = lb::scheme_name(info.param);
+                           std::erase(name, '-');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace agcm

@@ -151,15 +151,20 @@ TEST(Planners, EmptyRanksAreHandled) {
 }
 
 TEST(Planners, PickHeaviestGoesHeaviestFirstWithTiesByPosition) {
+  const std::vector<Item> items{{0, 1.0}, {1, 3.0}, {2, 3.0}, {3, 2.0}};
+  // One caller vector serves every pick, as in the executor.
+  std::vector<std::size_t> picked;
+  const auto pick = [&](double target) {
+    pick_heaviest(items, target, picked);
+    return picked;
+  };
   // Order 1, 2, 3, 0: takes 1 (3 <= 5), then 2 overshoots by 1 < 2 left,
   // so it is taken and the pick stops.
-  const std::vector<double> weights{1.0, 3.0, 3.0, 2.0};
-  EXPECT_EQ(pick_heaviest(weights, 5.0), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(pick(5.0), (std::vector<std::size_t>{1, 2}));
   // The two 3s fill 6 exactly; a further item only moves away from it.
-  EXPECT_EQ(pick_heaviest(weights, 6.0), (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(pick_heaviest(weights, 100.0),
-            (std::vector<std::size_t>{1, 2, 3, 0}));
-  EXPECT_EQ(pick_heaviest(weights, 0.4), std::vector<std::size_t>{});
+  EXPECT_EQ(pick(6.0), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(pick(100.0), (std::vector<std::size_t>{1, 2, 3, 0}));
+  EXPECT_EQ(pick(0.4), std::vector<std::size_t>{});
 }
 
 TEST(Planners, DestinationsAreValidRanks) {
@@ -198,8 +203,8 @@ TEST(Collective, PairwiseBalanceMovesRealPayloads) {
     }
     PairwiseOptions options;
     options.max_iterations = 3;
-    const BalanceResult result =
-        balance(comm, Scheme::kPairwise, items, payloads, 2, options);
+    BalanceResult result;
+    balance(comm, Scheme::kPairwise, items, payloads, 2, result, options);
     EXPECT_LT(result.imbalance_after, result.imbalance_before);
     // Payloads stay attached to their items.
     for (std::size_t q = 0; q < result.held_items.size(); ++q) {
@@ -233,14 +238,14 @@ TEST(Collective, ReturnToOwnersRestoresOriginalOrder) {
           rng.uniform(0.5, 4.0)};
       payloads[static_cast<std::size_t>(q)] = 1000.0 * comm.rank() + q;
     }
-    const BalanceResult result =
-        balance(comm, Scheme::kPairwise, items, payloads, 1);
+    BalanceResult result;
+    balance(comm, Scheme::kPairwise, items, payloads, 1, result);
     // "Process": result = payload * 2 + 1.
     std::vector<double> processed(result.held_items.size());
     for (std::size_t q = 0; q < processed.size(); ++q)
       processed[q] = result.held_payloads[q] * 2.0 + 1.0;
-    const auto mine = return_to_owners(comm, result, processed, 1, n);
-    ASSERT_EQ(static_cast<int>(mine.size()), n);
+    std::vector<double> mine(static_cast<std::size_t>(n));
+    return_to_owners(comm, result, processed, 1, mine);
     for (int q = 0; q < n; ++q)
       EXPECT_DOUBLE_EQ(mine[static_cast<std::size_t>(q)],
                        (1000.0 * comm.rank() + q) * 2.0 + 1.0);
@@ -259,7 +264,8 @@ TEST(Collective, CyclicExecutorBalancesCounts) {
     for (int q = 0; q < n; ++q)
       items[static_cast<std::size_t>(q)] = {
           static_cast<std::uint64_t>(comm.rank() * 100 + q), 1.0};
-    const auto result = balance(comm, Scheme::kCyclic, items, payloads, 1);
+    BalanceResult result;
+    balance(comm, Scheme::kCyclic, items, payloads, 1, result);
     EXPECT_EQ(result.held_items.size(), static_cast<std::size_t>(n));
     EXPECT_NEAR(result.imbalance_after, 0.0, 1e-12);
   });
@@ -279,8 +285,8 @@ TEST(Collective, SortedGreedyExecutorImproves) {
     for (int q = 0; q < n; ++q)
       items[static_cast<std::size_t>(q)] = {
           static_cast<std::uint64_t>(comm.rank() * 100 + q), 1.0};
-    const auto result =
-        balance(comm, Scheme::kSortedGreedy, items, payloads, 1);
+    BalanceResult result;
+    balance(comm, Scheme::kSortedGreedy, items, payloads, 1, result);
     EXPECT_NEAR(result.imbalance_before, (65.0 - 35.5) / 35.5, 1e-9);
     EXPECT_LT(result.imbalance_after, 0.05);
   });
@@ -294,7 +300,8 @@ TEST(Collective, MigrationRoutesPayloadsWithItems) {
     std::vector<Item> items{{static_cast<std::uint64_t>(comm.rank()), 2.0}};
     std::vector<double> payloads{static_cast<double>(comm.rank())};
     std::vector<int> dest{(comm.rank() + 1) % 3};
-    const auto result = execute_migration(comm, items, payloads, 1, dest);
+    BalanceResult result;
+    execute_migration(comm, items, payloads, 1, dest, result);
     ASSERT_EQ(result.held_items.size(), 1u);
     EXPECT_EQ(static_cast<int>(result.held_items[0].id),
               (comm.rank() + 2) % 3);
@@ -310,7 +317,8 @@ TEST(Collective, BalanceRejectsSchemeNone) {
     Communicator comm(ctx);
     const std::vector<Item> items{{0, 1.0}};
     const std::vector<double> payloads{0.0};
-    EXPECT_THROW(balance(comm, Scheme::kNone, items, payloads, 1),
+    BalanceResult held;
+    EXPECT_THROW(balance(comm, Scheme::kNone, items, payloads, 1, held),
                  ConfigError);
   });
 }
@@ -338,10 +346,12 @@ std::pair<Traffic, Traffic> scheme_traffic(Scheme scheme, int workers) {
           static_cast<std::uint64_t>(comm.rank() * 1000 + q),
           base * rng.uniform(0.8, 1.2)};
     const Traffic t0 = ctx.traffic();
-    const BalanceResult held = balance(comm, scheme, items, payloads, 18);
+    BalanceResult held;
+    balance(comm, scheme, items, payloads, 18, held);
     const Traffic t1 = ctx.traffic();
     const std::vector<double> results(held.held_items.size() * 19);
-    (void)return_to_owners(comm, held, results, 19, 80);
+    std::vector<double> mine(80 * 19);
+    return_to_owners(comm, held, results, 19, mine);
     forward[static_cast<std::size_t>(comm.rank())] = t1 - t0;
     back[static_cast<std::size_t>(comm.rank())] = ctx.traffic() - t1;
   });
@@ -440,8 +450,8 @@ Agreement run_both(const ItemLists& lists, int rounds) {
     Communicator comm(ctx);
     const auto me = static_cast<std::size_t>(comm.rank());
     const std::vector<double> payloads(lists[me].size());
-    const BalanceResult held =
-        balance(comm, Scheme::kPairwise, lists[me], payloads, 1, options);
+    BalanceResult held;
+    balance(comm, Scheme::kPairwise, lists[me], payloads, 1, held, options);
     for (const Item& item : held.held_items) {
       if (planned.at(item.id) != comm.rank())
         elsewhere[me].push_back(item.id);
